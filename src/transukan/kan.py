@@ -292,52 +292,30 @@ class EfficientKanLayer:
     (2) average them with fixed 1/(G+K) coefficients (no parameters);
     (3) square; (4) y = q W^T + bias. Cross-neuron structure is learned only
     through the affine map's gradients.
-
-    ``per_basis_scale`` adds optional learnable weights on the basis
-    responses before pooling. Off by default and excluded from the
-    parameter-collapse equivalence with a plain affine layer.
     """
 
     def __init__(self, c_in: int, c_out: int, grid: KanGrid | None = None,
-                 rng: np.random.Generator | None = None,
-                 per_basis_scale: bool = False):
+                 rng: np.random.Generator | None = None):
         self.c_in = c_in
         self.c_out = c_out
         self.grid = grid or KanGrid()
-        self.per_basis_scale = per_basis_scale
         rng = rng or np.random.default_rng(0)
         self.weight = Tensor(_uniform(rng, 1.0 / np.sqrt(c_in), (c_out, c_in)),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
-        self.basis_scale = (Tensor(np.ones((c_in, self.grid.n_basis)),
-                                   requires_grad=True)
-                            if per_basis_scale else None)
 
     def forward(self, x: Tensor) -> Tensor:
         _check_last_dim(x, self.c_in, "EfficientKanLayer")
         basis = relukan_basis_expand(x, self.grid)   # [..., c_in, G+K]
-        if self.basis_scale is not None:
-            basis = T.mul(basis, self.basis_scale)
         pooled = T.mean_last_axis(basis)             # [..., c_in]
         q = T.square(pooled)
         return T.add(T.matmul(q, T.transpose(self.weight, (1, 0))), self.bias)
 
     def parameters(self):
-        params = [("weight", self.weight), ("bias", self.bias)]
-        if self.basis_scale is not None:
-            params.append(("basis_scale", self.basis_scale))
-        return params
+        return [("weight", self.weight), ("bias", self.bias)]
 
     def param_count(self) -> ParamCount:
-        count = ParamCount(affine=self.c_in * self.c_out + self.c_out)
-        if self.basis_scale is not None:
-            count.basis = self.c_in * self.grid.n_basis
-        return count
+        return ParamCount(affine=self.c_in * self.c_out + self.c_out)
 
 
 KanLayer = BSplineKanLayer | ReLUKanLayer | EfficientKanLayer
-
-
-def kan_param_count(layer) -> ParamCount:
-    """Closed-form parameter breakdown for any layer built here."""
-    return layer.param_count()

@@ -77,20 +77,13 @@ def msa_kan(x: Tensor, p: MsaKanParams, return_attn: bool = False):
 
 class KansformerBlockParams:
     """One encoder block: LN -> EfficientKAN -> MSA -> +residual, then
-    LN -> EfficientKAN -> +residual.
-
-    ``conventional_order`` switches to the ordinary pre-norm layout (MSA
-    directly on the normed input, no KAN inside the attention branch); it
-    exists for comparison runs only.
-    """
+    LN -> EfficientKAN -> +residual."""
 
     def __init__(self, d_model: int, n_heads: int, grid: KanGrid | None = None,
-                 rng: np.random.Generator | None = None,
-                 conventional_order: bool = False):
+                 rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
         grid = grid or KanGrid()
         self.d_model = d_model
-        self.conventional_order = conventional_order
         self.ln1 = LayerNormParams(d_model)
         self.ln2 = LayerNormParams(d_model)
         self.kan1 = EfficientKanLayer(d_model, d_model, grid, rng=rng)
@@ -110,10 +103,7 @@ def kansformer_block(z_prev: Tensor, p: KansformerBlockParams) -> Tensor:
     if z_prev.ndim != 3 or z_prev.shape[-1] != p.d_model:
         raise DimensionError(f"kansformer_block expects (B, T, {p.d_model}), "
                              f"got {z_prev.shape}")
-    if p.conventional_order:
-        branch = msa_kan(p.ln1.forward(z_prev), p.msa)
-    else:
-        branch = msa_kan(p.kan1.forward(p.ln1.forward(z_prev)), p.msa)
+    branch = msa_kan(p.kan1.forward(p.ln1.forward(z_prev)), p.msa)
     z_mid = T.add(branch, z_prev)
     return T.add(p.kan2.forward(p.ln2.forward(z_mid)), z_mid)
 
@@ -122,8 +112,7 @@ class EncoderStack:
     """Learned positional embedding followed by ``depth`` Kansformer blocks."""
 
     def __init__(self, d_model: int, depth: int, n_heads: int, n_tokens: int,
-                 grid: KanGrid | None = None, rng: np.random.Generator | None = None,
-                 conventional_order: bool = False):
+                 grid: KanGrid | None = None, rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
         grid = grid or KanGrid()
         self.d_model = d_model
@@ -131,8 +120,7 @@ class EncoderStack:
         self.n_tokens = n_tokens
         self.pos_embed = Tensor(rng.uniform(-0.02, 0.02, size=(n_tokens, d_model)),
                                 requires_grad=True)
-        self.blocks = [KansformerBlockParams(d_model, n_heads, grid, rng=rng,
-                                             conventional_order=conventional_order)
+        self.blocks = [KansformerBlockParams(d_model, n_heads, grid, rng=rng)
                        for _ in range(depth)]
 
     def parameters(self):

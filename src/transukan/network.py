@@ -44,11 +44,12 @@ class ModelConfig:
     grid: KanGrid = field(default_factory=KanGrid)
     cnn_channels: tuple[int, int, int] = (16, 32, 64)
     decoder_channels: tuple[int, int, int] = (32, 16, 16)
-    conventional_order: bool = False
 
     def __post_init__(self):
         if self.image_size % 8 != 0:
             raise ContractError(f"image_size must be divisible by 8, got {self.image_size}")
+        if self.n_heads < 1:
+            raise ContractError(f"need at least 1 head, got {self.n_heads}")
         if self.d_model % self.n_heads != 0:
             raise ContractError(f"d_model {self.d_model} not divisible by "
                                 f"n_heads {self.n_heads}")
@@ -65,6 +66,10 @@ class ModelConfig:
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
         d = dict(d)
+        # Configs written before the block layout was fixed carry this key.
+        if d.pop("conventional_order", False):
+            raise CheckpointFormatError("conventional_order=true blocks are "
+                                        "no longer supported")
         d["grid"] = KanGrid(**d["grid"])
         d["cnn_channels"] = tuple(d["cnn_channels"])
         d["decoder_channels"] = tuple(d["decoder_channels"])
@@ -189,8 +194,7 @@ class TransUKanModel:
         self.cnn = CnnEncoderParams(config.in_channels, config.cnn_channels, rng=rng)
         self.embed = PatchEmbedParams(config.cnn_channels[-1], config.d_model, rng=rng)
         self.encoder = EncoderStack(config.d_model, config.depth, config.n_heads,
-                                    config.n_tokens, grid=config.grid, rng=rng,
-                                    conventional_order=config.conventional_order)
+                                    config.n_tokens, grid=config.grid, rng=rng)
         self.decoder = DecoderParams(config.d_model, config.cnn_channels,
                                      config.decoder_channels, config.n_classes,
                                      rng=rng)
@@ -280,8 +284,9 @@ def load_checkpoint(path: str, expect_config: ModelConfig | None = None) -> Tran
         (config_len,) = struct.unpack("<I", _read_exact(fh, 4))
         try:
             config = ModelConfig.from_dict(json.loads(_read_exact(fh, config_len)))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise CheckpointCorruptError(f"{path}: unreadable config block") from exc
+        except (ValueError, KeyError, TypeError, ContractError) as exc:
+            raise CheckpointCorruptError(f"{path}: unreadable config block: "
+                                         f"{exc}") from exc
         if expect_config is not None and config != expect_config:
             raise CheckpointFormatError(f"{path}: checkpoint config {config} is "
                                         f"incompatible with expected {expect_config}")

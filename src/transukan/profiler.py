@@ -8,13 +8,18 @@ Conventions (fixed so reports are deterministic and comparable):
 * activation memory counts tensors retained for the backward pass at 8 bytes
   per element: every layer accounts for its own retained inputs and outputs,
   so tensors shared across a layer boundary are counted once per consumer.
-* the B-spline edge layer retains its basis activations per edge
-  (rows * c_in * c_out * n_basis elements); the hinge-basis layers share one
-  basis block across output channels (rows * c_in * n_basis). That per-edge
-  retention is what drives the memory gap between the variants.
+* the B-spline law charges basis activations per edge
+  (rows * c_in * c_out * n_basis elements); the hinge-basis laws charge one
+  basis block shared across output channels (rows * c_in * (1 + n_basis)).
 
-Only orderings and closed-form ratios are load-bearing; absolute numbers are
-a documented model, not a measurement.
+The memory laws are a model, not a measurement. ``BSplineKanLayer.forward``
+keeps one shared rows * c_in * n_basis basis block, not one per edge: for one
+64 -> 64 layer at 64 rows the tape holds about 4.3 MB against 16.9 MB
+modelled. The EfficientKAN hinge expansion keeps seven intermediates per
+basis value: about 2.0 MB on the tape against 0.39 MB modelled for the same
+layer. The measured gap of the whole model, op by op, is tabulated in
+``perfbench/README.md``. Only orderings and closed-form ratios are
+load-bearing.
 """
 
 from __future__ import annotations
@@ -36,14 +41,8 @@ from transukan.kansformer import (
     LayerNormParams,
     MsaKanParams,
 )
-from transukan.network import (
-    CnnEncoderParams,
-    Conv2dLayer,
-    DecoderParams,
-    ModelConfig,
-    PatchEmbedParams,
-    TransUKanModel,
-)
+from transukan.network import TransUKanModel
+from transukan.tensor import ContractError
 
 EXP_FLOPS = 4
 SILU_FLOPS = EXP_FLOPS + 3          # exp, add, divide, multiply
@@ -115,13 +114,13 @@ def _e(name, params=0, flops=0, mem_elems=0) -> CostEntry:
 # Closed-form building blocks, shared by object dispatch and variant tables
 # ---------------------------------------------------------------------------
 
-def _affine_entries(name, rows, c_in, c_out):
+def _affine_entries(name, rows, c_in, c_out, *_):
     return [_e(name, params=c_in * c_out + c_out, flops=2 * rows * c_in * c_out,
                mem_elems=rows * (c_in + c_out))]
 
 
-def _effkan_entries(name, rows, c_in, c_out, nb, per_basis_scale=False):
-    entries = [
+def _effkan_entries(name, rows, c_in, c_out, nb, *_):
+    return [
         _e(f"{name}.expand", flops=rows * c_in * nb * HINGE_BASIS_FLOPS,
            mem_elems=rows * c_in * (1 + nb)),
         _e(f"{name}.pool", flops=rows * c_in * nb, mem_elems=rows * c_in),
@@ -129,14 +128,9 @@ def _effkan_entries(name, rows, c_in, c_out, nb, per_basis_scale=False):
         _e(f"{name}.affine", params=c_in * c_out + c_out,
            flops=2 * rows * c_in * c_out, mem_elems=rows * c_out),
     ]
-    if per_basis_scale:
-        entries.insert(1, _e(f"{name}.basis_scale", params=c_in * nb,
-                             flops=rows * c_in * nb,
-                             mem_elems=rows * c_in * nb))
-    return entries
 
 
-def _relukan_entries(name, rows, c_in, c_out, nb):
+def _relukan_entries(name, rows, c_in, c_out, nb, *_):
     return [
         _e(f"{name}.expand", flops=rows * c_in * nb * HINGE_BASIS_FLOPS,
            mem_elems=rows * c_in * (1 + nb)),
@@ -192,60 +186,113 @@ def _conv_entries(name, batch, c_in, c_out, k, h_in, w_in, stride, padding):
     return [entry], (h_out, w_out)
 
 
-VARIANT_LAYER_ENTRIES = {
-    "mlp": lambda name, rows, c_in, c_out, nb, order: _affine_entries(
-        name, rows, c_in, c_out),
-    "efficientkan": lambda name, rows, c_in, c_out, nb, order: _effkan_entries(
-        name, rows, c_in, c_out, nb),
-    "relukan": lambda name, rows, c_in, c_out, nb, order: _relukan_entries(
-        name, rows, c_in, c_out, nb),
-    "bspline_kan": lambda name, rows, c_in, c_out, nb, order: _bspline_entries(
-        name, rows, c_in, c_out, nb, order),
+# Each layer class: its entry name in a single-layer report, and its cost law
+# (name, rows, c_in, c_out, n_basis, spline order) -> entries. Laws ignore the
+# trailing geometry they do not use.
+LAYER_LAWS = {
+    AffineLayer: ("affine", _affine_entries),
+    EfficientKanLayer: ("efficientkan", _effkan_entries),
+    ReLUKanLayer: ("relukan", _relukan_entries),
+    BSplineKanLayer: ("bspline_kan", _bspline_entries),
 }
 
-VARIANTS = tuple(VARIANT_LAYER_ENTRIES)
+# The layer each variant puts in Q/K/V and in the KAN sublayers of a block.
+VARIANT_LAYERS = {
+    "mlp": AffineLayer,
+    "efficientkan": EfficientKanLayer,
+    "relukan": ReLUKanLayer,
+    "bspline_kan": BSplineKanLayer,
+}
+
+VARIANTS = tuple(VARIANT_LAYERS)
 
 
 # ---------------------------------------------------------------------------
-# Object dispatch
+# Encoder layout, shared by the object walk and the variant comparison
 # ---------------------------------------------------------------------------
 
-def _msa_entries(name, p: MsaKanParams, batch, t):
-    rows = batch * t
-    d = p.d_model
+@dataclass(frozen=True)
+class ArchConfig:
+    """Encoder geometry for the variant comparison.
+
+    The ``mlp`` variant is the conventional block: affine Q/K/V and a
+    two-layer feed-forward with ``mlp_ratio`` expansion. Every KAN variant
+    replaces Q/K/V and carries two d->d KAN sublayers per block (one inside
+    the attention branch, one as the feed-forward), all on the same basis
+    budget of G+K functions per input channel.
+    """
+
+    d_model: int = 64
+    depth: int = 4
+    n_heads: int = 4
+    grid: KanGrid = field(default_factory=KanGrid)
+    mlp_ratio: float = 4.0
+    n_tokens: int = 64
+    batch: int = 1
+
+
+def _sublayer_entries(name, variant, arch: ArchConfig):
+    """One d -> d layer of the variant on the arch's basis budget."""
+    order = max(arch.grid.K, 1)     # spline order on the same budget
+    _, law = LAYER_LAWS[VARIANT_LAYERS[variant]]
+    return law(name, arch.batch * arch.n_tokens, arch.d_model, arch.d_model,
+               arch.grid.n_basis, order)
+
+
+def _msa_entries(name, variant, arch: ArchConfig):
+    d = arch.d_model
     entries = []
-    for sub, layer in (("q_proj", p.q_proj), ("k_proj", p.k_proj),
-                       ("v_proj", p.v_proj)):
-        entries += _effkan_entries(f"{name}.{sub}", rows, d, d,
-                                   layer.grid.n_basis, layer.per_basis_scale)
-    entries += _attention_core_entries(f"{name}.attn", batch, t, d, p.n_heads)
-    entries += _affine_entries(f"{name}.out_proj", rows, d, d)
+    for sub in ("q", "k", "v"):
+        entries += _sublayer_entries(f"{name}.{sub}_proj", variant, arch)
+    entries += _attention_core_entries(f"{name}.attn", arch.batch,
+                                       arch.n_tokens, d, arch.n_heads)
+    entries += _affine_entries(f"{name}.out_proj", arch.batch * arch.n_tokens,
+                               d, d)
     return entries
 
 
-def _block_entries(name, p: KansformerBlockParams, batch, t):
-    rows = batch * t
-    d = p.d_model
+def _block_entries(name, variant, arch: ArchConfig):
+    rows = arch.batch * arch.n_tokens
+    d = arch.d_model
     entries = _layer_norm_entries(f"{name}.ln1", rows, d)
-    if not p.conventional_order:
-        entries += _effkan_entries(f"{name}.kan1", rows, d, d,
-                                   p.kan1.grid.n_basis, p.kan1.per_basis_scale)
-    entries += _msa_entries(f"{name}.msa", p.msa, batch, t)
+    if variant != "mlp":
+        entries += _sublayer_entries(f"{name}.kan1", variant, arch)
+    entries += _msa_entries(f"{name}.msa", variant, arch)
     entries.append(_e(f"{name}.residual1", flops=rows * d, mem_elems=rows * d))
     entries += _layer_norm_entries(f"{name}.ln2", rows, d)
-    entries += _effkan_entries(f"{name}.kan2", rows, d, d,
-                               p.kan2.grid.n_basis, p.kan2.per_basis_scale)
+    if variant == "mlp":
+        entries += _mlp_entries(f"{name}.ffn", rows, d, arch.mlp_ratio)
+    else:
+        entries += _sublayer_entries(f"{name}.kan2", variant, arch)
     entries.append(_e(f"{name}.residual2", flops=rows * d, mem_elems=rows * d))
     return entries
 
 
-def _encoder_entries(name, stack: EncoderStack, batch):
-    t, d = stack.n_tokens, stack.d_model
-    entries = [_e(f"{name}.pos_embed", params=t * d, flops=batch * t * d,
-                  mem_elems=batch * t * d)]
-    for i, block in enumerate(stack.blocks):
-        entries += _block_entries(f"{name}.block{i}", block, batch, t)
+def _encoder_entries(prefix, variant, arch: ArchConfig):
+    t, d = arch.n_tokens, arch.d_model
+    entries = [_e(f"{prefix}pos_embed", params=t * d, flops=arch.batch * t * d,
+                  mem_elems=arch.batch * t * d)]
+    for i in range(arch.depth):
+        entries += _block_entries(f"{prefix}block{i}", variant, arch)
     return entries
+
+
+# ---------------------------------------------------------------------------
+# Object walk: geometry read off the built objects, laid out as above with
+# the EfficientKAN variant (the only sublayer the encoder builds)
+# ---------------------------------------------------------------------------
+
+def _msa_arch(p: MsaKanParams, batch, t, depth=1) -> ArchConfig:
+    return ArchConfig(d_model=p.d_model, depth=depth, n_heads=p.n_heads,
+                      grid=p.q_proj.grid, n_tokens=t, batch=batch)
+
+
+def _stack_arch(stack: EncoderStack, batch) -> ArchConfig:
+    if not stack.blocks:
+        return ArchConfig(d_model=stack.d_model, depth=0,
+                          n_tokens=stack.n_tokens, batch=batch)
+    return _msa_arch(stack.blocks[0].msa, batch, stack.n_tokens,
+                     depth=len(stack.blocks))
 
 
 def _model_entries(model: TransUKanModel, batch):
@@ -269,7 +316,8 @@ def _model_entries(model: TransUKanModel, batch):
     t = cfg.n_tokens
     entries += _affine_entries("embed.proj", batch * t, cfg.cnn_channels[-1],
                                cfg.d_model)
-    entries += _encoder_entries("encoder", model.encoder, batch)
+    entries += _encoder_entries("encoder.", "efficientkan",
+                                _stack_arch(model.encoder, batch))
     ch_prev = cfg.d_model
     size = cfg.image_size // 8
     for i, out_ch in enumerate(cfg.decoder_channels):
@@ -289,38 +337,34 @@ def _model_entries(model: TransUKanModel, batch):
     return entries
 
 
-def _dispatch(obj, rows, batch=None) -> list[CostEntry]:
-    name = type(obj).__name__
-    if isinstance(obj, AffineLayer):
-        return _affine_entries("affine", rows, obj.c_in, obj.c_out)
-    if isinstance(obj, EfficientKanLayer):
-        return _effkan_entries("efficientkan", rows, obj.c_in, obj.c_out,
-                               obj.grid.n_basis, obj.per_basis_scale)
-    if isinstance(obj, ReLUKanLayer):
-        return _relukan_entries("relukan", rows, obj.c_in, obj.c_out,
-                                obj.grid.n_basis)
-    if isinstance(obj, BSplineKanLayer):
-        return _bspline_entries("bspline_kan", rows, obj.c_in, obj.c_out,
-                                obj.n_basis, obj.k_spline)
+def _dispatch(obj, rows) -> list[CostEntry]:
     if isinstance(obj, LayerNormParams):
         return _layer_norm_entries("layer_norm", rows, obj.d)
-    if isinstance(obj, Conv2dLayer):
-        raise TypeError("conv layers are profiled through the model walk; "
-                        "pass the full model")
-    raise TypeError(f"cannot profile object of type {name}")
+    if type(obj) not in LAYER_LAWS:
+        raise ContractError(f"cannot profile a {type(obj).__name__}: pass a "
+                            f"TransUKanModel, an encoder part or a layer")
+    name, law = LAYER_LAWS[type(obj)]
+    if isinstance(obj, BSplineKanLayer):
+        nb, order = obj.n_basis, obj.k_spline
+    elif isinstance(obj, AffineLayer):
+        nb, order = 0, 1
+    else:
+        nb, order = obj.grid.n_basis, 1
+    return law(name, rows, obj.c_in, obj.c_out, nb, order)
 
 
 def _entries_for(obj, input_shape=None, batch=1) -> list[CostEntry]:
     if isinstance(obj, TransUKanModel):
         return _model_entries(obj, batch)
     if isinstance(obj, EncoderStack):
-        return _encoder_entries("encoder", obj, batch)
+        return _encoder_entries("encoder.", "efficientkan",
+                                _stack_arch(obj, batch))
+    t = input_shape[1] if input_shape is not None else 1
     if isinstance(obj, KansformerBlockParams):
-        t = input_shape[1] if input_shape is not None else 1
-        return _block_entries("block", obj, batch, t)
+        return _block_entries("block", "efficientkan",
+                              _msa_arch(obj.msa, batch, t))
     if isinstance(obj, MsaKanParams):
-        t = input_shape[1] if input_shape is not None else 1
-        return _msa_entries("msa", obj, batch, t)
+        return _msa_entries("msa", "efficientkan", _msa_arch(obj, batch, t))
     rows = batch
     if input_shape is not None:
         rows = int(np.prod(input_shape[:-1])) if len(input_shape) > 1 else 1
@@ -346,7 +390,7 @@ def estimate_flops(model_or_layer, input_shape) -> CostReport:
 def estimate_activation_memory(model_or_layer, batch: int) -> CostReport:
     """Bytes of forward activations retained for the backward pass."""
     if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
+        raise ContractError(f"activation memory needs batch >= 1, got {batch}")
     entries = _entries_for(model_or_layer, batch=batch)
     stripped = [CostEntry(e.name, activation_bytes=e.activation_bytes)
                 for e in entries]
@@ -357,65 +401,10 @@ def estimate_activation_memory(model_or_layer, batch: int) -> CostReport:
 # Variant comparison (Kansformer encoder with substituted sublayers)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ArchConfig:
-    """Encoder geometry for the variant comparison.
-
-    The ``mlp`` variant is the conventional block: affine Q/K/V and a
-    two-layer feed-forward with ``mlp_ratio`` expansion. Every KAN variant
-    replaces Q/K/V and carries two d->d KAN sublayers per block (one inside
-    the attention branch, one as the feed-forward), all on the same basis
-    budget of G+K functions per input channel.
-    """
-
-    d_model: int = 64
-    depth: int = 4
-    n_heads: int = 4
-    grid: KanGrid = field(default_factory=KanGrid)
-    mlp_ratio: float = 4.0
-    n_tokens: int = 64
-    batch: int = 1
-
-
-def _variant_block_entries(variant, name, arch: ArchConfig):
-    rows = arch.batch * arch.n_tokens
-    d = arch.d_model
-    nb = arch.grid.n_basis
-    order = arch.grid.K if arch.grid.K >= 1 else 1  # spline order on the same budget
-    make = VARIANT_LAYER_ENTRIES[variant]
-    entries = _layer_norm_entries(f"{name}.ln1", rows, d)
-    if variant != "mlp":
-        entries += make(f"{name}.kan1", rows, d, d, nb, order)
-    for sub in ("q", "k", "v"):
-        entries += make(f"{name}.msa.{sub}_proj", rows, d, d, nb, order)
-    entries += _attention_core_entries(f"{name}.msa.attn", arch.batch,
-                                       arch.n_tokens, d, arch.n_heads)
-    entries += _affine_entries(f"{name}.msa.out_proj", rows, d, d)
-    entries.append(_e(f"{name}.residual1", flops=rows * d, mem_elems=rows * d))
-    entries += _layer_norm_entries(f"{name}.ln2", rows, d)
-    if variant == "mlp":
-        entries += _mlp_entries(f"{name}.ffn", rows, d, arch.mlp_ratio)
-    else:
-        entries += make(f"{name}.kan2", rows, d, d, nb, order)
-    entries.append(_e(f"{name}.residual2", flops=rows * d, mem_elems=rows * d))
-    return entries
-
-
 def variant_report(variant: str, arch: ArchConfig) -> CostReport:
     if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    entries = [_e("pos_embed", params=arch.n_tokens * arch.d_model,
-                  flops=arch.batch * arch.n_tokens * arch.d_model,
-                  mem_elems=arch.batch * arch.n_tokens * arch.d_model)]
-    for i in range(arch.depth):
-        entries += _variant_block_entries(variant, f"block{i}", arch)
-    return CostReport(variant, entries)
-
-
-def retained_basis_bytes(report: CostReport) -> int:
-    """Bytes of basis activations (entries named ``*.basis`` / ``*.expand``)."""
-    return sum(e.activation_bytes for e in report.entries
-               if e.name.endswith(".basis") or e.name.endswith(".expand"))
+        raise ContractError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+    return CostReport(variant, _encoder_entries("", variant, arch))
 
 
 @dataclass

@@ -12,7 +12,6 @@ from transukan.kan import (
     bspline_basis,
     bspline_basis_expand,
     bspline_knots,
-    kan_param_count,
     phi_edge,
     relukan_basis,
     relukan_basis_expand,
@@ -374,27 +373,20 @@ class TestEfficientKanLayer:
             rep = T.grad_check(objective, target, tol=1e-5)
             assert rep.ok, rep
 
-    def test_per_basis_scale_flag(self):
-        grid = KanGrid()
-        layer = EfficientKanLayer(3, 2, grid, per_basis_scale=True)
-        assert kan_param_count(layer).basis == 3 * grid.n_basis
-        out = layer.forward(Tensor(np.zeros((2, 3))))
-        assert out.shape == (2, 2)
-
 
 class TestParamCounts:
     def test_efficient_equals_affine(self):
-        assert kan_param_count(EfficientKanLayer(4, 8)).total == 40
-        assert kan_param_count(AffineLayer(4, 8)).total == 40
+        assert EfficientKanLayer(4, 8).param_count().total == 40
+        assert AffineLayer(4, 8).param_count().total == 40
 
     def test_relukan_closed_form(self):
         grid = KanGrid(G=5, K=3)
-        assert kan_param_count(ReLUKanLayer(4, 8, grid)).total == 8 * 8 * 4 + 8
+        assert ReLUKanLayer(4, 8, grid).param_count().total == 8 * 8 * 4 + 8
 
     def test_bspline_closed_form(self):
         layer = BSplineKanLayer(2, 3, KanGrid(G=5, K=3), k_spline=3)
         assert layer.n_basis == 8
-        assert kan_param_count(layer).total == 2 * 3 * (2 + 8)
+        assert layer.param_count().total == 2 * 3 * (2 + 8)
 
     @pytest.mark.parametrize("c_in,c_out", [(1, 1), (3, 5), (16, 16)])
     def test_counts_match_tensor_enumeration(self, c_in, c_out):
@@ -404,15 +396,15 @@ class TestParamCounts:
                       ReLUKanLayer(c_in, c_out, rng=rng),
                       BSplineKanLayer(c_in, c_out, rng=rng)):
             enumerated = sum(p.size for _, p in layer.parameters())
-            assert kan_param_count(layer).total == enumerated
+            assert layer.param_count().total == enumerated
 
     def test_ratio_laws(self):
         for c_in, c_out in [(2, 3), (8, 4), (7, 7)]:
             for gk in [(2, 0), (3, 2), (5, 3)]:
                 grid = KanGrid(G=gk[0], K=gk[1])
-                eff = kan_param_count(EfficientKanLayer(c_in, c_out, grid)).total
-                aff = kan_param_count(AffineLayer(c_in, c_out)).total
-                rel = kan_param_count(ReLUKanLayer(c_in, c_out, grid))
+                eff = EfficientKanLayer(c_in, c_out, grid).param_count().total
+                aff = AffineLayer(c_in, c_out).param_count().total
+                rel = ReLUKanLayer(c_in, c_out, grid).param_count()
                 assert eff == aff
                 assert rel.integration - c_out == grid.n_basis * c_in * c_out
 

@@ -97,16 +97,6 @@ class TestKansformerBlock:
         expected = T.add(p.kan2.forward(p.ln2.forward(z_mid)), z_mid)
         np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
 
-    def test_conventional_order_flag_changes_branch(self):
-        rng = np.random.default_rng(13)
-        p = KansformerBlockParams(8, 2, rng=rng)
-        q = KansformerBlockParams(8, 2, rng=np.random.default_rng(13),
-                                  conventional_order=True)
-        z = Tensor(np.random.default_rng(14).uniform(-1, 1, size=(1, 3, 8)))
-        a = kansformer_block(z, p).data
-        b = kansformer_block(z, q).data
-        assert not np.allclose(a, b)
-
 
 class TestEncoder:
     def test_depth_zero_adds_positional_embedding(self):

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -171,6 +174,39 @@ class TestCheckpoint:
         open(path, "wb").write(bytes(blob))
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
+
+
+def _rewrite_config(path, mutate):
+    """Replace the JSON config block of a saved checkpoint by ``mutate(config)``."""
+    blob = open(path, "rb").read()
+    (config_len,) = struct.unpack("<I", blob[5:9])
+    config = mutate(json.loads(blob[9:9 + config_len]))
+    new_blob = json.dumps(config).encode("utf-8")
+    open(path, "wb").write(blob[:5] + struct.pack("<I", len(new_blob)) + new_blob
+                           + blob[9 + config_len:])
+
+
+@pytest.mark.parametrize("mutate,error", [
+    (lambda c: {**c, "image_size": 12}, CheckpointCorruptError),
+    (lambda c: {**c, "grid": {**c["grid"], "G": 0}}, CheckpointCorruptError),
+    (lambda c: {**c, "n_heads": 0}, CheckpointCorruptError),
+    (lambda c: "not a mapping", CheckpointCorruptError),
+    (lambda c: {**c, "conventional_order": False}, None),
+    (lambda c: {**c, "conventional_order": True}, CheckpointFormatError),
+], ids=["image_size_12", "grid_G_0", "n_heads_0", "not_a_mapping",
+        "v1_conventional_order_false", "v1_conventional_order_true"])
+def test_embedded_config_checked_on_load(tmp_path, mutate, error):
+    model = TransUKanModel(MICRO, rng=np.random.default_rng(15))
+    path = str(tmp_path / "model.tukn")
+    save_checkpoint(model, path)
+    _rewrite_config(path, mutate)
+    if error is not None:
+        with pytest.raises(error):
+            load_checkpoint(path)
+        return
+    loaded = load_checkpoint(path, expect_config=MICRO)
+    for (_, p1), (_, p2) in zip(model.parameters(), loaded.parameters()):
+        assert np.array_equal(p1.data, p2.data)
 
 
 class TestModelConfig:
