@@ -9,7 +9,9 @@ Three ways to build a learnable-activation layer on a shared uniform grid:
 * ``EfficientKanLayer``: the same basis responses, but integrated inside
   each neuron by fixed average pooling, squared, and mixed across neurons
   by a single affine map. Its parameter count collapses to that of a plain
-  affine layer.
+  affine layer, and so does its graph: the pooled basis is a fixed scalar
+  function of x, computed by the single op ``tensor.hinge_pool``, so the
+  layer is Affine((mean_i R_i(x))^2) and keeps no basis block.
 """
 
 from __future__ import annotations
@@ -288,10 +290,12 @@ class ReLUKanLayer:
 class EfficientKanLayer:
     """Per-neuron basis pooling, squared, then one affine map across neurons.
 
-    Stages: (1) expand each input channel into its G+K basis responses;
-    (2) average them with fixed 1/(G+K) coefficients (no parameters);
-    (3) square; (4) y = q W^T + bias. Cross-neuron structure is learned only
-    through the affine map's gradients.
+    Stages: (1) ``activate``: each input channel's G+K basis responses are
+    averaged with fixed 1/(G+K) coefficients (no parameters) by one fused
+    ``hinge_pool`` op, then squared; (2) ``mix``: y = q W^T + bias.
+    Cross-neuron structure is learned only through the affine map's
+    gradients. ``activate`` depends on the grid alone, so layers on one grid
+    that read the same input can share its output.
     """
 
     def __init__(self, c_in: int, c_out: int, grid: KanGrid | None = None,
@@ -304,12 +308,18 @@ class EfficientKanLayer:
                              requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def activate(self, x: Tensor) -> Tensor:
+        """q = (mean_i R_i(x))^2, elementwise; the expanded basis is never kept."""
         _check_last_dim(x, self.c_in, "EfficientKanLayer")
-        basis = relukan_basis_expand(x, self.grid)   # [..., c_in, G+K]
-        pooled = T.mean_last_axis(basis)             # [..., c_in]
-        q = T.square(pooled)
+        return T.square(T.hinge_pool(x, self.grid.support_lo(),
+                                     self.grid.support_hi()))
+
+    def mix(self, q: Tensor) -> Tensor:
+        """y = q W^T + bias."""
         return T.add(T.matmul(q, T.transpose(self.weight, (1, 0))), self.bias)
+
+    def forward(self, x: Tensor) -> Tensor:
+        return self.mix(self.activate(x))
 
     def parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]

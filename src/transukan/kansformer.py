@@ -2,8 +2,9 @@
 
 The block applies, in order: layer norm, an EfficientKAN map, multi-head
 self-attention whose Q/K/V projections are themselves single EfficientKAN
-layers, a residual add, then a second norm + EfficientKAN + residual.
-The attention output projection stays affine.
+layers (sharing one activation of their input), a residual add, then a
+second norm + EfficientKAN + residual. The attention output projection stays
+affine.
 """
 
 from __future__ import annotations
@@ -59,13 +60,18 @@ def _split_heads(x: Tensor, n_heads: int, head_dim: int) -> Tensor:
 
 
 def msa_kan(x: Tensor, p: MsaKanParams, return_attn: bool = False):
-    """Scaled dot-product attention over KAN-projected Q, K, V."""
+    """Scaled dot-product attention over KAN-projected Q, K, V.
+
+    The three projections share one grid and one input, so the KAN
+    activation is computed once and mixed by each projection's own weights.
+    """
     if x.ndim != 3 or x.shape[-1] != p.d_model:
         raise DimensionError(f"msa_kan expects (B, T, {p.d_model}), got {x.shape}")
     b, t, d = x.shape
-    q = _split_heads(p.q_proj.forward(x), p.n_heads, p.head_dim)
-    k = _split_heads(p.k_proj.forward(x), p.n_heads, p.head_dim)
-    v = _split_heads(p.v_proj.forward(x), p.n_heads, p.head_dim)
+    phi = p.q_proj.activate(x)
+    q = _split_heads(p.q_proj.mix(phi), p.n_heads, p.head_dim)
+    k = _split_heads(p.k_proj.mix(phi), p.n_heads, p.head_dim)
+    v = _split_heads(p.v_proj.mix(phi), p.n_heads, p.head_dim)
     scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
                      1.0 / np.sqrt(p.head_dim))
     attn = T.softmax(scores, axis=-1)

@@ -46,6 +46,14 @@ class ModelConfig:
     decoder_channels: tuple[int, int, int] = (32, 16, 16)
 
     def __post_init__(self):
+        sizes = {"in_channels": self.in_channels, "image_size": self.image_size,
+                 "d_model": self.d_model, "depth": self.depth}
+        sizes.update({f"cnn_channels[{i}]": c for i, c in enumerate(self.cnn_channels)})
+        sizes.update({f"decoder_channels[{i}]": c
+                      for i, c in enumerate(self.decoder_channels)})
+        for name, size in sizes.items():
+            if size < 1:
+                raise ContractError(f"{name} must be at least 1, got {size}")
         if self.image_size % 8 != 0:
             raise ContractError(f"image_size must be divisible by 8, got {self.image_size}")
         if self.n_heads < 1:

@@ -9,15 +9,19 @@ Conventions (fixed so reports are deterministic and comparable):
   per element: every layer accounts for its own retained inputs and outputs,
   so tensors shared across a layer boundary are counted once per consumer.
 * the B-spline law charges basis activations per edge
-  (rows * c_in * c_out * n_basis elements); the hinge-basis laws charge one
-  basis block shared across output channels (rows * c_in * (1 + n_basis)).
+  (rows * c_in * c_out * n_basis elements); the ReLU-KAN law charges one
+  basis block shared across output channels (rows * c_in * (1 + n_basis));
+  the EfficientKAN law charges no basis block, since its fused hinge pooling
+  retains only its input. Q/K/V of the EfficientKAN attention share one
+  activation of their input, charged once.
 
 The memory laws are a model, not a measurement. ``BSplineKanLayer.forward``
 keeps one shared rows * c_in * n_basis basis block, not one per edge: for one
 64 -> 64 layer at 64 rows the tape holds about 4.3 MB against 16.9 MB
-modelled. The EfficientKAN hinge expansion keeps seven intermediates per
-basis value: about 2.0 MB on the tape against 0.39 MB modelled for the same
-layer. The measured gap of the whole model, op by op, is tabulated in
+modelled. For the same EfficientKAN layer the tape holds four rows * 64
+blocks (the pooled, squared, matmul and bias-add outputs), 0.13 MB, the same
+as modelled.
+The measured gap of the whole model, op by op, is tabulated in
 ``perfbench/README.md``. Only orderings and closed-form ratios are
 load-bearing.
 """
@@ -119,15 +123,24 @@ def _affine_entries(name, rows, c_in, c_out, *_):
                mem_elems=rows * (c_in + c_out))]
 
 
-def _effkan_entries(name, rows, c_in, c_out, nb, *_):
+def _effkan_activate_entries(name, rows, c_in, nb):
+    """The fused hinge pooling retains only its input; no basis block."""
     return [
         _e(f"{name}.expand", flops=rows * c_in * nb * HINGE_BASIS_FLOPS,
-           mem_elems=rows * c_in * (1 + nb)),
+           mem_elems=rows * c_in),
         _e(f"{name}.pool", flops=rows * c_in * nb, mem_elems=rows * c_in),
         _e(f"{name}.square", flops=rows * c_in, mem_elems=rows * c_in),
-        _e(f"{name}.affine", params=c_in * c_out + c_out,
-           flops=2 * rows * c_in * c_out, mem_elems=rows * c_out),
     ]
+
+
+def _effkan_mix_entries(name, rows, c_in, c_out):
+    return [_e(f"{name}.affine", params=c_in * c_out + c_out,
+               flops=2 * rows * c_in * c_out, mem_elems=rows * c_out)]
+
+
+def _effkan_entries(name, rows, c_in, c_out, nb, *_):
+    return (_effkan_activate_entries(name, rows, c_in, nb)
+            + _effkan_mix_entries(name, rows, c_in, c_out))
 
 
 def _relukan_entries(name, rows, c_in, c_out, nb, *_):
@@ -234,20 +247,29 @@ class ArchConfig:
 def _sublayer_entries(name, variant, arch: ArchConfig):
     """One d -> d layer of the variant on the arch's basis budget."""
     order = max(arch.grid.K, 1)     # spline order on the same budget
-    _, law = LAYER_LAWS[VARIANT_LAYERS[variant]]
+    layer = VARIANT_LAYERS[variant]
+    nb = arch.grid.G + order if layer is BSplineKanLayer else arch.grid.n_basis
+    _, law = LAYER_LAWS[layer]
     return law(name, arch.batch * arch.n_tokens, arch.d_model, arch.d_model,
-               arch.grid.n_basis, order)
+               nb, order)
 
 
 def _msa_entries(name, variant, arch: ArchConfig):
     d = arch.d_model
+    rows = arch.batch * arch.n_tokens
     entries = []
-    for sub in ("q", "k", "v"):
-        entries += _sublayer_entries(f"{name}.{sub}_proj", variant, arch)
+    if VARIANT_LAYERS[variant] is EfficientKanLayer:
+        # Q/K/V share one activation of the input and differ in the mix.
+        entries += _effkan_activate_entries(f"{name}.qkv", rows, d,
+                                            arch.grid.n_basis)
+        for sub in ("q", "k", "v"):
+            entries += _effkan_mix_entries(f"{name}.{sub}_proj", rows, d, d)
+    else:
+        for sub in ("q", "k", "v"):
+            entries += _sublayer_entries(f"{name}.{sub}_proj", variant, arch)
     entries += _attention_core_entries(f"{name}.attn", arch.batch,
                                        arch.n_tokens, d, arch.n_heads)
-    entries += _affine_entries(f"{name}.out_proj", arch.batch * arch.n_tokens,
-                               d, d)
+    entries += _affine_entries(f"{name}.out_proj", rows, d, d)
     return entries
 
 

@@ -474,6 +474,48 @@ def mean_last_axis(x: Tensor) -> Tensor:
     return _node(data, "mean_last_axis", (x,), backward_fn)
 
 
+def hinge_pool(x: Tensor, lo, hi) -> Tensor:
+    """Mean over i of the squared-hinge bells 16 [relu(hi_i - x) relu(x - lo_i)]^2
+    / (hi_i - lo_i)^4, elementwise in x.
+
+    Equal bit for bit to pooling the expanded basis with ``mean_last_axis``,
+    but only x is retained: the backward recomputes the hinges.
+    """
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    if lo.ndim != 1 or lo.shape != hi.shape or lo.size < 1:
+        raise ContractError(f"hinge_pool needs 1-d supports of one non-zero "
+                            f"length, got lo {lo.shape} and hi {hi.shape}")
+    if not np.all(hi > lo):
+        raise ContractError("hinge_pool needs hi > lo for every support")
+    norm = 16.0 / (hi - lo) ** 4
+    xe = x.data[..., None]
+
+    def hinges():
+        a = hi - xe
+        np.maximum(a, 0.0, out=a)
+        b = xe - lo
+        np.maximum(b, 0.0, out=b)
+        return a, b
+
+    with np.errstate(all="ignore"):  # a non-finite x raises in _node
+        a, b = hinges()
+        a *= b
+        a *= a
+        a *= norm
+        data = np.mean(a, axis=-1)
+
+    def backward_fn(g):
+        # d/dx of norm_i (a b)^2 / n is 2 c_i a b (a - b), c_i = norm_i / n.
+        a, b = hinges()
+        slope = a - b
+        slope *= a
+        slope *= b
+        return (g * np.matmul(slope, 2.0 * norm / lo.size),)
+
+    return _node(data, "hinge_pool", (x,), backward_fn)
+
+
 def sum_all(x: Tensor) -> Tensor:
     def backward_fn(g):
         return (np.broadcast_to(g, x.shape),)

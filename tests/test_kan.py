@@ -121,6 +121,101 @@ class TestReluKanBasis:
         assert rep.ok, rep
 
 
+def _unfused_pool(x, grid):
+    return T.mean_last_axis(relukan_basis_expand(x, grid))
+
+
+def _fused_pool(x, grid):
+    return T.hinge_pool(x, grid.support_lo(), grid.support_hi())
+
+
+class TestHingePool:
+    GRIDS = [KanGrid(), KanGrid(G=3, K=0), KanGrid(G=4, K=1, range_lo=-0.5,
+                                                   range_hi=2.0)]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=str)
+    def test_forward_bit_equal_to_pooled_expansion(self, grid):
+        rng = np.random.default_rng(31)
+        width = grid.range_hi - grid.range_lo
+        x = rng.uniform(grid.range_lo - width, grid.range_hi + width, size=(4, 5, 6))
+        edges = np.concatenate([grid.support_lo(), grid.support_hi()])
+        x.reshape(-1)[:edges.size] = edges
+        assert np.array_equal(_fused_pool(Tensor(x), grid).data,
+                              _unfused_pool(Tensor(x), grid).data)
+
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(37)
+        grid = KanGrid(G=4, K=2)
+        s, e = grid.support_lo(), grid.support_hi()
+        x = rng.uniform(-2.0, 2.0, size=(3, 7))
+        expected = np.array([[np.mean([hinge_basis(v, s[i], e[i])
+                                       for i in range(grid.n_basis)])
+                              for v in row] for row in x])
+        np.testing.assert_allclose(_fused_pool(Tensor(x), grid).data, expected,
+                                   rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("where", ["inside", "outside"])
+    def test_gradcheck_on_grid(self, where):
+        grid = KanGrid()
+        rng = np.random.default_rng(41)
+        if where == "inside":
+            x = interior_points(grid, rng, 12)
+        else:  # beyond [range_lo, range_hi], in the outer supports and past them
+            x = np.array([-2.5, -2.0, -1.7, -1.3, 1.2, 1.6, 1.9, 2.1, 3.0, -9.0])
+        w = rng.normal(size=x.shape)
+        rep = T.grad_check(lambda t: T.sum_all(T.mul(_fused_pool(t, grid), Tensor(w))),
+                           Tensor(x), tol=1e-6)
+        assert rep.ok, rep
+
+    def test_gradcheck_on_support_edges(self):
+        # Uneven supports, so that at every inner edge some other bell has a
+        # nonzero slope. The slope is continuous at an edge but the curvature
+        # jumps, which biases central differences by O(h): 1.4e-5 at h=1e-6,
+        # 1.3e-6 at h=1e-7.
+        lo = np.array([-1.0, -0.7, -0.2, 0.1])
+        hi = np.array([0.4, 0.9, 1.0, 1.5])
+        edges = np.unique(np.concatenate([lo, hi]))
+        inner = Tensor(edges[1:-1])
+        w = np.random.default_rng(43).normal(size=inner.shape)
+        rep = T.grad_check(
+            lambda t: T.sum_all(T.mul(T.hinge_pool(t, lo, hi), Tensor(w))),
+            inner, h=1e-7, tol=1e-5)
+        assert rep.ok, rep
+        # At the outermost edges only one-sided quadratics meet: slope 0.
+        outer = Tensor(edges[[0, -1]], requires_grad=True)
+        T.backward(T.sum_all(T.hinge_pool(outer, lo, hi)))
+        assert np.array_equal(outer.grad, [0.0, 0.0])
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=str)
+    def test_gradient_matches_pooled_expansion_on_edges(self, grid):
+        edges = np.concatenate([grid.support_lo(), grid.support_hi()])
+        x = np.concatenate([edges, np.linspace(grid.range_lo - 1.0,
+                                               grid.range_hi + 1.0, 23)])
+        w = np.random.default_rng(47).normal(size=x.shape)
+        grads = []
+        for pool in (_fused_pool, _unfused_pool):
+            t = Tensor(x, requires_grad=True)
+            T.backward(T.sum_all(T.mul(pool(t, grid), Tensor(w))))
+            grads.append(t.grad)
+        np.testing.assert_allclose(grads[0], grads[1], rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        with pytest.raises(T.NumericsError, match="hinge_pool"):
+            _fused_pool(Tensor(np.array([0.1, bad])), KanGrid())
+
+    @pytest.mark.parametrize("lo,hi", [
+        ([0.0, 1.0], [1.0, 2.0, 3.0]),
+        ([[0.0, 1.0]], [[1.0, 2.0]]),
+        ([], []),
+        ([0.0, 1.0], [1.0, 1.0]),
+        ([0.0, 1.0], [1.0, 0.5]),
+    ], ids=["shape_mismatch", "not_1d", "empty", "hi_equals_lo", "hi_below_lo"])
+    def test_bad_supports_raise_contract_error(self, lo, hi):
+        with pytest.raises(ContractError, match="hinge_pool"):
+            T.hinge_pool(Tensor(np.zeros(3)), lo, hi)
+
+
 class TestBSplineBasis:
     def test_order_one_indicator(self):
         grid = KanGrid(G=4, K=0, range_lo=0.0, range_hi=4.0)
@@ -372,6 +467,16 @@ class TestEfficientKanLayer:
         for target in [x] + [p for _, p in layer.parameters()]:
             rep = T.grad_check(objective, target, tol=1e-5)
             assert rep.ok, rep
+
+    def test_tape_keeps_no_basis_block(self):
+        rows, c_in, c_out, grid = 5, 3, 4, KanGrid()
+        layer = EfficientKanLayer(c_in, c_out, grid)
+        x = Tensor(np.random.default_rng(53).uniform(-1, 1, (rows, c_in)),
+                   requires_grad=True)
+        nodes = [n for n in T.Tape(T.sum_all(layer.forward(x))).nodes
+                 if n._backward_fn is not None]
+        assert len(nodes) <= 6
+        assert all(n.size != rows * c_in * grid.n_basis for n in nodes)
 
 
 class TestParamCounts:

@@ -8,6 +8,7 @@ from transukan.kansformer import (
     EncoderStack,
     KansformerBlockParams,
     MsaKanParams,
+    _split_heads,
     encoder_forward,
     kansformer_block,
     msa_kan,
@@ -61,6 +62,20 @@ class TestMsaKan:
         x = rng.uniform(-1.2, 1.2, size=(2, 5, 8))
         out = msa_kan(Tensor(x), p)
         np.testing.assert_allclose(out.data, naive_msa(x, p), atol=1e-12)
+
+    def test_shared_activation_bit_equal_to_separate_projections(self):
+        rng = np.random.default_rng(11)
+        p = MsaKanParams(8, 2, KanGrid(G=4, K=2), rng=rng)
+        x = Tensor(rng.uniform(-1.3, 1.3, size=(2, 5, 8)))
+        heads = [_split_heads(proj.forward(x), p.n_heads, p.head_dim)
+                 for proj in (p.q_proj, p.k_proj, p.v_proj)]
+        q, k, v = heads
+        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
+                         1.0 / np.sqrt(p.head_dim))
+        ctx = T.matmul(T.softmax(scores, axis=-1), v)
+        merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), x.shape)
+        expected = p.out_proj.forward(merged)
+        assert np.array_equal(msa_kan(x, p).data, expected.data)
 
     def test_dimension_checks(self):
         p = MsaKanParams(8, 2)

@@ -190,10 +190,11 @@ def _rewrite_config(path, mutate):
     (lambda c: {**c, "image_size": 12}, CheckpointCorruptError),
     (lambda c: {**c, "grid": {**c["grid"], "G": 0}}, CheckpointCorruptError),
     (lambda c: {**c, "n_heads": 0}, CheckpointCorruptError),
+    (lambda c: {**c, "depth": -1}, CheckpointCorruptError),
     (lambda c: "not a mapping", CheckpointCorruptError),
     (lambda c: {**c, "conventional_order": False}, None),
     (lambda c: {**c, "conventional_order": True}, CheckpointFormatError),
-], ids=["image_size_12", "grid_G_0", "n_heads_0", "not_a_mapping",
+], ids=["image_size_12", "grid_G_0", "n_heads_0", "depth_-1", "not_a_mapping",
         "v1_conventional_order_false", "v1_conventional_order_true"])
 def test_embedded_config_checked_on_load(tmp_path, mutate, error):
     model = TransUKanModel(MICRO, rng=np.random.default_rng(15))
@@ -215,6 +216,19 @@ class TestModelConfig:
             ModelConfig(image_size=20)
         with pytest.raises(ContractError):
             ModelConfig(d_model=10, n_heads=4)
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("depth", 0, "depth"),
+        ("depth", -1, "depth"),
+        ("image_size", 0, "image_size"),
+        ("d_model", 0, "d_model"),
+        ("in_channels", 0, "in_channels"),
+        ("cnn_channels", (16, 0, 64), r"cnn_channels\[1\]"),
+        ("decoder_channels", (32, 16, -2), r"decoder_channels\[2\]"),
+    ])
+    def test_sizes_below_one_rejected(self, field, value, named):
+        with pytest.raises(ContractError, match=named):
+            ModelConfig(**{field: value})
 
     def test_dict_round_trip(self):
         cfg = ModelConfig(grid=KanGrid(G=4, K=1, range_lo=-2.0, range_hi=2.0))

@@ -30,13 +30,13 @@ class TestModelReports:
     def test_param_count_matches_enumeration(self, model):
         report = P.count_params(model)
         assert report.total_params == 231_698 == model.n_params()
-        assert len(report.entries) == 136
+        assert len(report.entries) == 112
 
-    @pytest.mark.parametrize("batch,flops", [(1, 133_652_480), (4, 534_609_920)])
+    @pytest.mark.parametrize("batch,flops", [(1, 131_522_560), (4, 526_090_240)])
     def test_flops(self, model, batch, flops):
         assert P.estimate_flops(model, (batch, 1, 64, 64)).total_flops == flops
 
-    @pytest.mark.parametrize("batch,nbytes", [(1, 18_415_616), (4, 73_662_464)])
+    @pytest.mark.parametrize("batch,nbytes", [(1, 12_386_304), (4, 49_545_216)])
     def test_activation_memory(self, model, batch, nbytes):
         report = P.estimate_activation_memory(model, batch)
         assert report.total_activation_bytes == nbytes
@@ -45,7 +45,7 @@ class TestModelReports:
 class TestVariantComparison:
     @pytest.mark.parametrize("variant,params,flops,nbytes", [
         ("mlp", 204_032, 30_642_176, 4_882_432),
-        ("efficientkan", 104_960, 22_925_312, 10_125_312),
+        ("efficientkan", 104_960, 20_795_392, 4_096_000),
         ("relukan", 678_400, 95_588_352, 8_814_592),
         ("bspline_kan", 840_960, 112_627_712, 340_426_752),
     ])
@@ -59,6 +59,22 @@ class TestVariantComparison:
         assert list(comparison.reports) == list(P.VARIANTS)
         assert comparison.params_ordering_ok
         assert comparison.memory_ordering_ok
+
+    def test_efficientkan_qkv_share_one_activation(self):
+        names = [e.name for e in P.variant_report("efficientkan",
+                                                  P.ArchConfig(depth=1)).entries]
+        msa = [n for n in names if n.startswith("block0.msa.")]
+        assert msa[:6] == ["block0.msa.qkv.expand", "block0.msa.qkv.pool",
+                           "block0.msa.qkv.square", "block0.msa.q_proj.affine",
+                           "block0.msa.k_proj.affine", "block0.msa.v_proj.affine"]
+
+    def test_bspline_basis_count_at_zero_overlap(self):
+        grid = KanGrid(G=3, K=0)
+        report = P.variant_report("bspline_kan", P.ArchConfig(
+            d_model=8, depth=1, n_heads=2, grid=grid))
+        kan1 = sum(e.params for e in report.entries
+                   if e.name.startswith("block0.kan1."))
+        assert kan1 == 384 == BSplineKanLayer(8, 8, grid, k_spline=1).param_count().total
 
     def test_object_walk_agrees_with_variant_table(self):
         arch = P.ArchConfig()
@@ -114,17 +130,17 @@ def _golden_reports():
 
 
 GOLDEN_SHA256 = {
-    "model.params": "1261bdf7ba0755e5cea5864a78e8c09f73a753dc89d2d8c952a3ec11faacb487",
-    "model.flops.b1": "b40c4dbcc5a6c2f343b13a56399253e0d2222068f56dbf51b96d1b5941fb13b1",
-    "model.flops.b4": "a5b27b221ff4973ec4856aba82f3dee7c9d1820690f906a04e6902ed7256efd5",
-    "model.memory.b1": "50258221ae9f34ab151e4ba249182e39abf7428e96687707364e18ea39685bd3",
-    "model.memory.b4": "2f957b3b9cb9486fe55a0f2ee7a1c4dfc4768aef88c097a7008d4f74de414d6f",
-    "variants": "eb998c99ae9848714a6528ea20d27941f2a22b6bcfc80823178debd3f12d772a",
-    "variants.small": "b589ee3e4d580c2950445cb42326a77647760fa5d1cb6e3f4f727ca300dfda35",
-    "encoder.flops": "d7b3b10f4ff9bf410858eb18dec818a3aa9eab3ddcf4f6515b50e57d2710dd5c",
-    "encoder.memory": "b9b0e19c4c4c59b4c95423cbb65bb9eb657394dbacb413c52f476fd0a937a694",
-    "block.flops": "400a8484dcc4ec408e53ef4b0b4127c7ea4ea288d9d44ef9cbba1ff1c863f6de",
-    "msa.flops": "3c47ea10e7f34fbac28f16e0864544e5086f6206238fdf96c2c340507d396c64",
+    "model.params": "69d641ec38189addde31f1f9a33825617386af761c0a82bbd442e17fe9486e9c",
+    "model.flops.b1": "9bb91c222b6f0dc849c99bfbf75a97bc4f75ad780d95394faab6b8d55bf164ca",
+    "model.flops.b4": "c45d89b7ee5978ba1db17c2caac19523cd23d6feebe4337866e4271c1a41f09d",
+    "model.memory.b1": "e4814e5103cc0fe846a2b0821f9d55db253e22e04663141d275e63f7431049d7",
+    "model.memory.b4": "568a973c0d8ea85f59abd510e0119b593dba6bbb8c8ee8101d70dd0d0cfea9c9",
+    "variants": "f51b3717fcd46de2b816173ecb4ba74ae00486fe10ccc9375f836c1e0cbcbfaa",
+    "variants.small": "86acac4db5f005485692188af6363cc407777bf51ccfec1c758121bc3435caac",
+    "encoder.flops": "87da9d81bf19c2defe4abae496bc0986eb134a6d80865aa2d61ba5ad8f6f44f7",
+    "encoder.memory": "e671c2fc51a9810ce6848176b399d7e99f06d207762881c56a52851414a75666",
+    "block.flops": "87dc5d046f9f078f4541aad81aa336d7d9ce61e23a8fd492f7bb11e143fedf97",
+    "msa.flops": "da4b699a642639d0512951ecdc66c6b077315289c8ee78bbd311432e890343e3",
     "layers.flops": "4f6347504db3a468e416566c4237366891c735d8dc187c7ea3ffffae17aa3245",
 }
 
