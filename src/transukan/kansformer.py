@@ -68,16 +68,22 @@ def msa_kan(x: Tensor, p: MsaKanParams, return_attn: bool = False):
     if x.ndim != 3 or x.shape[-1] != p.d_model:
         raise DimensionError(f"msa_kan expects (B, T, {p.d_model}), got {x.shape}")
     b, t, d = x.shape
-    phi = p.q_proj.activate(x)
-    q = _split_heads(p.q_proj.mix(phi), p.n_heads, p.head_dim)
-    k = _split_heads(p.k_proj.mix(phi), p.n_heads, p.head_dim)
-    v = _split_heads(p.v_proj.mix(phi), p.n_heads, p.head_dim)
+    with T.scope("qkv"):
+        phi = p.q_proj.activate(x)
+    heads = []
+    for name, proj in (("q_proj", p.q_proj), ("k_proj", p.k_proj),
+                       ("v_proj", p.v_proj)):
+        with T.scope(name):
+            y = proj.mix(phi)
+        heads.append(_split_heads(y, p.n_heads, p.head_dim))
+    q, k, v = heads
     scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
                      1.0 / np.sqrt(p.head_dim))
     attn = T.softmax(scores, axis=-1)
     ctx = T.matmul(attn, v)
     merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
-    out = p.out_proj.forward(merged)
+    with T.scope("out_proj"):
+        out = p.out_proj.forward(merged)
     return (out, attn) if return_attn else out
 
 
@@ -109,9 +115,18 @@ def kansformer_block(z_prev: Tensor, p: KansformerBlockParams) -> Tensor:
     if z_prev.ndim != 3 or z_prev.shape[-1] != p.d_model:
         raise DimensionError(f"kansformer_block expects (B, T, {p.d_model}), "
                              f"got {z_prev.shape}")
-    branch = msa_kan(p.kan1.forward(p.ln1.forward(z_prev)), p.msa)
-    z_mid = T.add(branch, z_prev)
-    return T.add(p.kan2.forward(p.ln2.forward(z_mid)), z_mid)
+    with T.scope("ln1"):
+        h = p.ln1.forward(z_prev)
+    with T.scope("kan1"):
+        h = p.kan1.forward(h)
+    with T.scope("msa"):
+        h = msa_kan(h, p.msa)
+    z_mid = T.add(h, z_prev)
+    with T.scope("ln2"):
+        h = p.ln2.forward(z_mid)
+    with T.scope("kan2"):
+        h = p.kan2.forward(h)
+    return T.add(h, z_mid)
 
 
 class EncoderStack:
@@ -142,6 +157,7 @@ def encoder_forward(tokens: Tensor, stack: EncoderStack) -> Tensor:
         raise DimensionError(f"encoder expects (B, {stack.n_tokens}, "
                              f"{stack.d_model}), got {tokens.shape}")
     z = T.add(tokens, stack.pos_embed)
-    for block in stack.blocks:
-        z = kansformer_block(z, block)
+    for i, block in enumerate(stack.blocks):
+        with T.scope(f"block{i}"):
+            z = kansformer_block(z, block)
     return z

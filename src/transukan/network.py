@@ -8,15 +8,18 @@ upsampling decoder with skip connections restores full resolution before a
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import os
+import secrets
 import struct
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from transukan import tensor as T
-from transukan.tensor import ContractError, DimensionError, Tensor, TensorError
+from transukan.tensor import ContractError, DimensionError, Tensor
 from transukan.kan import AffineLayer, KanGrid
 from transukan.kansformer import EncoderStack, encoder_forward
 
@@ -139,10 +142,12 @@ def cnn_encode(image: Tensor, p: CnnEncoderParams):
                             f"{image.shape[2]}x{image.shape[3]}")
     x = image
     skips = []
-    for conv_a, conv_b in p.stages:
-        skip = T.relu(conv_a.forward(x))
+    for i, (conv_a, conv_b) in enumerate(p.stages):
+        with T.scope(f"stage{i}.conv_a"):
+            skip = T.relu(conv_a.forward(x))
         skips.append(skip)
-        x = T.relu(conv_b.forward(skip))
+        with T.scope(f"stage{i}.conv_b"):
+            x = T.relu(conv_b.forward(skip))
     return x, skips
 
 
@@ -155,7 +160,8 @@ class PatchEmbedParams:
     def forward(self, features: Tensor) -> Tensor:
         b, c, h, w = features.shape
         tokens = T.transpose(T.reshape(features, (b, c, h * w)), (0, 2, 1))
-        return self.proj.forward(tokens)
+        with T.scope("proj"):
+            return self.proj.forward(tokens)
 
     def parameters(self):
         return [(f"proj.{n}", p) for n, p in self.proj.parameters()]
@@ -182,10 +188,12 @@ class DecoderParams:
         self.head = Conv2dLayer(prev, n_classes, 1, rng=rng)
 
     def forward(self, x: Tensor, skips) -> Tensor:
-        for conv, skip in zip(self.blocks, reversed(skips)):
-            x = T.upsample_nearest_2x(x)
-            x = T.relu(conv.forward(T.concat([x, skip], axis=1)))
-        return self.head.forward(x)
+        for i, (conv, skip) in enumerate(zip(self.blocks, reversed(skips))):
+            with T.scope(f"block{i}"):
+                x = T.upsample_nearest_2x(x)
+                x = T.relu(conv.forward(T.concat([x, skip], axis=1)))
+        with T.scope("head"):
+            return self.head.forward(x)
 
     def parameters(self):
         out = []
@@ -221,26 +229,23 @@ class TransUKanModel:
         return forward(image, self)
 
 
-def _stage(name: str, fn, *args):
-    try:
-        return fn(*args)
-    except TensorError as exc:
-        raise type(exc)(f"[stage {name}] {exc}") from exc
-
-
 def forward(image: Tensor, model: TransUKanModel) -> Tensor:
     """Full pipeline to per-pixel class logits of the input's spatial size."""
     cfg = model.config
     if image.ndim != 4 or image.shape[1] != cfg.in_channels:
         raise DimensionError(f"expected (B, {cfg.in_channels}, H, W), got {image.shape}")
     b, _, h, w = image.shape
-    features, skips = _stage("cnn_encode", cnn_encode, image, model.cnn)
-    tokens = _stage("patch_embed", model.embed.forward, features)
-    encoded = _stage("encoder", encoder_forward, tokens, model.encoder)
+    with T.scope("cnn"):
+        features, skips = cnn_encode(image, model.cnn)
+    with T.scope("embed"):
+        tokens = model.embed.forward(features)
+    with T.scope("encoder"):
+        encoded = encoder_forward(tokens, model.encoder)
     grid_hw = (h // 8, w // 8)
     enc_map = T.reshape(T.transpose(encoded, (0, 2, 1)),
                         (b, cfg.d_model) + grid_hw)
-    return _stage("decoder", model.decoder.forward, enc_map, skips)
+    with T.scope("decoder"):
+        return model.decoder.forward(enc_map, skips)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +259,8 @@ _VERSION = 1
 
 
 def save_checkpoint(model: TransUKanModel, path: str) -> None:
+    """Write ``model`` to ``path`` atomically: the file there is either the
+    previous one or the whole new one, never a partial write."""
     buf = io.BytesIO()
     buf.write(_MAGIC)
     buf.write(struct.pack("<B", _VERSION))
@@ -266,8 +273,17 @@ def save_checkpoint(model: TransUKanModel, path: str) -> None:
         buf.write(struct.pack("<I", p.ndim))
         buf.write(struct.pack(f"<{p.ndim}I", *p.shape))
         buf.write(p.data.astype("<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(buf.getvalue())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(fh, n: int) -> bytes:

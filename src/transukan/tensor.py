@@ -1,7 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Everything is 64-bit so finite-difference checks are decisive. Any operation
-that produces a NaN/Inf raises immediately instead of letting it propagate.
+that produces a NaN/Inf raises immediately instead of letting it propagate,
+and the error names the ``scope`` path of the layer it ran in.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ import numpy as np
 
 
 class TensorError(Exception):
-    """Base class for engine errors."""
+    """Base class for engine errors.
+
+    ``scope`` is the dotted path of the innermost :func:`scope` the error
+    left, or None if it left none.
+    """
+
+    scope: str | None = None
 
 
 class DimensionError(TensorError):
@@ -34,6 +41,7 @@ class ContractError(TensorError):
 
 
 _grad_enabled = True
+_scope = ""
 
 
 @contextlib.contextmanager
@@ -48,6 +56,29 @@ def no_grad():
         _grad_enabled = prev
 
 
+@contextlib.contextmanager
+def scope(name: str):
+    """Tag every op output made inside the block with the dotted path of the
+    open scopes, ``name`` innermost.
+
+    A ``TensorError`` that leaves the block gets that path as its ``scope``
+    and as a ``[path]`` prefix of its message, once: outer scopes leave it as
+    it is.
+    """
+    global _scope
+    outer = _scope
+    _scope = f"{outer}.{name}" if outer else name
+    try:
+        yield
+    except TensorError as exc:
+        if exc.scope is None:
+            exc.scope = _scope
+            exc.args = (f"[{_scope}] {exc}",)
+        raise
+    finally:
+        _scope = outer
+
+
 def _as_array(data) -> np.ndarray:
     if isinstance(data, np.ndarray) and data.dtype == np.float64:
         return data
@@ -59,11 +90,13 @@ class Tensor:
 
     Gradients accumulate additively across backward passes; ``zero_grad``
     resets. Tensors produced by operations carry closures so a later
-    ``backward`` can replay adjoints in reverse topological order.
+    ``backward`` can replay adjoints in reverse topological order, and name
+    the ``op`` that made them, its ``flops`` and the ``scope`` it ran in
+    (None, 0 and "" on tensors no op made).
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
-                 "_backward_ran")
+                 "_backward_ran", "op", "flops", "scope")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
@@ -72,6 +105,9 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], tuple] | None = None
         self._backward_ran = False
+        self.op: str | None = None
+        self.flops = 0
+        self.scope = ""
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -90,9 +126,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def backward(self) -> None:
         backward(self)
@@ -143,9 +176,12 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 
 
 def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
-          backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
+          backward_fn: Callable[[np.ndarray], tuple], flops: int) -> Tensor:
+    """Output of ``op``, which cost ``flops``: 1 multiply-accumulate = 2,
+    one elementwise arithmetic op = 1, data movement = 0."""
     _check_finite(data, op)
     out = Tensor(data)
+    out.op, out.flops, out.scope = op, flops, _scope
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -236,7 +272,7 @@ def _broadcast_op(a: Tensor, b: Tensor, op: str, fwd, bwd) -> Tensor:
         return (_unbroadcast(ga(g, a.data, b.data), a.shape),
                 _unbroadcast(gb(g, a.data, b.data), b.shape))
 
-    return _node(data, op, (a, b), backward_fn)
+    return _node(data, op, (a, b), backward_fn, flops=data.size)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -261,7 +297,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
-    return _node(x.data * s, "scale", (x,), lambda g: (g * s,))
+    return _node(x.data * s, "scale", (x,), lambda g: (g * s,), flops=x.size)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -271,7 +307,7 @@ def relu(x: Tensor) -> Tensor:
     def backward_fn(g):
         return (g * mask,)
 
-    return _node(data, "relu", (x,), backward_fn)
+    return _node(data, "relu", (x,), backward_fn, flops=data.size)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -290,14 +326,15 @@ def silu(x: Tensor) -> Tensor:
     def backward_fn(g):
         return (g * sig * (1.0 + x.data * (1.0 - sig)),)
 
-    return _node(data, "silu", (x,), backward_fn)
+    # exp (4), add, divide, multiply
+    return _node(data, "silu", (x,), backward_fn, flops=7 * data.size)
 
 
 def square(x: Tensor) -> Tensor:
     def backward_fn(g):
         return (g * 2.0 * x.data,)
 
-    return _node(x.data * x.data, "square", (x,), backward_fn)
+    return _node(x.data * x.data, "square", (x,), backward_fn, flops=x.size)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +356,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
 
-    return _node(data, "matmul", (a, b), backward_fn)
+    return _node(data, "matmul", (a, b), backward_fn,
+                 flops=2 * data.size * a.shape[-1])
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -333,7 +371,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         dot = np.sum(g * data, axis=axis, keepdims=True)
         return (data * (g - dot),)
 
-    return _node(data, "softmax", (x,), backward_fn)
+    # shift, exp (4), accumulate, divide
+    return _node(data, "softmax", (x,), backward_fn, flops=7 * data.size)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -347,7 +386,8 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward_fn(g):
         return (g - probs * np.sum(g, axis=axis, keepdims=True),)
 
-    return _node(data, "log_softmax", (x,), backward_fn)
+    # shift, exp (4), accumulate, subtract
+    return _node(data, "log_softmax", (x,), backward_fn, flops=7 * data.size)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -372,7 +412,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         axes = tuple(range(g.ndim - 1))
         return (dx, np.sum(g * xhat, axis=axes), np.sum(g, axis=axes))
 
-    return _node(data, "layer_norm", (x, gamma, beta), backward_fn)
+    # mean, centered square, normalize, affine
+    return _node(data, "layer_norm", (x, gamma, beta), backward_fn,
+                 flops=8 * data.size)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +485,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             return (dx, dw)
         return (dx, dw, g.sum(axis=(0, 2, 3)))
 
-    return _node(data, "conv2d", parents, backward_fn)
+    # The bias add rides in the multiply-accumulates.
+    return _node(data, "conv2d", parents, backward_fn, flops=2 * data.size * w2.shape[1])
 
 
 def upsample_nearest_2x(x: Tensor) -> Tensor:
@@ -455,7 +498,7 @@ def upsample_nearest_2x(x: Tensor) -> Tensor:
     def backward_fn(g):
         return (g.reshape(b, c, h, 2, w, 2).sum(axis=(3, 5)),)
 
-    return _node(data, "upsample_nearest_2x", (x,), backward_fn)
+    return _node(data, "upsample_nearest_2x", (x,), backward_fn, flops=0)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +514,7 @@ def mean_last_axis(x: Tensor) -> Tensor:
     def backward_fn(g):
         return (np.broadcast_to(g[..., None] / k, x.shape),)
 
-    return _node(data, "mean_last_axis", (x,), backward_fn)
+    return _node(data, "mean_last_axis", (x,), backward_fn, flops=x.size)
 
 
 def hinge_pool(x: Tensor, lo, hi) -> Tensor:
@@ -513,14 +556,15 @@ def hinge_pool(x: Tensor, lo, hi) -> Tensor:
         slope *= b
         return (g * np.matmul(slope, 2.0 * norm / lo.size),)
 
-    return _node(data, "hinge_pool", (x,), backward_fn)
+    # Per basis element: 2 subs, 2 hinges, product, square, scale, pool.
+    return _node(data, "hinge_pool", (x,), backward_fn, flops=8 * x.size * lo.size)
 
 
 def sum_all(x: Tensor) -> Tensor:
     def backward_fn(g):
         return (np.broadcast_to(g, x.shape),)
 
-    return _node(np.sum(x.data), "sum_all", (x,), backward_fn)
+    return _node(np.sum(x.data), "sum_all", (x,), backward_fn, flops=x.size)
 
 
 def sum_axes(x: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -531,11 +575,7 @@ def sum_axes(x: Tensor, axes: tuple[int, ...]) -> Tensor:
         expanded = np.expand_dims(g, axes) if axes else g
         return (np.broadcast_to(expanded, x.shape),)
 
-    return _node(data, "sum_axes", (x,), backward_fn)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    return scale(sum_all(x), 1.0 / x.size)
+    return _node(data, "sum_axes", (x,), backward_fn, flops=x.size)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -547,7 +587,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     def backward_fn(g):
         return (g.reshape(x.shape),)
 
-    return _node(data, "reshape", (x,), backward_fn)
+    return _node(data, "reshape", (x,), backward_fn, flops=0)
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -558,7 +598,7 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     def backward_fn(g):
         return (g.transpose(inv),)
 
-    return _node(x.data.transpose(axes), "transpose", (x,), backward_fn)
+    return _node(x.data.transpose(axes), "transpose", (x,), backward_fn, flops=0)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -575,7 +615,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     def backward_fn(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _node(data, "concat", tuple(tensors), backward_fn)
+    return _node(data, "concat", tuple(tensors), backward_fn, flops=0)
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -589,7 +629,7 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
         full[index] = g
         return (full,)
 
-    return _node(x.data[index], "slice_axis", (x,), backward_fn)
+    return _node(x.data[index], "slice_axis", (x,), backward_fn, flops=0)
 
 
 # ---------------------------------------------------------------------------

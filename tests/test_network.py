@@ -1,11 +1,15 @@
+import errno
+import io
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from transukan import network
 from transukan import tensor as T
-from transukan.tensor import ContractError, DimensionError, Tensor
+from transukan.tensor import ContractError, DimensionError, NumericsError, Tensor
 from transukan.kan import KanGrid
 from transukan.kansformer import encoder_forward
 from transukan.network import (
@@ -86,11 +90,23 @@ class TestForward:
         model = TransUKanModel(MICRO, rng=np.random.default_rng(6))
         with pytest.raises(ContractError) as exc:
             forward(Tensor(np.zeros((1, 1, 20, 20))), model)
-        assert "cnn_encode" in str(exc.value)
+        assert exc.value.scope == "cnn"
+        assert str(exc.value).startswith("[cnn] spatial dims")
         with pytest.raises(DimensionError) as exc:
             # divisible by 8 but wrong token count for the built encoder
             forward(Tensor(np.zeros((1, 1, 24, 24))), model)
-        assert "encoder" in str(exc.value)
+        assert exc.value.scope == "encoder"
+        assert str(exc.value).startswith("[encoder] encoder expects")
+
+    def test_non_finite_parameter_named_by_its_layer(self):
+        cfg = ModelConfig(image_size=16, d_model=8, depth=2, n_heads=2,
+                          decoder_channels=(8, 8, 8))
+        model = TransUKanModel(cfg, rng=np.random.default_rng(9))
+        dict(model.parameters())["encoder.block1.kan2.weight"].data[0, 0] = np.nan
+        with pytest.raises(NumericsError) as exc:
+            forward(Tensor(np.zeros((1, 1, 16, 16))), model)
+        assert exc.value.scope == "encoder.block1.kan2"
+        assert str(exc.value).count("encoder.block1.kan2") == 1
 
     def test_wrong_channel_count(self):
         model = TransUKanModel(MICRO)
@@ -164,6 +180,29 @@ class TestCheckpoint:
                             decoder_channels=(8, 8, 8))
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path, expect_config=other)
+
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        model = TransUKanModel(MICRO, rng=np.random.default_rng(16))
+        path = str(tmp_path / "model.tukn")
+        save_checkpoint(model, path)
+        before = open(path, "rb").read()
+
+        class TornFile(io.FileIO):
+            """Writes half of what it is given, then fails as a full disk does."""
+
+            def write(self, data):
+                super().write(bytes(data)[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        for _, p in model.parameters():
+            p.data += 1.0
+        with monkeypatch.context() as m:
+            m.setattr(network, "open", TornFile, raising=False)
+            with pytest.raises(OSError):
+                save_checkpoint(model, path)
+        assert os.listdir(tmp_path) == ["model.tukn"]
+        assert open(path, "rb").read() == before
+        load_checkpoint(path, expect_config=MICRO)
 
     def test_unsupported_version_rejected(self, tmp_path):
         model = TransUKanModel(MICRO, rng=np.random.default_rng(14))

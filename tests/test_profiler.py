@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from transukan import profiler as P
+from transukan import tensor as T
 from transukan.kan import (
     AffineLayer,
     BSplineKanLayer,
@@ -17,8 +18,8 @@ from transukan.kansformer import (
     LayerNormParams,
     MsaKanParams,
 )
-from transukan.network import Conv2dLayer, ModelConfig, TransUKanModel
-from transukan.tensor import ContractError
+from transukan.network import Conv2dLayer, ModelConfig, TransUKanModel, forward
+from transukan.tensor import ContractError, Tensor
 
 
 @pytest.fixture(scope="module")
@@ -30,25 +31,105 @@ class TestModelReports:
     def test_param_count_matches_enumeration(self, model):
         report = P.count_params(model)
         assert report.total_params == 231_698 == model.n_params()
-        assert len(report.entries) == 112
+        assert len(report.entries) == 44
 
-    @pytest.mark.parametrize("batch,flops", [(1, 131_522_560), (4, 526_090_240)])
+    @pytest.mark.parametrize("batch,flops", [(1, 131_624_960), (4, 526_499_840)],
+                             ids=["b1", "b4"])
     def test_flops(self, model, batch, flops):
         assert P.estimate_flops(model, (batch, 1, 64, 64)).total_flops == flops
 
-    @pytest.mark.parametrize("batch,nbytes", [(1, 12_386_304), (4, 49_545_216)])
+    @pytest.mark.parametrize("batch,nbytes", [(1, 11_370_496), (4, 45_481_984)],
+                             ids=["b1", "b4"])
     def test_activation_memory(self, model, batch, nbytes):
         report = P.estimate_activation_memory(model, batch)
         assert report.total_activation_bytes == nbytes
 
 
+def _buffer(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def _owned_tape_bytes(root):
+    """Bytes of the op-output buffers on ``T.Tape(root)``: each buffer once,
+    none for views of a leaf's buffer."""
+    nodes = T.Tape(root).nodes
+    seen = {id(_buffer(n.data)) for n in nodes if n._backward_fn is None}
+    total = 0
+    for n in nodes:
+        buf = _buffer(n.data)
+        if n._backward_fn is not None and id(buf) not in seen:
+            seen.add(id(buf))
+            total += buf.nbytes
+    return total
+
+
+# FLOPs per output element of the elementwise ops, by the documented conventions.
+_PER_ELEMENT = {"layer_norm": 8, "softmax": 7, "silu": 7, "add": 1, "sub": 1, "mul": 1,
+                "div": 1, "scale": 1, "relu": 1, "square": 1}
+_COUNTED_OPS = ("conv2d", "matmul", "hinge_pool", "reshape", "transpose", "concat",
+                "upsample_nearest_2x", *_PER_ELEMENT)
+
+
+def _op_flops(op, out, args):
+    """FLOPs of one call of ``op``, from its arguments and its output."""
+    if op == "conv2d":
+        w = args[1]
+        return 2 * out.size * (w.size // w.shape[0])
+    if op == "matmul":
+        return 2 * out.size * args[0].shape[-1]
+    if op == "hinge_pool":
+        return 8 * args[0].size * len(args[1])
+    return _PER_ELEMENT.get(op, 0) * out.size
+
+
+def _counted_flops(run, monkeypatch):
+    """FLOPs of ``run()``, summed over the calls of the ops it makes."""
+    total = [0]
+
+    def counting(op, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            total[0] += _op_flops(op, out, args)
+            return out
+        return wrapped
+
+    with monkeypatch.context() as m:
+        for op in _COUNTED_OPS:
+            m.setattr(T, op, counting(op, getattr(T, op)))
+        run()
+    return total[0]
+
+
+class TestReconciliation:
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_activation_memory_equals_owned_tape_bytes(self, model, batch):
+        logits = forward(Tensor(np.zeros((batch, 1, 64, 64))), model)
+        assert P.estimate_activation_memory(model, batch).total_activation_bytes \
+            == _owned_tape_bytes(logits)
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_flops_equal_a_per_op_count(self, model, batch, monkeypatch):
+        shape = (batch, 1, 64, 64)
+        counted = _counted_flops(lambda: forward(Tensor(np.zeros(shape)), model),
+                                 monkeypatch)
+        assert P.estimate_flops(model, shape).total_flops == counted
+
+    def test_every_owner_is_the_scope_of_an_op_reading_it(self, model):
+        logits = forward(Tensor(np.zeros((1, 1, 64, 64))), model)
+        readers = {(n.scope, id(p)) for n in T.Tape(logits).nodes for p in n._parents}
+        for name, p in model.parameters():
+            assert (name.rpartition(".")[0], id(p)) in readers, name
+
+
 class TestVariantComparison:
     @pytest.mark.parametrize("variant,params,flops,nbytes", [
-        ("mlp", 204_032, 30_642_176, 4_882_432),
-        ("efficientkan", 104_960, 20_795_392, 4_096_000),
-        ("relukan", 678_400, 95_588_352, 8_814_592),
-        ("bspline_kan", 840_960, 112_627_712, 340_426_752),
-    ])
+        ("mlp", 204_032, 30_789_632, 5_275_648),
+        ("efficientkan", 104_960, 20_893_696, 4_751_360),
+        ("relukan", 678_400, 95_686_656, 45_907_968),
+        ("bspline_kan", 840_960, 112_562_176, 88_506_368),
+    ], ids=["mlp", "efficientkan", "relukan", "bspline_kan"])
     def test_totals(self, variant, params, flops, nbytes):
         report = P.compare_variants(P.ArchConfig()).reports[variant]
         assert (report.total_params, report.total_flops,
@@ -61,19 +142,21 @@ class TestVariantComparison:
         assert comparison.memory_ordering_ok
 
     def test_efficientkan_qkv_share_one_activation(self):
-        names = [e.name for e in P.variant_report("efficientkan",
-                                                  P.ArchConfig(depth=1)).entries]
-        msa = [n for n in names if n.startswith("block0.msa.")]
-        assert msa[:6] == ["block0.msa.qkv.expand", "block0.msa.qkv.pool",
-                           "block0.msa.qkv.square", "block0.msa.q_proj.affine",
-                           "block0.msa.k_proj.affine", "block0.msa.v_proj.affine"]
+        flops = {e.name: e.flops for e in P.variant_report(
+            "efficientkan", P.ArchConfig(depth=1)).entries}
+        assert [n for n in flops if n.startswith("block0.msa.")] == [
+            "block0.msa.qkv", "block0.msa.q_proj", "block0.msa.k_proj",
+            "block0.msa.v_proj", "block0.msa.out_proj"]
+        # kan1 is one activation plus one mix; each projection is a mix only.
+        proj = flops["block0.msa.q_proj"]
+        assert flops["block0.msa.k_proj"] == flops["block0.msa.v_proj"] == proj
+        assert flops["block0.msa.qkv"] + proj == flops["block0.kan1"]
 
     def test_bspline_basis_count_at_zero_overlap(self):
         grid = KanGrid(G=3, K=0)
         report = P.variant_report("bspline_kan", P.ArchConfig(
             d_model=8, depth=1, n_heads=2, grid=grid))
-        kan1 = sum(e.params for e in report.entries
-                   if e.name.startswith("block0.kan1."))
+        kan1 = sum(e.params for e in report.entries if e.name == "block0.kan1")
         assert kan1 == 384 == BSplineKanLayer(8, 8, grid, k_spline=1).param_count().total
 
     def test_object_walk_agrees_with_variant_table(self):
@@ -81,12 +164,19 @@ class TestVariantComparison:
         stack = EncoderStack(arch.d_model, arch.depth, arch.n_heads,
                              arch.n_tokens, grid=arch.grid)
         walk = P.estimate_activation_memory(stack, arch.batch)
+        flops = P.estimate_flops(stack, (arch.batch, arch.n_tokens, arch.d_model))
         table = P.variant_report("efficientkan", arch)
-        assert [e.name for e in walk.entries] == \
-            [f"encoder.{e.name}" for e in table.entries]
+        assert [e.name for e in walk.entries] == [e.name for e in table.entries]
         assert [e.activation_bytes for e in walk.entries] == \
             [e.activation_bytes for e in table.entries]
-        assert P.count_params(stack).total_params == table.total_params
+        assert [e.flops for e in flops.entries] == [e.flops for e in table.entries]
+        params = {e.name: e.params for e in P.count_params(stack).entries}
+        assert params == {e.name: e.params for e in table.entries if e.params}
+
+
+def _under_no_grad(fn, *args):
+    with T.no_grad():
+        return fn(*args)
 
 
 @pytest.mark.parametrize("call,named", [
@@ -94,14 +184,16 @@ class TestVariantComparison:
     (lambda m: P.count_params(m.cnn), "CnnEncoderParams"),
     (lambda m: P.variant_report("x", P.ArchConfig()), "'x'"),
     (lambda m: P.estimate_activation_memory(m, 0), "got 0"),
-], ids=["conv_layer", "cnn_encoder", "unknown_variant", "zero_batch"])
+    (lambda m: _under_no_grad(P.estimate_flops, AffineLayer(3, 5), (2, 3)), "no_grad"),
+], ids=["conv_layer", "cnn_encoder", "unknown_variant", "zero_batch", "no_grad"])
 def test_bad_requests_raise_contract_error(model, call, named):
     with pytest.raises(ContractError, match=named):
         call(model)
 
 
 # sha256 of each report's to_tsv() text. They pin every entry name, the entry
-# order and every number; change them only with a deliberate change of a law.
+# order and every number; change them only with a deliberate change of an op's
+# FLOP count, of the byte rule or of the scopes.
 def _golden_reports():
     grid = KanGrid()
     model = TransUKanModel(ModelConfig(), rng=np.random.default_rng(0))
@@ -130,18 +222,18 @@ def _golden_reports():
 
 
 GOLDEN_SHA256 = {
-    "model.params": "69d641ec38189addde31f1f9a33825617386af761c0a82bbd442e17fe9486e9c",
-    "model.flops.b1": "9bb91c222b6f0dc849c99bfbf75a97bc4f75ad780d95394faab6b8d55bf164ca",
-    "model.flops.b4": "c45d89b7ee5978ba1db17c2caac19523cd23d6feebe4337866e4271c1a41f09d",
-    "model.memory.b1": "e4814e5103cc0fe846a2b0821f9d55db253e22e04663141d275e63f7431049d7",
-    "model.memory.b4": "568a973c0d8ea85f59abd510e0119b593dba6bbb8c8ee8101d70dd0d0cfea9c9",
-    "variants": "f51b3717fcd46de2b816173ecb4ba74ae00486fe10ccc9375f836c1e0cbcbfaa",
-    "variants.small": "86acac4db5f005485692188af6363cc407777bf51ccfec1c758121bc3435caac",
-    "encoder.flops": "87da9d81bf19c2defe4abae496bc0986eb134a6d80865aa2d61ba5ad8f6f44f7",
-    "encoder.memory": "e671c2fc51a9810ce6848176b399d7e99f06d207762881c56a52851414a75666",
-    "block.flops": "87dc5d046f9f078f4541aad81aa336d7d9ce61e23a8fd492f7bb11e143fedf97",
-    "msa.flops": "da4b699a642639d0512951ecdc66c6b077315289c8ee78bbd311432e890343e3",
-    "layers.flops": "4f6347504db3a468e416566c4237366891c735d8dc187c7ea3ffffae17aa3245",
+    "model.params": "b2b5f3e04ed4671c35fdd5d15b8c18c6da42a93976bacb80a206cbfa0f4b996a",
+    "model.flops.b1": "2b953efcd5ca6ae65db932c8c82548919a933889d1d21f7c40734ab7d4e14d28",
+    "model.flops.b4": "e3a2ccebc767eba54582a69cb8a2079d85a1bae0687a4e42e66a201756017658",
+    "model.memory.b1": "77bceaa005b4387740e39db942c8b4af6cc3202e43c12ec31f39e17b3a57476e",
+    "model.memory.b4": "df9025f14f67348b33d52a97398adcd21825045548e2495ffa0fbed9f9775a67",
+    "variants": "e9518e26c8716d1165cd9d47cfcc8a3c389c7c2f4ddaef862e2649e7cb26cac4",
+    "variants.small": "68b851822834c9df83d527b15bd15f9fa8376b324da75eba2413602061da1fc7",
+    "encoder.flops": "596c44534a1fdc1428834bd91716776b387091347e9c9c4659f2ac74e075d674",
+    "encoder.memory": "e8721cd074ee8ce35467f229f89071f08b8cf163584fff095688bfd2d2c65019",
+    "block.flops": "9b19c1faa92df176324d4cc51c8543a9e850a7b0fe6e01304a07b0b86fb61139",
+    "msa.flops": "115071f748fa7a46da5004a921f666c64b4cb5c4847f5527c788bc31465cf1f9",
+    "layers.flops": "4112568857263c92c3f2fabd0c4d044fc69185f7156362645c83eac7a40757b8",
 }
 
 

@@ -340,7 +340,7 @@ class TestGradCheckHarness:
         # negative control: op with a deliberately wrong adjoint must fail
         def broken_square(x):
             return T._node(x.data * x.data, "broken", (x,),
-                           lambda g: (g * 3.0 * x.data,))
+                           lambda g: (g * 3.0 * x.data,), flops=x.size)
 
         x = Tensor(np.random.default_rng(3).uniform(1.0, 2.0, size=4))
         rep = T.grad_check(lambda t: T.sum_all(broken_square(t)), x, tol=1e-6)
