@@ -7,10 +7,11 @@ model names after the owners whose parameters it reads. The FLOP conventions
 live next to each op in ``tensor.py`` (1 multiply-accumulate = 2). Memory is
 the op-output buffers the tape owns, by the rule of perfbench's
 ``tape_accounting``: a buffer counts once, at the first op in forward order
-that outputs it; views of it or of a parameter count zero. Scratch that a
-backward closure keeps, such as the im2col ``cols`` of conv2d, is not counted:
-perfbench measures it as ``tensor.retained_mb``. The variant comparison
-measures a real ``EncoderStack`` and swaps its KAN scopes for real layers.
+that outputs it; views of it or of a parameter count zero. Other arrays a
+backward closure keeps, such as the phase-split padded input of conv2d, are
+not counted: perfbench measures them in ``tensor.retained_mb``. The variant
+comparison measures a real ``EncoderStack`` and swaps its KAN scopes for real
+layers.
 """
 
 from dataclasses import dataclass, field

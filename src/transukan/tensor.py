@@ -421,36 +421,49 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # Convolution and spatial ops
 # ---------------------------------------------------------------------------
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,
-            h_out: int, w_out: int) -> np.ndarray:
-    b, c = xp.shape[:2]
-    cols = np.empty((b, c, kh, kw, h_out, w_out), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * h_out:stride,
-                                  j:j + stride * w_out:stride]
-    return cols.reshape(b, c * kh * kw, h_out * w_out)
+# Most elements of im2col scratch that one conv2d forward chunk fills (8 MiB).
+# On the default model, 2**19 and below made the batch-1 64x64 forward slower,
+# and 2**21 raised its peak memory from 9.3 to 14.4 MB.
+_IM2COL_BUDGET = 2 ** 20
 
 
-def _col2im(dcols: np.ndarray, xp_shape, kh: int, kw: int, stride: int,
-            h_out: int, w_out: int) -> np.ndarray:
-    b, c = xp_shape[:2]
-    dxp = np.zeros(xp_shape, dtype=np.float64)
-    dcols = dcols.reshape(b, c, kh, kw, h_out, w_out)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i:i + stride * h_out:stride,
-                j:j + stride * w_out:stride] += dcols[:, :, i, j]
-    return dxp
+def _phase_slices(h: int, w: int, stride: int, padding: int):
+    """Yield ``(r, q, grid, src)`` for each stride phase (r, q) of an h x w
+    input padded by ``padding``: input pixels ``[src]`` land at ``[grid]`` of
+    the phase grid, whose cell (y, x) is padded pixel (y s + r, x s + q)."""
+    def axis(n, r):
+        first = -((r - padding) // stride)  # first cell at or past the pad
+        src = slice(first * stride + r - padding, n, stride)
+        return slice(first, first + len(range(n)[src])), src
+
+    for r in range(stride):
+        gy, sy = axis(h, r)
+        for q in range(stride):
+            gx, sx = axis(w, q)
+            yield r, q, (gy, gx), (sy, sx)
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation over NCHW input with an OIHW kernel."""
+    """2-D cross-correlation over NCHW input with an OIHW kernel.
+
+    The zero-padded input is stored once per stride phase (r, q) as rows of
+    ``xs[r, q]`` (channels x flat b·hq·wq cells, plus a zero tail), so kernel
+    tap (i, j) reads one contiguous column slice of phase (i mod s, j mod s)
+    at offset (i div s)·wq + j div s. Output cell m of that flat layout is
+    output pixel (n, y, x) for m = n·hq·wq + y·wq + x; cells with y >= h_out
+    or x >= w_out read wrapped pixels and are dropped. The backward keeps
+    only ``xs`` and works tap by tap, with no im2col buffer.
+    """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d needs 4-d input and kernel, got {x.shape}, {w.shape}")
+    for name, value in (("stride", stride), ("padding", padding)):
+        if not isinstance(value, (int, np.integer)):
+            raise ContractError(f"conv2d {name} must be an integer, got {value!r}")
     if stride < 1:
-        raise ContractError("conv2d stride must be >= 1")
+        raise ContractError(f"conv2d stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise ContractError(f"conv2d padding must be >= 0, got {padding}")
     b, c, h, wd = x.shape
     o, ci, kh, kw = w.shape
     if ci != c:
@@ -463,30 +476,66 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     if bias is not None and bias.shape != (o,):
         raise DimensionError(f"conv2d bias must have shape ({o},), got {bias.shape}")
 
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-    cols = _im2col(xp, kh, kw, stride, h_out, w_out)
-    w2 = w.data.reshape(o, c * kh * kw)
-    out = np.matmul(w2, cols)
+    s = stride
+    hq = -(-(h + 2 * padding) // s)
+    wq = -(-(wd + 2 * padding) // s)
+    n = b * hq * wq
+    tail = (kh - 1) // s * wq + (kw - 1) // s
+    taps = [(i, j, i % s, j % s, i // s * wq + j // s)
+            for i in range(kh) for j in range(kw)]
+    phases = list(_phase_slices(h, wd, s, padding))
+
+    xs = np.zeros((s, s, c, n + tail), dtype=np.float64)
+    grid = xs[..., :n].reshape(s, s, c, b, hq, wq)
+    xt = x.data.transpose(1, 0, 2, 3)
+    for r, q, (gy, gx), (sy, sx) in phases:
+        grid[r, q, :, :, gy, gx] = xt[:, :, sy, sx]
+
+    k = c * kh * kw
+    w2 = w.data.reshape(o, k)
+    full = np.empty((o, n), dtype=np.float64)
+    chunks = -(-n // max(1, _IM2COL_BUDGET // k))
+    step = -(-n // chunks)  # equal chunks: the scratch is no wider than needed
+    cols = np.empty((c, kh, kw, step), dtype=np.float64)
+    for m0 in range(0, n, step):
+        m = min(step, n - m0)
+        for i, j, r, q, off in taps:
+            cols[:, i, j, :m] = xs[r, q, :, off + m0:off + m0 + m]
+        np.matmul(w2, cols.reshape(k, -1)[:, :m], out=full[:, m0:m0 + m])
+    del cols  # before the output is allocated, or it sets the forward's peak
+    valid = full.reshape(o, b, hq, wq)[:, :, :h_out, :w_out].transpose(1, 0, 2, 3)
+    data = np.empty((b, o, h_out, w_out), dtype=np.float64)
     if bias is not None:
-        out += bias.data[:, None]
-    data = out.reshape(b, o, h_out, w_out)
+        np.add(valid, bias.data[:, None, None], out=data)
+    else:
+        data[...] = valid
     parents = (x, w) if bias is None else (x, w, bias)
 
     def backward_fn(g):
-        g2 = g.reshape(b, o, h_out * w_out)
-        dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-        dcols = np.matmul(w2.T, g2)
-        dxp = _col2im(dcols, xp.shape, kh, kw, stride, h_out, w_out)
-        dx = dxp[:, :, padding:padding + h, padding:padding + wd] if padding else dxp
+        gfull = np.zeros((o, b, hq, wq), dtype=np.float64)
+        gfull[:, :, :h_out, :w_out] = g.transpose(1, 0, 2, 3)
+        gfull = gfull.reshape(o, n)
+        dw = np.empty(w.shape, dtype=np.float64)
+        dxs = np.zeros_like(xs) if x.requires_grad else None
+        dtap = np.empty((c, n), dtype=np.float64)
+        for i, j, r, q, off in taps:
+            dw[:, :, i, j] = gfull @ xs[r, q, :, off:off + n].T
+            if dxs is not None:
+                np.matmul(w.data[:, :, i, j].T, gfull, out=dtap)
+                dxs[r, q, :, off:off + n] += dtap
+        dx = None
+        if dxs is not None:
+            dgrid = dxs[..., :n].reshape(s, s, c, b, hq, wq)
+            dx = np.empty(x.shape, dtype=np.float64)
+            dxt = dx.transpose(1, 0, 2, 3)
+            for r, q, (gy, gx), (sy, sx) in phases:
+                dxt[:, :, sy, sx] = dgrid[r, q, :, :, gy, gx]
         if bias is None:
             return (dx, dw)
         return (dx, dw, g.sum(axis=(0, 2, 3)))
 
     # The bias add rides in the multiply-accumulates.
-    return _node(data, "conv2d", parents, backward_fn, flops=2 * data.size * w2.shape[1])
+    return _node(data, "conv2d", parents, backward_fn, flops=2 * data.size * k)
 
 
 def upsample_nearest_2x(x: Tensor) -> Tensor:
@@ -565,17 +614,6 @@ def sum_all(x: Tensor) -> Tensor:
         return (np.broadcast_to(g, x.shape),)
 
     return _node(np.sum(x.data), "sum_all", (x,), backward_fn, flops=x.size)
-
-
-def sum_axes(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    axes = tuple(a % x.ndim for a in axes)
-    data = np.sum(x.data, axis=axes)
-
-    def backward_fn(g):
-        expanded = np.expand_dims(g, axes) if axes else g
-        return (np.broadcast_to(expanded, x.shape),)
-
-    return _node(data, "sum_axes", (x,), backward_fn, flops=x.size)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -206,6 +206,96 @@ class TestConv2d:
                 target, tol=1e-5)
             assert rep.ok, rep
 
+    @pytest.mark.parametrize("name, value", [("padding", -1), ("padding", 1.5),
+                                             ("stride", 0), ("stride", 1.5)])
+    def test_bad_stride_or_padding_raise_contract_error(self, name, value):
+        x = Tensor(np.zeros((1, 1, 6, 6)))
+        w = Tensor(np.zeros((1, 1, 3, 3)))
+        with pytest.raises(ContractError, match=f"{name} .*{value}"):
+            T.conv2d(x, w, None, **{name: value})
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_oracle_and_gradient_grid(self, stride, padding):
+        """Kernels 1x1 to 3x3 on inputs whose last rows and columns go unused
+        at stride > 1, one and three input channels, batch 2."""
+        rng = np.random.default_rng(100 + 10 * stride + padding)
+        cases = [(kernel, size, c_in)
+                 for kernel in ((1, 1), (2, 2), (3, 2), (3, 3))
+                 for size in ((7, 6), (5, 5), (8, 4))
+                 for c_in in (1, 3)]
+        for kernel, size, c_in in cases:
+            x = Tensor(rng.normal(size=(2, c_in, *size)))
+            w = Tensor(rng.normal(size=(2, c_in, *kernel)))
+            b = Tensor(rng.normal(size=2))
+            out = T.conv2d(x, w, b, stride=stride, padding=padding)
+            expected = _naive_conv2d(x.data, w.data, b.data, stride, padding)
+            np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+            weights = Tensor(rng.normal(size=out.shape))
+            for target in (x, w, b):
+                rep = T.grad_check(
+                    lambda t: T.sum_all(T.mul(
+                        T.conv2d(x, w, b, stride=stride, padding=padding), weights)),
+                    target, tol=1e-6, sample=4)
+                assert rep.ok, (kernel, size, c_in, rep)
+
+    def test_forward_in_chunks_matches_oracle(self, monkeypatch):
+        # 27 rows of im2col scratch in a budget of 150 elements: chunks of
+        # 5 columns, the last one short.
+        monkeypatch.setattr(T, "_IM2COL_BUDGET", 150)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 3, 7, 6))
+        w = rng.normal(size=(4, 3, 3, 3))
+        b = rng.normal(size=4)
+        out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1)
+        np.testing.assert_allclose(out.data, _naive_conv2d(x, w, b, 1, 1),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape, kernel, stride, padding",
+                             [((2, 3, 8, 8), (4, 3, 3, 3), 1, 1),
+                              ((2, 3, 8, 6), (4, 3, 3, 3), 2, 1),
+                              ((1, 2, 6, 6), (3, 2, 2, 2), 1, 0)])
+    def test_backward_keeps_only_the_padded_input(self, shape, kernel, stride, padding):
+        b, c, h, wd = shape
+        kh, kw = kernel[2:]
+        hp, wp = h + 2 * padding, wd + 2 * padding
+        assert hp % stride == 0 and wp % stride == 0
+        tail = (kh - 1) // stride * (wp // stride) + (kw - 1) // stride
+        bound = c * (b * hp * wp + stride * stride * tail)
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        w = Tensor(rng.normal(size=kernel), requires_grad=True)
+        out = T.conv2d(x, w, None, stride=stride, padding=padding)
+        held = [cell.cell_contents for cell in out._backward_fn.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)]
+        assert held
+        assert max(a.size for a in held) <= bound
+
+    def test_no_input_gradient_when_input_needs_none(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(1, 2, 5, 5)))
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        out = T.conv2d(x, w, None, padding=1)
+        dx, dw = out._backward_fn(np.ones(out.shape))
+        assert dx is None
+        assert dw.shape == w.shape
+
+
+def _naive_conv2d(x, w, b, stride, padding):
+    """Loop oracle for NCHW x OIHW cross-correlation."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    kh, kw = w.shape[2:]
+    h_out = (xp.shape[2] - kh) // stride + 1
+    w_out = (xp.shape[3] - kw) // stride + 1
+    out = np.zeros((x.shape[0], w.shape[0], h_out, w_out))
+    for n in range(x.shape[0]):
+        for o in range(w.shape[0]):
+            for i in range(h_out):
+                for j in range(w_out):
+                    patch = xp[n, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
+                    out[n, o, i, j] = np.sum(patch * w[o]) + b[o]
+    return out
+
 
 class TestMeanLastAxis:
     def test_hand_value(self):
@@ -404,12 +494,3 @@ class TestShapeOps:
         expected = np.zeros(10)
         expected[2:5] = 1.0
         np.testing.assert_array_equal(x.grad, expected)
-
-    def test_sum_axes(self):
-        rng = np.random.default_rng(6)
-        x = Tensor(rng.normal(size=(2, 3, 4)))
-        out = T.sum_axes(x, (0, 2))
-        np.testing.assert_allclose(out.data, x.data.sum(axis=(0, 2)), rtol=1e-15)
-        rep = T.grad_check(lambda t: T.sum_all(T.square(T.sum_axes(t, (0, 2)))),
-                           x, tol=1e-6)
-        assert rep.ok
