@@ -6,17 +6,18 @@ Three ways to build a learnable-activation layer on a shared uniform grid:
   term plus a coefficient-weighted B-spline expansion.
 * ``ReLUKanLayer``: squared-hinge basis responses integrated by one dense
   kernel of size (G+K, c_in) per output channel.
-* ``EfficientKanLayer``: the same basis responses, but integrated inside
-  each neuron by fixed average pooling, squared, and mixed across neurons
-  by a single affine map. Its parameter count collapses to that of a plain
-  affine layer, and so does its graph: the pooled basis is a fixed scalar
-  function of x, computed by the single op ``tensor.hinge_pool``, so the
-  layer is Affine((mean_i R_i(x))^2) and keeps no basis block.
+* ``EfficientKanLayer``: an ``AffineLayer`` over a fixed activation. Each
+  input channel's squared-hinge basis responses are averaged with fixed
+  weights and squared, q = (mean_i R_i(x))^2, by the single op
+  ``tensor.hinge_pool`` plus a square; no basis block is kept. The layer adds
+  no parameters to the affine map it inherits: its weights, their
+  initialisation and its mixing map are the ``AffineLayer``'s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,10 +40,13 @@ class KanGrid:
     range_hi: float = 1.0
 
     def __post_init__(self):
-        if self.G < 1:
-            raise ContractError(f"grid count G must be positive, got {self.G}")
-        if self.K < 0:
-            raise ContractError(f"grid overlap K must be nonnegative, got {self.K}")
+        for name, value, least in (("G", self.G, 1), ("K", self.K, 0)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ContractError(f"grid {name} must be an int >= {least}, "
+                                    f"got {value!r}")
+        for name, value in (("range_lo", self.range_lo), ("range_hi", self.range_hi)):
+            if not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ContractError(f"grid {name} must be finite, got {value!r}")
         if not self.range_hi > self.range_lo:
             raise ContractError(f"grid range [{self.range_lo}, {self.range_hi}] is empty")
 
@@ -148,20 +152,6 @@ def bspline_basis_expand(x: Tensor, grid: KanGrid, order: int) -> Tensor:
     return b
 
 
-def _silu_scalar(x: float) -> float:
-    return x / (1.0 + np.exp(-x))
-
-
-def phi_edge(x: float, w_b: float, w_s: float, c: np.ndarray, grid: KanGrid,
-             k_spline: int) -> float:
-    """Single edge activation: w_b * silu(x) + w_s * sum_i c_i B_i(x)."""
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape != (grid.G + k_spline,):
-        raise DimensionError(f"phi_edge coefficient vector must have length "
-                             f"{grid.G + k_spline}, got {c.shape}")
-    return w_b * _silu_scalar(x) + w_s * float(np.dot(c, bspline_basis(x, grid, k_spline)))
-
-
 # ---------------------------------------------------------------------------
 # Layers
 # ---------------------------------------------------------------------------
@@ -173,19 +163,6 @@ def _uniform(rng: np.random.Generator, bound: float, shape) -> np.ndarray:
 def _check_last_dim(x: Tensor, c_in: int, name: str) -> None:
     if x.ndim < 1 or x.shape[-1] != c_in:
         raise DimensionError(f"{name} expects last dim {c_in}, got input shape {x.shape}")
-
-
-@dataclass
-class ParamCount:
-    """Per-stage parameter breakdown of a layer."""
-
-    basis: int = 0        # learnable coefficients attached to basis functions
-    integration: int = 0  # weights that integrate basis responses across neurons
-    affine: int = 0       # plain linear-map weights and biases
-
-    @property
-    def total(self) -> int:
-        return self.basis + self.integration + self.affine
 
 
 class AffineLayer:
@@ -205,9 +182,6 @@ class AffineLayer:
 
     def parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
-
-    def param_count(self) -> ParamCount:
-        return ParamCount(affine=self.c_in * self.c_out + self.c_out)
 
 
 class BSplineKanLayer:
@@ -245,10 +219,6 @@ class BSplineKanLayer:
         return [("w_base", self.w_base), ("w_spline", self.w_spline),
                 ("coeff", self.coeff)]
 
-    def param_count(self) -> ParamCount:
-        return ParamCount(basis=self.c_in * self.c_out * self.n_basis,
-                          affine=2 * self.c_in * self.c_out)
-
 
 class ReLUKanLayer:
     """Squared-hinge basis layer integrated by a full (G+K, c_in) kernel.
@@ -282,31 +252,22 @@ class ReLUKanLayer:
     def parameters(self):
         return [("kernel", self.kernel), ("bias", self.bias)]
 
-    def param_count(self) -> ParamCount:
-        return ParamCount(
-            integration=self.c_out * self.grid.n_basis * self.c_in + self.c_out)
 
+class EfficientKanLayer(AffineLayer):
+    """An ``AffineLayer`` over a fixed activation: y = q W^T + b, where
+    q = (mean_i R_i(x))^2 averages each channel's G+K squared-hinge bells.
 
-class EfficientKanLayer:
-    """Per-neuron basis pooling, squared, then one affine map across neurons.
-
-    Stages: (1) ``activate``: each input channel's G+K basis responses are
-    averaged with fixed 1/(G+K) coefficients (no parameters) by one fused
-    ``hinge_pool`` op, then squared; (2) ``mix``: y = q W^T + bias.
-    Cross-neuron structure is learned only through the affine map's
-    gradients. ``activate`` depends on the grid alone, so layers on one grid
-    that read the same input can share its output.
+    ``activate`` computes q by one fused ``hinge_pool`` op and a square, and
+    has no parameters; ``mix`` is the affine map. Parameters, their
+    initialisation and their names are the ``AffineLayer``'s. ``activate``
+    depends on the grid alone, so layers on one grid that read the same input
+    can share its output.
     """
 
     def __init__(self, c_in: int, c_out: int, grid: KanGrid | None = None,
                  rng: np.random.Generator | None = None):
-        self.c_in = c_in
-        self.c_out = c_out
+        super().__init__(c_in, c_out, rng=rng)
         self.grid = grid or KanGrid()
-        rng = rng or np.random.default_rng(0)
-        self.weight = Tensor(_uniform(rng, 1.0 / np.sqrt(c_in), (c_out, c_in)),
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
     def activate(self, x: Tensor) -> Tensor:
         """q = (mean_i R_i(x))^2, elementwise; the expanded basis is never kept."""
@@ -314,18 +275,9 @@ class EfficientKanLayer:
         return T.square(T.hinge_pool(x, self.grid.support_lo(),
                                      self.grid.support_hi()))
 
-    def mix(self, q: Tensor) -> Tensor:
-        """y = q W^T + bias."""
-        return T.add(T.matmul(q, T.transpose(self.weight, (1, 0))), self.bias)
+    # Bound at class level, so a wrapper put on AffineLayer.forward later sees
+    # only the plain affine layers.
+    mix = AffineLayer.forward
 
     def forward(self, x: Tensor) -> Tensor:
         return self.mix(self.activate(x))
-
-    def parameters(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
-    def param_count(self) -> ParamCount:
-        return ParamCount(affine=self.c_in * self.c_out + self.c_out)
-
-
-KanLayer = BSplineKanLayer | ReLUKanLayer | EfficientKanLayer

@@ -59,7 +59,7 @@ def _split_heads(x: Tensor, n_heads: int, head_dim: int) -> Tensor:
     return T.transpose(T.reshape(x, (b, t, n_heads, head_dim)), (0, 2, 1, 3))
 
 
-def msa_kan(x: Tensor, p: MsaKanParams, return_attn: bool = False):
+def msa_kan(x: Tensor, p: MsaKanParams) -> Tensor:
     """Scaled dot-product attention over KAN-projected Q, K, V.
 
     The three projections share one grid and one input, so the KAN
@@ -83,8 +83,7 @@ def msa_kan(x: Tensor, p: MsaKanParams, return_attn: bool = False):
     ctx = T.matmul(attn, v)
     merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
     with T.scope("out_proj"):
-        out = p.out_proj.forward(merged)
-    return (out, attn) if return_attn else out
+        return p.out_proj.forward(merged)
 
 
 class KansformerBlockParams:

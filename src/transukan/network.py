@@ -49,18 +49,20 @@ class ModelConfig:
     decoder_channels: tuple[int, int, int] = (32, 16, 16)
 
     def __post_init__(self):
-        sizes = {"in_channels": self.in_channels, "image_size": self.image_size,
-                 "d_model": self.d_model, "depth": self.depth}
-        sizes.update({f"cnn_channels[{i}]": c for i, c in enumerate(self.cnn_channels)})
-        sizes.update({f"decoder_channels[{i}]": c
-                      for i, c in enumerate(self.decoder_channels)})
+        sizes = {"in_channels": self.in_channels, "n_classes": self.n_classes,
+                 "image_size": self.image_size, "d_model": self.d_model,
+                 "depth": self.depth, "n_heads": self.n_heads}
+        for name in ("cnn_channels", "decoder_channels"):
+            channels = getattr(self, name)
+            if not isinstance(channels, tuple) or len(channels) != 3:
+                raise ContractError(f"{name} must be a tuple of 3 sizes, "
+                                    f"got {channels!r}")
+            sizes.update({f"{name}[{i}]": c for i, c in enumerate(channels)})
         for name, size in sizes.items():
-            if size < 1:
-                raise ContractError(f"{name} must be at least 1, got {size}")
+            if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+                raise ContractError(f"{name} must be an int >= 1, got {size!r}")
         if self.image_size % 8 != 0:
             raise ContractError(f"image_size must be divisible by 8, got {self.image_size}")
-        if self.n_heads < 1:
-            raise ContractError(f"need at least 1 head, got {self.n_heads}")
         if self.d_model % self.n_heads != 0:
             raise ContractError(f"d_model {self.d_model} not divisible by "
                                 f"n_heads {self.n_heads}")
@@ -116,7 +118,6 @@ class CnnEncoderParams:
     def __init__(self, in_channels: int, channels: tuple[int, int, int],
                  rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
-        self.channels = channels
         self.stages = []
         prev = in_channels
         for ch in channels:

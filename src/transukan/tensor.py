@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -122,52 +122,15 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _scalar_err(self)
+        if self.data.size != 1:
+            raise ContractError(f"expected scalar tensor, got shape {self.shape}")
+        return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self) -> None:
-        backward(self)
-
-    # Operator sugar; the module-level functions are the real API.
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _scalar_err(t: Tensor):
-    raise ContractError(f"expected scalar tensor, got shape {t.shape}")
-
-
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -657,7 +620,13 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    axis = axis % x.ndim
+    """``x[..., start:stop, ...]`` on ``axis``; bounds are not wrapped or clamped."""
+    if not -x.ndim <= axis < x.ndim:
+        raise DimensionError(f"slice_axis axis {axis} invalid for shape {x.shape}")
+    axis %= x.ndim
+    if not 0 <= start < stop <= x.shape[axis]:
+        raise DimensionError(f"slice_axis bounds [{start}, {stop}) invalid for "
+                             f"axis {axis} of shape {x.shape}")
     index = [slice(None)] * x.ndim
     index[axis] = slice(start, stop)
     index = tuple(index)
@@ -698,6 +667,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
     """
     if h <= 0:
         raise ContractError("grad_check step h must be positive")
+    if sample is not None and sample < 1:
+        raise ContractError(f"grad_check needs sample >= 1, got {sample}")
     x.requires_grad = True
     x.zero_grad()
     out = f(x)

@@ -12,7 +12,6 @@ from transukan.kan import (
     bspline_basis,
     bspline_basis_expand,
     bspline_knots,
-    phi_edge,
     relukan_basis,
     relukan_basis_expand,
 )
@@ -30,6 +29,20 @@ def cox_de_boor(x, deg, i, t):
         right = (t[i + deg + 1] - x) / (t[i + deg + 1] - t[i + 1]) * cox_de_boor(
             x, deg - 1, i + 1, t)
     return left + right
+
+
+def _silu_scalar(x: float) -> float:
+    return x / (1.0 + np.exp(-x))
+
+
+def phi_edge(x: float, w_b: float, w_s: float, c: np.ndarray, grid: KanGrid,
+             k_spline: int) -> float:
+    """Single edge activation: w_b * silu(x) + w_s * sum_i c_i B_i(x)."""
+    c = np.asarray(c, dtype=np.float64)
+    if c.shape != (grid.G + k_spline,):
+        raise DimensionError(f"phi_edge coefficient vector must have length "
+                             f"{grid.G + k_spline}, got {c.shape}")
+    return w_b * _silu_scalar(x) + w_s * float(np.dot(c, bspline_basis(x, grid, k_spline)))
 
 
 def hinge_basis(x, s, e):
@@ -70,6 +83,10 @@ class TestKanGrid:
             KanGrid(K=-1)
         with pytest.raises(ContractError):
             KanGrid(range_lo=1.0, range_hi=1.0)
+        for kwargs in ({"G": 2.5}, {"K": True}, {"G": np.int64(5)},
+                       {"range_lo": -np.inf}, {"range_hi": np.nan}, {"range_lo": "0"}):
+            with pytest.raises(ContractError, match=next(iter(kwargs))):
+                KanGrid(**kwargs)
 
 
 class TestReluKanBasis:
@@ -454,6 +471,19 @@ class TestEfficientKanLayer:
         np.testing.assert_allclose(basis.mean(axis=-1), basis[..., perm].mean(axis=-1),
                                    rtol=1e-15)
 
+    @pytest.mark.parametrize("c_in,c_out", [(1, 1), (3, 5), (16, 16)])
+    def test_shares_affine_parameters_and_map(self, c_in, c_out):
+        eff = EfficientKanLayer(c_in, c_out, KanGrid(G=4, K=2),
+                                rng=np.random.default_rng(3))
+        aff = AffineLayer(c_in, c_out, rng=np.random.default_rng(3))
+        assert isinstance(eff, AffineLayer)
+        assert [n for n, _ in eff.parameters()] == [n for n, _ in aff.parameters()]
+        for (_, pe), (_, pa) in zip(eff.parameters(), aff.parameters()):
+            assert np.array_equal(pe.data, pa.data)
+        q = eff.activate(Tensor(np.random.default_rng(4).uniform(-1, 1, (2, 3, c_in))))
+        assert np.array_equal(eff.mix(q).data, AffineLayer.forward(eff, q).data)
+        assert np.array_equal(eff.mix(q).data, aff.forward(q).data)
+
     def test_gradcheck(self):
         rng = np.random.default_rng(67)
         grid = KanGrid()
@@ -479,39 +509,46 @@ class TestEfficientKanLayer:
         assert all(n.size != rows * c_in * grid.n_basis for n in nodes)
 
 
+def n_params(layer):
+    return sum(p.size for _, p in layer.parameters())
+
+
 class TestParamCounts:
     def test_efficient_equals_affine(self):
-        assert EfficientKanLayer(4, 8).param_count().total == 40
-        assert AffineLayer(4, 8).param_count().total == 40
+        assert n_params(EfficientKanLayer(4, 8)) == 40
+        assert n_params(AffineLayer(4, 8)) == 40
 
     def test_relukan_closed_form(self):
         grid = KanGrid(G=5, K=3)
-        assert ReLUKanLayer(4, 8, grid).param_count().total == 8 * 8 * 4 + 8
+        assert n_params(ReLUKanLayer(4, 8, grid)) == 8 * 8 * 4 + 8
 
     def test_bspline_closed_form(self):
         layer = BSplineKanLayer(2, 3, KanGrid(G=5, K=3), k_spline=3)
         assert layer.n_basis == 8
-        assert layer.param_count().total == 2 * 3 * (2 + 8)
+        assert n_params(layer) == 2 * 3 * (2 + 8)
 
     @pytest.mark.parametrize("c_in,c_out", [(1, 1), (3, 5), (16, 16)])
     def test_counts_match_tensor_enumeration(self, c_in, c_out):
         rng = np.random.default_rng(3)
-        for layer in (AffineLayer(c_in, c_out, rng),
-                      EfficientKanLayer(c_in, c_out, rng=rng),
-                      ReLUKanLayer(c_in, c_out, rng=rng),
-                      BSplineKanLayer(c_in, c_out, rng=rng)):
-            enumerated = sum(p.size for _, p in layer.parameters())
-            assert layer.param_count().total == enumerated
+        grid = KanGrid()
+        affine = c_in * c_out + c_out
+        for layer, closed in ((AffineLayer(c_in, c_out, rng), affine),
+                              (EfficientKanLayer(c_in, c_out, rng=rng), affine),
+                              (ReLUKanLayer(c_in, c_out, rng=rng),
+                               c_out * grid.n_basis * c_in + c_out),
+                              (BSplineKanLayer(c_in, c_out, rng=rng),
+                               c_in * c_out * (2 + grid.G + 3))):
+            assert n_params(layer) == closed
 
     def test_ratio_laws(self):
         for c_in, c_out in [(2, 3), (8, 4), (7, 7)]:
             for gk in [(2, 0), (3, 2), (5, 3)]:
                 grid = KanGrid(G=gk[0], K=gk[1])
-                eff = EfficientKanLayer(c_in, c_out, grid).param_count().total
-                aff = AffineLayer(c_in, c_out).param_count().total
-                rel = ReLUKanLayer(c_in, c_out, grid).param_count()
+                eff = n_params(EfficientKanLayer(c_in, c_out, grid))
+                aff = n_params(AffineLayer(c_in, c_out))
+                rel = n_params(ReLUKanLayer(c_in, c_out, grid))
                 assert eff == aff
-                assert rel.integration - c_out == grid.n_basis * c_in * c_out
+                assert rel - c_out == grid.n_basis * c_in * c_out
 
 
 class TestLeadingDims:

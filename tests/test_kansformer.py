@@ -37,12 +37,21 @@ def naive_msa(x, p):
     return ctx @ p.out_proj.weight.data.T + p.out_proj.bias.data
 
 
+def msa_with_attention(x, p):
+    """msa_kan's output and its attention probabilities, read off the tape as
+    the softmax node under the ``msa`` scope."""
+    with T.scope("msa"):
+        out = msa_kan(x, p)
+    [attn] = [n for n in T.Tape(out).nodes if n.op == "softmax" and n.scope == "msa"]
+    return out, attn
+
+
 class TestMsaKan:
     def test_single_token_attention_is_identity(self):
         rng = np.random.default_rng(3)
         p = MsaKanParams(8, 2, rng=rng)
         x = Tensor(rng.uniform(-1, 1, size=(2, 1, 8)))
-        out, attn = msa_kan(x, p, return_attn=True)
+        out, attn = msa_with_attention(x, p)
         np.testing.assert_array_equal(attn.data, np.ones((2, 2, 1, 1)))
         v = p.v_proj.forward(x)
         expected = p.out_proj.forward(v)
@@ -52,7 +61,7 @@ class TestMsaKan:
         rng = np.random.default_rng(5)
         p = MsaKanParams(8, 4, rng=rng)
         x = Tensor(rng.uniform(-1, 1, size=(2, 6, 8)))
-        _, attn = msa_kan(x, p, return_attn=True)
+        _, attn = msa_with_attention(x, p)
         np.testing.assert_allclose(attn.data.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(attn.data >= 0)
 
@@ -152,7 +161,9 @@ class TestEncoder:
                            rng=np.random.default_rng(0))
         assert rep.ok, rep
         for name, p in stack.parameters()[:8]:
-            rep = T.grad_check(objective, p, tol=1e-4, sample=8,
+            # h = 1e-4 keeps the rounding error of the central difference
+            # well below tol; at 1e-5 it alone nears tol on ln1.gamma.
+            rep = T.grad_check(objective, p, h=1e-4, tol=1e-4, sample=8,
                                sample_largest=True)
             assert rep.ok, (name, rep)
 

@@ -233,8 +233,20 @@ def _rewrite_config(path, mutate):
     (lambda c: "not a mapping", CheckpointCorruptError),
     (lambda c: {**c, "conventional_order": False}, None),
     (lambda c: {**c, "conventional_order": True}, CheckpointFormatError),
+    (lambda c: {**c, "depth": 1.5}, CheckpointCorruptError),
+    (lambda c: {**c, "d_model": 8.0}, CheckpointCorruptError),
+    (lambda c: {**c, "image_size": 16.0}, CheckpointCorruptError),
+    (lambda c: {**c, "n_classes": 2.0}, CheckpointCorruptError),
+    (lambda c: {**c, "in_channels": True}, CheckpointCorruptError),
+    (lambda c: {**c, "n_heads": 2.0}, CheckpointCorruptError),
+    (lambda c: {**c, "grid": {**c["grid"], "G": 2.5}}, CheckpointCorruptError),
+    (lambda c: {**c, "grid": {**c["grid"], "range_lo": -float("inf")}},
+     CheckpointCorruptError),
 ], ids=["image_size_12", "grid_G_0", "n_heads_0", "depth_-1", "not_a_mapping",
-        "v1_conventional_order_false", "v1_conventional_order_true"])
+        "v1_conventional_order_false", "v1_conventional_order_true",
+        "depth_1.5", "d_model_8.0", "image_size_16.0", "n_classes_2.0",
+        "in_channels_true", "n_heads_2.0", "grid_G_2.5",
+        "grid_range_lo_-inf"])
 def test_embedded_config_checked_on_load(tmp_path, mutate, error):
     model = TransUKanModel(MICRO, rng=np.random.default_rng(15))
     path = str(tmp_path / "model.tukn")
@@ -255,6 +267,16 @@ class TestModelConfig:
             ModelConfig(image_size=20)
         with pytest.raises(ContractError):
             ModelConfig(d_model=10, n_heads=4)
+        # sizes must be ints, as a JSON config block writes them
+        for field, value, named in (
+                ("depth", 1.5, "depth"), ("d_model", 64.0, "d_model"),
+                ("n_heads", 2.0, "n_heads"), ("n_classes", 2.0, "n_classes"),
+                ("in_channels", True, "in_channels"),
+                ("image_size", np.int64(64), "image_size"),
+                ("cnn_channels", (16, 32.0, 64), r"cnn_channels\[1\]"),
+                ("decoder_channels", (32, 16), "decoder_channels")):
+            with pytest.raises(ContractError, match=named):
+                ModelConfig(**{field: value})
 
     @pytest.mark.parametrize("field,value,named", [
         ("depth", 0, "depth"),

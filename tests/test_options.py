@@ -24,4 +24,4 @@ def settable_options() -> list[str]:
 
 
 def test_settable_option_count_is_pinned():
-    assert len(settable_options()) == 87
+    assert len(settable_options()) == 84

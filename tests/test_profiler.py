@@ -157,7 +157,8 @@ class TestVariantComparison:
         report = P.variant_report("bspline_kan", P.ArchConfig(
             d_model=8, depth=1, n_heads=2, grid=grid))
         kan1 = sum(e.params for e in report.entries if e.name == "block0.kan1")
-        assert kan1 == 384 == BSplineKanLayer(8, 8, grid, k_spline=1).param_count().total
+        layer = BSplineKanLayer(8, 8, grid, k_spline=1)
+        assert kan1 == 384 == sum(p.size for _, p in layer.parameters())
 
     def test_object_walk_agrees_with_variant_table(self):
         arch = P.ArchConfig()

@@ -442,6 +442,13 @@ class TestGradCheckHarness:
                            rng=np.random.default_rng(0), tol=1e-6)
         assert rep.ok and rep.n_checked == 10
 
+    def test_empty_sample_rejected(self):
+        # a check of no coordinates would report ok without checking anything
+        x = Tensor(np.ones(5))
+        for sample in (0, -1):
+            with pytest.raises(ContractError, match="sample"):
+                T.grad_check(lambda t: T.sum_all(t), x, sample=sample)
+
     def test_nonfinite_objective_raises(self):
         def f(t):
             out = T.sum_all(t)
@@ -494,3 +501,12 @@ class TestShapeOps:
         expected = np.zeros(10)
         expected[2:5] = 1.0
         np.testing.assert_array_equal(x.grad, expected)
+
+    @pytest.mark.parametrize("axis,start,stop", [
+        (5, 0, 2), (-3, 0, 2), (1, 0, 99), (1, -1, 2), (1, 2, 2), (1, 2, 1),
+    ], ids=["axis_past_end", "axis_before_start", "stop_past_end",
+            "negative_start", "empty", "reversed"])
+    def test_slice_axis_out_of_range_raises(self, axis, start, stop):
+        # numpy would wrap the axis or clamp the bounds and return a smaller slice
+        with pytest.raises(DimensionError, match="slice_axis"):
+            T.slice_axis(Tensor(np.ones((2, 3))), axis, start, stop)
