@@ -40,10 +40,8 @@ class KanGrid:
     range_hi: float = 1.0
 
     def __post_init__(self):
-        for name, value, least in (("G", self.G, 1), ("K", self.K, 0)):
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ContractError(f"grid {name} must be an int >= {least}, "
-                                    f"got {value!r}")
+        T.check_sizes({"grid G": self.G})
+        T.check_sizes({"grid K": self.K}, least=0)
         for name, value in (("range_lo", self.range_lo), ("range_hi", self.range_hi)):
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ContractError(f"grid {name} must be finite, got {value!r}")
@@ -169,6 +167,7 @@ class AffineLayer:
     """y = x W^T + b, the baseline every KAN variant is measured against."""
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator | None = None):
+        T.check_sizes({"c_in": c_in, "c_out": c_out})
         self.c_in = c_in
         self.c_out = c_out
         rng = rng or np.random.default_rng(0)
@@ -193,6 +192,7 @@ class BSplineKanLayer:
 
     def __init__(self, c_in: int, c_out: int, grid: KanGrid | None = None,
                  k_spline: int = 3, rng: np.random.Generator | None = None):
+        T.check_sizes({"c_in": c_in, "c_out": c_out, "k_spline": k_spline})
         self.c_in = c_in
         self.c_out = c_out
         self.grid = grid or KanGrid()
@@ -230,6 +230,7 @@ class ReLUKanLayer:
 
     def __init__(self, c_in: int, c_out: int, grid: KanGrid | None = None,
                  rng: np.random.Generator | None = None):
+        T.check_sizes({"c_in": c_in, "c_out": c_out})
         self.c_in = c_in
         self.c_out = c_out
         self.grid = grid or KanGrid()

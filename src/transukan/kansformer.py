@@ -18,6 +18,7 @@ from transukan.kan import AffineLayer, EfficientKanLayer, KanGrid
 
 class LayerNormParams:
     def __init__(self, d: int):
+        T.check_sizes({"d": d})
         self.d = d
         self.gamma = Tensor(np.ones(d), requires_grad=True)
         self.beta = Tensor(np.zeros(d), requires_grad=True)
@@ -34,6 +35,7 @@ class MsaKanParams:
 
     def __init__(self, d_model: int, n_heads: int, grid: KanGrid | None = None,
                  rng: np.random.Generator | None = None):
+        T.check_sizes({"d_model": d_model, "n_heads": n_heads})
         if d_model % n_heads != 0:
             raise ContractError(f"d_model {d_model} not divisible by n_heads {n_heads}")
         self.d_model = d_model
@@ -92,6 +94,7 @@ class KansformerBlockParams:
 
     def __init__(self, d_model: int, n_heads: int, grid: KanGrid | None = None,
                  rng: np.random.Generator | None = None):
+        T.check_sizes({"d_model": d_model, "n_heads": n_heads})
         rng = rng or np.random.default_rng(0)
         grid = grid or KanGrid()
         self.d_model = d_model
@@ -133,6 +136,8 @@ class EncoderStack:
 
     def __init__(self, d_model: int, depth: int, n_heads: int, n_tokens: int,
                  grid: KanGrid | None = None, rng: np.random.Generator | None = None):
+        T.check_sizes({"d_model": d_model, "n_heads": n_heads, "n_tokens": n_tokens})
+        T.check_sizes({"depth": depth}, least=0)
         rng = rng or np.random.default_rng(0)
         grid = grid or KanGrid()
         self.d_model = d_model

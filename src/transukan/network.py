@@ -58,9 +58,7 @@ class ModelConfig:
                 raise ContractError(f"{name} must be a tuple of 3 sizes, "
                                     f"got {channels!r}")
             sizes.update({f"{name}[{i}]": c for i, c in enumerate(channels)})
-        for name, size in sizes.items():
-            if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-                raise ContractError(f"{name} must be an int >= 1, got {size!r}")
+        T.check_sizes(sizes)
         if self.image_size % 8 != 0:
             raise ContractError(f"image_size must be divisible by 8, got {self.image_size}")
         if self.d_model % self.n_heads != 0:
@@ -92,6 +90,8 @@ class ModelConfig:
 class Conv2dLayer:
     def __init__(self, c_in: int, c_out: int, ksize: int, stride: int = 1,
                  padding: int = 0, rng: np.random.Generator | None = None):
+        T.check_sizes({"c_in": c_in, "c_out": c_out, "ksize": ksize, "stride": stride})
+        T.check_sizes({"padding": padding}, least=0)
         rng = rng or np.random.default_rng(0)
         bound = 1.0 / np.sqrt(c_in * ksize * ksize)
         self.stride = stride

@@ -10,8 +10,8 @@ the op-output buffers the tape owns, by the rule of perfbench's
 that outputs it; views of it or of a parameter count zero. Other arrays a
 backward closure keeps, such as the phase-split padded input of conv2d, are
 not counted: perfbench measures them in ``tensor.retained_mb``. The variant
-comparison measures a real ``EncoderStack`` and swaps its KAN scopes for real
-layers.
+comparison measures ``TransUKanModel(config).encoder`` and swaps its KAN scopes
+for real layers.
 """
 
 from dataclasses import dataclass, field
@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from transukan import tensor as T
-from transukan.kan import (AffineLayer, BSplineKanLayer, EfficientKanLayer, KanGrid,
+from transukan.kan import (AffineLayer, BSplineKanLayer, EfficientKanLayer,
                            ReLUKanLayer)
 from transukan.kansformer import (EncoderStack, KansformerBlockParams, LayerNormParams,
                                   MsaKanParams, encoder_forward, kansformer_block,
                                   msa_kan)
-from transukan.network import TransUKanModel
+from transukan.network import ModelConfig, TransUKanModel
 from transukan.tensor import ContractError, Tensor
 
 ROOT = "(root)"
@@ -153,28 +153,11 @@ def estimate_flops(model_or_layer, input_shape) -> CostReport:
 
 def estimate_activation_memory(model_or_layer, batch: int) -> CostReport:
     """Bytes per scope of the op outputs one forward at ``batch`` keeps."""
-    if batch < 1:
-        raise ContractError(f"activation memory needs batch >= 1, got {batch}")
+    T.check_sizes({"batch": batch})
     obj = _checked(model_or_layer)
     rows = _walk(obj, _input_shape(obj, batch))
     return CostReport(type(obj).__name__, [CostEntry(s or ROOT, activation_bytes=b)
                                            for s, (_, _, b) in rows.items()])
-
-
-@dataclass(frozen=True)
-class ArchConfig:
-    """Encoder geometry of the variant comparison, run on ``batch`` inputs of
-    ``n_tokens`` tokens. The ``mlp`` block has affine Q/K/V and an fc1 -> silu
-    -> fc2 feed-forward (``mlp_ratio`` expansion); a KAN block has its layer in
-    Q/K/V and in two d -> d sublayers, on G+K basis functions per input."""
-
-    d_model: int = 64
-    depth: int = 4
-    n_heads: int = 4
-    grid: KanGrid = field(default_factory=KanGrid)
-    mlp_ratio: float = 4.0
-    n_tokens: int = 64
-    batch: int = 1
 
 
 class _MlpFfn:
@@ -190,60 +173,44 @@ class _MlpFfn:
         return self.fc1.parameters() + self.fc2.parameters()
 
 
-def _swaps(variant: str, arch: ArchConfig) -> dict[str, dict[str, list[int]]]:
+def _swaps(variant: str, config: ModelConfig,
+           shape: tuple[int, ...]) -> dict[str, dict[str, list[int]]]:
     """Block-relative KAN scope -> the rows of the measured layer that stands in."""
     if variant == "efficientkan":
         return {}
-    d = arch.d_model
-    shape = (arch.batch, arch.n_tokens, d)
+    d, grid = config.d_model, config.grid
     if variant == "mlp":
         proj = _walk(AffineLayer(d, d), shape)[""]
-        ffn = _walk(_MlpFfn(d, round(arch.mlp_ratio * d)), shape)[""]
+        ffn = _walk(_MlpFfn(d, 4 * d), shape)[""]
         swaps = {"kan1": {}, "kan2": {"ffn": ffn}}
     else:
-        layer = (ReLUKanLayer(d, d, arch.grid) if variant == "relukan" else
-                 BSplineKanLayer(d, d, arch.grid, k_spline=max(arch.grid.K, 1)))
+        layer = (ReLUKanLayer(d, d, grid) if variant == "relukan" else
+                 BSplineKanLayer(d, d, grid, k_spline=max(grid.K, 1)))
         proj = _walk(layer, shape)[""]
         swaps = {"kan1": {"kan1": proj}, "kan2": {"kan2": proj}}
     return {**swaps, "msa.qkv": {},
             **{f"msa.{x}_proj": {f"msa.{x}_proj": proj} for x in "qkv"}}
 
 
-def variant_report(variant: str, arch: ArchConfig) -> CostReport:
+def variant_report(variant: str, config: ModelConfig, batch: int = 1) -> CostReport:
+    """Costs of the encoder ``TransUKanModel(config)`` builds, with ``variant``'s
+    layers in its KAN scopes, at ``batch`` inputs. The ``mlp`` block has affine
+    Q/K/V and an fc1 -> silu -> fc2 feed-forward of hidden width 4·d; a KAN
+    block has its layer in Q/K/V and in two d -> d sublayers, on G+K basis
+    functions per input."""
     if variant not in VARIANTS:
         raise ContractError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    stack = EncoderStack(arch.d_model, arch.depth, arch.n_heads, arch.n_tokens,
-                         grid=arch.grid)
-    swaps = _swaps(variant, arch)
+    T.check_sizes({"batch": batch})
+    shape = (batch, config.n_tokens, config.d_model)
+    swaps = _swaps(variant, config, shape)
     rows = {}
-    for name, row in _walk(stack, (arch.batch, arch.n_tokens, arch.d_model)).items():
+    for name, row in _walk(TransUKanModel(config).encoder, shape).items():
         block, _, inner = name.partition(".")
         rows.update({f"{block}.{n}": r for n, r in swaps[inner].items()}
                     if inner in swaps else {name: row})
     return CostReport(variant, [CostEntry(n or ROOT, *row) for n, row in rows.items()])
 
 
-@dataclass
-class VariantComparison:
-    arch: ArchConfig
-    reports: dict[str, CostReport]
-
-    @property
-    def params_ordering_ok(self) -> bool:
-        p = {v: r.total_params for v, r in self.reports.items()}
-        needed = [k for k in ("efficientkan", "mlp", "relukan") if k in p]
-        return all(p[a] < p[b] for a, b in zip(needed, needed[1:]))
-
-    @property
-    def memory_ordering_ok(self) -> bool:
-        m = {v: r.total_activation_bytes for v, r in self.reports.items()}
-        both = {"bspline_kan", "efficientkan"} <= m.keys()
-        return not both or m["bspline_kan"] > m["efficientkan"]
-
-    def to_tsv(self) -> str:
-        return "\n".join(r.to_tsv() for r in self.reports.values())
-
-
-def compare_variants(arch: ArchConfig, variants=VARIANTS) -> VariantComparison:
-    """Cost table for MLP/B-spline/ReLU/Efficient KAN encoder substitutions."""
-    return VariantComparison(arch, {v: variant_report(v, arch) for v in variants})
+def compare_variants(config: ModelConfig, batch: int = 1) -> dict[str, CostReport]:
+    """``variant_report`` of every variant in ``VARIANTS``, by name."""
+    return {v: variant_report(v, config, batch) for v in VARIANTS}

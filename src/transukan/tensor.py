@@ -40,6 +40,14 @@ class ContractError(TensorError):
     """An operation precondition was violated."""
 
 
+def check_sizes(sizes: dict[str, object], least: int = 1) -> None:
+    """Raise a ``ContractError`` naming the first of ``sizes`` that is not an
+    int (a bool is not) of at least ``least``."""
+    for name, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ContractError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 _grad_enabled = True
 _scope = ""
 
@@ -652,23 +660,23 @@ class GradCheckReport:
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
                tol: float = 1e-5, sample: int | None = None,
-               rng: np.random.Generator | None = None,
                sample_largest: bool = False) -> GradCheckReport:
     """Compare the autodiff gradient of scalar-valued ``f`` at ``x`` against
     central finite differences.
 
     Relative error uses a ``max(|a|, |b|, 1e-8)`` denominator per coordinate.
-    ``sample`` limits the check to that many coordinates, which keeps
-    whole-model checks tractable. With ``sample_largest`` the sampled
-    coordinates are the ones with the largest analytic gradient; coordinates
+    ``sample`` limits the check to that many coordinates, drawn by
+    ``default_rng(0)``, which keeps whole-model checks tractable. With
+    ``sample_largest`` the sampled coordinates are the ones with the largest
+    analytic gradient; coordinates
     whose gradient sits at the float64 cancellation floor of the objective
     carry no finite-difference signal at small h, so deep composites are
     checked where the comparison is actually informative.
     """
     if h <= 0:
         raise ContractError("grad_check step h must be positive")
-    if sample is not None and sample < 1:
-        raise ContractError(f"grad_check needs sample >= 1, got {sample}")
+    if sample is not None:
+        check_sizes({"grad_check sample": sample})
     x.requires_grad = True
     x.zero_grad()
     out = f(x)
@@ -685,8 +693,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
         if sample_largest:
             indices = np.argsort(-np.abs(analytic))[:sample]
         else:
-            indices = (rng or np.random.default_rng(0)).choice(
-                flat.size, size=sample, replace=False)
+            indices = np.random.default_rng(0).choice(flat.size, size=sample,
+                                                      replace=False)
     max_rel = 0.0
     with no_grad():
         for idx in indices:

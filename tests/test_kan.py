@@ -562,3 +562,17 @@ class TestLeadingDims:
             flat = layer.forward(Tensor(x.data.reshape(10, 3))).data
             stacked = layer.forward(x).data
             np.testing.assert_allclose(stacked.reshape(10, 4), flat, atol=1e-12)
+
+
+@pytest.mark.parametrize("build,named", [
+    (lambda: AffineLayer(0, 4), "c_in .*0"),
+    (lambda: AffineLayer(2.5, 4), "c_in .*2.5"),
+    (lambda: AffineLayer(3, True), "c_out .*True"),
+    (lambda: EfficientKanLayer(4, -1), "c_out .*-1"),
+    (lambda: ReLUKanLayer(0, 2), "c_in .*0"),
+    (lambda: BSplineKanLayer(3, 2, k_spline=0), "k_spline .*0"),
+], ids=["affine_zero", "affine_float", "affine_bool", "efficient_negative",
+        "relu_zero", "bspline_order_zero"])
+def test_bad_layer_sizes_raise_contract_error(build, named):
+    with pytest.raises(ContractError, match=named):
+        build()

@@ -7,6 +7,7 @@ from transukan.kan import KanGrid
 from transukan.kansformer import (
     EncoderStack,
     KansformerBlockParams,
+    LayerNormParams,
     MsaKanParams,
     _split_heads,
     encoder_forward,
@@ -157,8 +158,7 @@ class TestEncoder:
         def objective(_):
             return T.sum_all(T.mul(encoder_forward(x, stack), Tensor(w)))
 
-        rep = T.grad_check(objective, x, tol=1e-4, sample=16,
-                           rng=np.random.default_rng(0))
+        rep = T.grad_check(objective, x, tol=1e-4, sample=16)
         assert rep.ok, rep
         for name, p in stack.parameters()[:8]:
             # h = 1e-4 keeps the rounding error of the central difference
@@ -191,3 +191,17 @@ class TestEncoder:
             return encoder_forward(x, stack).data
 
         assert np.array_equal(run(), run())
+
+
+@pytest.mark.parametrize("build,named", [
+    (lambda: LayerNormParams(0), "d .*0"),
+    (lambda: MsaKanParams(8, 0), "n_heads must be an int >= 1"),
+    (lambda: MsaKanParams(8.0, 2), "d_model .*8.0"),
+    (lambda: KansformerBlockParams(8, 0), "n_heads .*0"),
+    (lambda: EncoderStack(8, 1, 2, n_tokens=0), "n_tokens .*0"),
+    (lambda: EncoderStack(8, -1, 2, n_tokens=4), "depth .*-1"),
+], ids=["layer_norm_zero", "msa_zero_heads", "msa_float_width", "block_zero_heads",
+        "stack_zero_tokens", "stack_negative_depth"])
+def test_bad_sizes_raise_contract_error(build, named):
+    with pytest.raises(ContractError, match=named):
+        build()

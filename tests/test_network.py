@@ -47,6 +47,16 @@ class TestCnnEncode:
         for s in skips:
             np.testing.assert_array_equal(s.data, 0.0)
 
+    @pytest.mark.parametrize("kwargs,named", [
+        ({"ksize": 0}, "ksize .*0"),
+        ({"ksize": 3.0}, "ksize .*3.0"),
+        ({"stride": 0}, "stride .*0"),
+        ({"padding": -1}, "padding .*-1"),
+    ], ids=["zero_kernel", "float_kernel", "zero_stride", "negative_padding"])
+    def test_bad_conv_sizes_raise_contract_error(self, kwargs, named):
+        with pytest.raises(ContractError, match=named):
+            network.Conv2dLayer(**{"c_in": 1, "c_out": 2, "ksize": 3, **kwargs})
+
     def test_indivisible_dims_rejected(self):
         p = CnnEncoderParams(1, (16, 32, 64))
         with pytest.raises(ContractError):

@@ -131,19 +131,21 @@ class TestVariantComparison:
         ("bspline_kan", 840_960, 112_562_176, 88_506_368),
     ], ids=["mlp", "efficientkan", "relukan", "bspline_kan"])
     def test_totals(self, variant, params, flops, nbytes):
-        report = P.compare_variants(P.ArchConfig()).reports[variant]
+        report = P.variant_report(variant, ModelConfig())
         assert (report.total_params, report.total_flops,
                 report.total_activation_bytes) == (params, flops, nbytes)
 
     def test_orderings(self):
-        comparison = P.compare_variants(P.ArchConfig())
-        assert list(comparison.reports) == list(P.VARIANTS)
-        assert comparison.params_ordering_ok
-        assert comparison.memory_ordering_ok
+        reports = P.compare_variants(ModelConfig())
+        assert list(reports) == list(P.VARIANTS)
+        params = {v: r.total_params for v, r in reports.items()}
+        assert params["efficientkan"] < params["mlp"] < params["relukan"]
+        nbytes = {v: r.total_activation_bytes for v, r in reports.items()}
+        assert nbytes["bspline_kan"] > nbytes["efficientkan"]
 
     def test_efficientkan_qkv_share_one_activation(self):
         flops = {e.name: e.flops for e in P.variant_report(
-            "efficientkan", P.ArchConfig(depth=1)).entries}
+            "efficientkan", ModelConfig(depth=1)).entries}
         assert [n for n in flops if n.startswith("block0.msa.")] == [
             "block0.msa.qkv", "block0.msa.q_proj", "block0.msa.k_proj",
             "block0.msa.v_proj", "block0.msa.out_proj"]
@@ -154,19 +156,18 @@ class TestVariantComparison:
 
     def test_bspline_basis_count_at_zero_overlap(self):
         grid = KanGrid(G=3, K=0)
-        report = P.variant_report("bspline_kan", P.ArchConfig(
+        report = P.variant_report("bspline_kan", ModelConfig(
             d_model=8, depth=1, n_heads=2, grid=grid))
         kan1 = sum(e.params for e in report.entries if e.name == "block0.kan1")
         layer = BSplineKanLayer(8, 8, grid, k_spline=1)
         assert kan1 == 384 == sum(p.size for _, p in layer.parameters())
 
     def test_object_walk_agrees_with_variant_table(self):
-        arch = P.ArchConfig()
-        stack = EncoderStack(arch.d_model, arch.depth, arch.n_heads,
-                             arch.n_tokens, grid=arch.grid)
-        walk = P.estimate_activation_memory(stack, arch.batch)
-        flops = P.estimate_flops(stack, (arch.batch, arch.n_tokens, arch.d_model))
-        table = P.variant_report("efficientkan", arch)
+        config = ModelConfig()
+        stack = TransUKanModel(config).encoder
+        walk = P.estimate_activation_memory(stack, 1)
+        flops = P.estimate_flops(stack, (1, config.n_tokens, config.d_model))
+        table = P.variant_report("efficientkan", config)
         assert [e.name for e in walk.entries] == [e.name for e in table.entries]
         assert [e.activation_bytes for e in walk.entries] == \
             [e.activation_bytes for e in table.entries]
@@ -183,10 +184,13 @@ def _under_no_grad(fn, *args):
 @pytest.mark.parametrize("call,named", [
     (lambda m: P.count_params(Conv2dLayer(1, 2, 3)), "Conv2dLayer"),
     (lambda m: P.count_params(m.cnn), "CnnEncoderParams"),
-    (lambda m: P.variant_report("x", P.ArchConfig()), "'x'"),
+    (lambda m: P.variant_report("x", ModelConfig()), "'x'"),
     (lambda m: P.estimate_activation_memory(m, 0), "got 0"),
+    (lambda m: P.estimate_activation_memory(m, 1.5), "batch .*1.5"),
+    (lambda m: P.compare_variants(ModelConfig(), batch=0), "batch .*0"),
     (lambda m: _under_no_grad(P.estimate_flops, AffineLayer(3, 5), (2, 3)), "no_grad"),
-], ids=["conv_layer", "cnn_encoder", "unknown_variant", "zero_batch", "no_grad"])
+], ids=["conv_layer", "cnn_encoder", "unknown_variant", "zero_batch", "float_batch",
+        "zero_variant_batch", "no_grad"])
 def test_bad_requests_raise_contract_error(model, call, named):
     with pytest.raises(ContractError, match=named):
         call(model)
@@ -207,10 +211,10 @@ def _golden_reports():
         "model.flops.b4": lambda: P.estimate_flops(model, (4, 1, 64, 64)),
         "model.memory.b1": lambda: P.estimate_activation_memory(model, 1),
         "model.memory.b4": lambda: P.estimate_activation_memory(model, 4),
-        "variants": lambda: P.compare_variants(P.ArchConfig()),
-        "variants.small": lambda: P.compare_variants(P.ArchConfig(
-            d_model=8, depth=2, n_heads=2, grid=KanGrid(G=3, K=0),
-            mlp_ratio=2.0, n_tokens=5, batch=3)),
+        "variants": lambda: P.compare_variants(ModelConfig()),
+        "variants.small": lambda: P.compare_variants(ModelConfig(
+            image_size=16, d_model=8, depth=2, n_heads=2, grid=KanGrid(G=3, K=0)),
+            batch=3),
         "encoder.flops": lambda: P.estimate_flops(stack, (2, 9, 16)),
         "encoder.memory": lambda: P.estimate_activation_memory(stack, 2),
         "block.flops": lambda: P.estimate_flops(block, (3, 7, 16)),
@@ -229,7 +233,7 @@ GOLDEN_SHA256 = {
     "model.memory.b1": "77bceaa005b4387740e39db942c8b4af6cc3202e43c12ec31f39e17b3a57476e",
     "model.memory.b4": "df9025f14f67348b33d52a97398adcd21825045548e2495ffa0fbed9f9775a67",
     "variants": "e9518e26c8716d1165cd9d47cfcc8a3c389c7c2f4ddaef862e2649e7cb26cac4",
-    "variants.small": "68b851822834c9df83d527b15bd15f9fa8376b324da75eba2413602061da1fc7",
+    "variants.small": "467bc6176b08fbb4126f609ee7f7e303134819513fcfe1eeb4133b32164156bf",
     "encoder.flops": "596c44534a1fdc1428834bd91716776b387091347e9c9c4659f2ac74e075d674",
     "encoder.memory": "e8721cd074ee8ce35467f229f89071f08b8cf163584fff095688bfd2d2c65019",
     "block.flops": "9b19c1faa92df176324d4cc51c8543a9e850a7b0fe6e01304a07b0b86fb61139",
@@ -239,6 +243,8 @@ GOLDEN_SHA256 = {
 
 
 def _tsv(report) -> str:
+    if isinstance(report, dict):
+        report = list(report.values())
     if isinstance(report, list):
         return "\n".join(r.to_tsv() for r in report)
     return report.to_tsv()

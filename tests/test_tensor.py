@@ -438,8 +438,7 @@ class TestGradCheckHarness:
 
     def test_coordinate_sampling(self):
         x = Tensor(np.random.default_rng(4).normal(size=100))
-        rep = T.grad_check(lambda t: T.sum_all(T.square(t)), x, sample=10,
-                           rng=np.random.default_rng(0), tol=1e-6)
+        rep = T.grad_check(lambda t: T.sum_all(T.square(t)), x, sample=10, tol=1e-6)
         assert rep.ok and rep.n_checked == 10
 
     def test_empty_sample_rejected(self):
@@ -448,6 +447,13 @@ class TestGradCheckHarness:
         for sample in (0, -1):
             with pytest.raises(ContractError, match="sample"):
                 T.grad_check(lambda t: T.sum_all(t), x, sample=sample)
+
+    @pytest.mark.parametrize("sample", [2.5, True, np.int64(3)],
+                             ids=["float", "bool", "numpy_int"])
+    def test_non_int_sample_rejected(self, sample):
+        x = Tensor(np.ones(5))
+        with pytest.raises(ContractError, match="sample"):
+            T.grad_check(lambda t: T.sum_all(t), x, sample=sample)
 
     def test_nonfinite_objective_raises(self):
         def f(t):
