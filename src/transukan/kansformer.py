@@ -94,7 +94,6 @@ class KansformerBlockParams:
 
     def __init__(self, d_model: int, n_heads: int, grid: KanGrid | None = None,
                  rng: np.random.Generator | None = None):
-        T.check_sizes({"d_model": d_model, "n_heads": n_heads})
         rng = rng or np.random.default_rng(0)
         grid = grid or KanGrid()
         self.d_model = d_model
@@ -136,7 +135,7 @@ class EncoderStack:
 
     def __init__(self, d_model: int, depth: int, n_heads: int, n_tokens: int,
                  grid: KanGrid | None = None, rng: np.random.Generator | None = None):
-        T.check_sizes({"d_model": d_model, "n_heads": n_heads, "n_tokens": n_tokens})
+        T.check_sizes({"d_model": d_model, "n_tokens": n_tokens})
         T.check_sizes({"depth": depth}, least=0)
         rng = rng or np.random.default_rng(0)
         grid = grid or KanGrid()

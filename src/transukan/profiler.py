@@ -192,16 +192,15 @@ def _swaps(variant: str, config: ModelConfig,
             **{f"msa.{x}_proj": {f"msa.{x}_proj": proj} for x in "qkv"}}
 
 
-def variant_report(variant: str, config: ModelConfig, batch: int = 1) -> CostReport:
+def variant_report(variant: str, config: ModelConfig) -> CostReport:
     """Costs of the encoder ``TransUKanModel(config)`` builds, with ``variant``'s
-    layers in its KAN scopes, at ``batch`` inputs. The ``mlp`` block has affine
+    layers in its KAN scopes, on one input. The ``mlp`` block has affine
     Q/K/V and an fc1 -> silu -> fc2 feed-forward of hidden width 4·d; a KAN
     block has its layer in Q/K/V and in two d -> d sublayers, on G+K basis
     functions per input."""
     if variant not in VARIANTS:
         raise ContractError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    T.check_sizes({"batch": batch})
-    shape = (batch, config.n_tokens, config.d_model)
+    shape = (1, config.n_tokens, config.d_model)
     swaps = _swaps(variant, config, shape)
     rows = {}
     for name, row in _walk(TransUKanModel(config).encoder, shape).items():
@@ -211,6 +210,6 @@ def variant_report(variant: str, config: ModelConfig, batch: int = 1) -> CostRep
     return CostReport(variant, [CostEntry(n or ROOT, *row) for n, row in rows.items()])
 
 
-def compare_variants(config: ModelConfig, batch: int = 1) -> dict[str, CostReport]:
+def compare_variants(config: ModelConfig) -> dict[str, CostReport]:
     """``variant_report`` of every variant in ``VARIANTS``, by name."""
-    return {v: variant_report(v, config, batch) for v in VARIANTS}
+    return {v: variant_report(v, config) for v in VARIANTS}

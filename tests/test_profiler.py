@@ -187,10 +187,9 @@ def _under_no_grad(fn, *args):
     (lambda m: P.variant_report("x", ModelConfig()), "'x'"),
     (lambda m: P.estimate_activation_memory(m, 0), "got 0"),
     (lambda m: P.estimate_activation_memory(m, 1.5), "batch .*1.5"),
-    (lambda m: P.compare_variants(ModelConfig(), batch=0), "batch .*0"),
     (lambda m: _under_no_grad(P.estimate_flops, AffineLayer(3, 5), (2, 3)), "no_grad"),
 ], ids=["conv_layer", "cnn_encoder", "unknown_variant", "zero_batch", "float_batch",
-        "zero_variant_batch", "no_grad"])
+        "no_grad"])
 def test_bad_requests_raise_contract_error(model, call, named):
     with pytest.raises(ContractError, match=named):
         call(model)
@@ -213,8 +212,7 @@ def _golden_reports():
         "model.memory.b4": lambda: P.estimate_activation_memory(model, 4),
         "variants": lambda: P.compare_variants(ModelConfig()),
         "variants.small": lambda: P.compare_variants(ModelConfig(
-            image_size=16, d_model=8, depth=2, n_heads=2, grid=KanGrid(G=3, K=0)),
-            batch=3),
+            image_size=16, d_model=8, depth=2, n_heads=2, grid=KanGrid(G=3, K=0))),
         "encoder.flops": lambda: P.estimate_flops(stack, (2, 9, 16)),
         "encoder.memory": lambda: P.estimate_activation_memory(stack, 2),
         "block.flops": lambda: P.estimate_flops(block, (3, 7, 16)),
@@ -233,7 +231,7 @@ GOLDEN_SHA256 = {
     "model.memory.b1": "77bceaa005b4387740e39db942c8b4af6cc3202e43c12ec31f39e17b3a57476e",
     "model.memory.b4": "df9025f14f67348b33d52a97398adcd21825045548e2495ffa0fbed9f9775a67",
     "variants": "e9518e26c8716d1165cd9d47cfcc8a3c389c7c2f4ddaef862e2649e7cb26cac4",
-    "variants.small": "467bc6176b08fbb4126f609ee7f7e303134819513fcfe1eeb4133b32164156bf",
+    "variants.small": "2d0a6074e3a487b28558fd8e899dbb698cb024d0226518763e18403fb56ac8c5",
     "encoder.flops": "596c44534a1fdc1428834bd91716776b387091347e9c9c4659f2ac74e075d674",
     "encoder.memory": "e8721cd074ee8ce35467f229f89071f08b8cf163584fff095688bfd2d2c65019",
     "block.flops": "9b19c1faa92df176324d4cc51c8543a9e850a7b0fe6e01304a07b0b86fb61139",
