@@ -8,8 +8,9 @@ Three ways to build a learnable-activation layer on a shared uniform grid:
   kernel of size (G+K, c_in) per output channel.
 * ``EfficientKanLayer``: an ``AffineLayer`` over a fixed activation. Each
   input channel's squared-hinge basis responses are averaged with fixed
-  weights and squared, q = (mean_i R_i(x))^2, by the single op
-  ``tensor.hinge_pool`` plus a square; no basis block is kept. The layer adds
+  weights and squared, q = (mean_i R_i(x))^2. On the uniform grid the mean is
+  one piecewise quartic in x, so q is the single op
+  ``tensor.squared_piecewise_poly``; no basis block is kept. The layer adds
   no parameters to the affine map it inherits: its weights, their
   initialisation and its mixing map are the ``AffineLayer``'s.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +66,27 @@ class KanGrid:
     def support_hi(self) -> np.ndarray:
         """Upper bounds e_i = s_i + (K+1) h."""
         return self.support_lo() + (self.K + 1) * self.h
+
+    @cached_property
+    def pooled_bell_table(self) -> np.ndarray:
+        """Coefficients of p(x) = mean_i R_i(x) as a piecewise quartic, in the
+        layout of ``tensor.squared_piecewise_poly`` with x0 = s_0 and step h.
+
+        The G + 2K cells between s_0 and e_{G+K-1} are one h wide. On cell j,
+        at x = s_0 + (j + 1/2 + t) h, bell i = j - d (0 <= d <= K) reads
+        16 [(K+1/2-d-t)(d+1/2+t)]^2 / (K+1)^4, which depends on d and t alone.
+        """
+        K, n = self.K, self.n_basis
+        table = np.zeros((self.G + 2 * K + 2, 5))
+        for d in range(K + 1):
+            # (K+1/2-d-t)(d+1/2+t) = a + b t + c t^2, squared; exact in binary.
+            a, b, c = (K + 0.5 - d) * (d + 0.5), K - 2 * d, -1.0
+            quartic = [a * a, 2 * a * b, b * b + 2 * a * c, 2 * b * c, c * c]
+            table[1 + d:1 + d + n] += quartic
+        table *= 16.0 / ((K + 1) ** 4 * n)
+        table /= self.h ** np.arange(5)  # powers of t to powers of x - midpoint
+        table.flags.writeable = False
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +281,11 @@ class EfficientKanLayer(AffineLayer):
     """An ``AffineLayer`` over a fixed activation: y = q W^T + b, where
     q = (mean_i R_i(x))^2 averages each channel's G+K squared-hinge bells.
 
-    ``activate`` computes q by one fused ``hinge_pool`` op and a square, and
-    has no parameters; ``mix`` is the affine map. Parameters, their
-    initialisation and their names are the ``AffineLayer``'s. ``activate``
-    depends on the grid alone, so layers on one grid that read the same input
-    can share its output.
+    ``activate`` computes q by one ``squared_piecewise_poly`` op on the grid's
+    ``pooled_bell_table``, and has no parameters; ``mix`` is the affine map.
+    Parameters, their initialisation and their names are the
+    ``AffineLayer``'s. ``activate`` depends on the grid alone, so layers on one
+    grid that read the same input can share its output.
     """
 
     def __init__(self, c_in: int, c_out: int, grid: KanGrid | None = None,
@@ -273,8 +296,9 @@ class EfficientKanLayer(AffineLayer):
     def activate(self, x: Tensor) -> Tensor:
         """q = (mean_i R_i(x))^2, elementwise; the expanded basis is never kept."""
         _check_last_dim(x, self.c_in, "EfficientKanLayer")
-        return T.square(T.hinge_pool(x, self.grid.support_lo(),
-                                     self.grid.support_hi()))
+        grid = self.grid
+        return T.squared_piecewise_poly(x, grid.support_lo()[0], grid.h,
+                                        grid.pooled_bell_table)
 
     # Bound at class level, so a wrapper put on AffineLayer.forward later sees
     # only the plain affine layers.

@@ -542,7 +542,9 @@ def hinge_pool(x: Tensor, lo, hi) -> Tensor:
     / (hi_i - lo_i)^4, elementwise in x.
 
     Equal bit for bit to pooling the expanded basis with ``mean_last_axis``,
-    but only x is retained: the backward recomputes the hinges.
+    but only x is retained: the backward recomputes the hinges. The model no
+    longer calls it: it is the reference oracle that ``squared_piecewise_poly``
+    on a ``KanGrid``'s ``pooled_bell_table`` is checked against.
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
@@ -570,14 +572,82 @@ def hinge_pool(x: Tensor, lo, hi) -> Tensor:
 
     def backward_fn(g):
         # d/dx of norm_i (a b)^2 / n is 2 c_i a b (a - b), c_i = norm_i / n.
+        # a b first: it is 0 wherever one hinge is, so a far-away x cannot
+        # overflow (a - b) a to inf and then turn it into inf * 0 = NaN.
         a, b = hinges()
-        slope = a - b
-        slope *= a
-        slope *= b
+        slope = a * b
+        slope *= a - b
         return (g * np.matmul(slope, 2.0 * norm / lo.size),)
 
     # Per basis element: 2 subs, 2 hinges, product, square, scale, pool.
     return _node(data, "hinge_pool", (x,), backward_fn, flops=8 * x.size * lo.size)
+
+
+def squared_piecewise_poly(x: Tensor, x0: float, h: float, coef) -> Tensor:
+    """q = p(x)^2, elementwise, for p a piecewise polynomial on a uniform grid.
+
+    Row j + 1 of ``coef`` (shape ``(n + 2, degree + 1)``, degree >= 1) holds
+    the ascending coefficients of p on cell j = 0..n-1, [x0 + j h, x0 + (j+1) h),
+    in powers of x - (x0 + (j + 1/2) h): an offset from the cell's midpoint
+    keeps the terms small. Rows 0 and n + 1 must be zero, so that p = 0 below
+    x0 and from x0 + n h on. Each element finds its cell with one index
+    computation, clipped before the integer cast so that a huge x lands in a
+    zero row, and evaluates p by Horner's rule. Only x is retained: the
+    backward recomputes both and returns 2 p p'.
+    """
+    coef = np.asarray(coef, dtype=np.float64)
+    x0, h = float(x0), float(h)
+    if coef.ndim != 2 or coef.shape[0] < 3 or coef.shape[1] < 2:
+        raise ContractError(f"squared_piecewise_poly needs a (cells + 2, degree + 1) "
+                            f"table of degree >= 1, got shape {coef.shape}")
+    if not np.all(np.isfinite(coef)) or np.any(coef[[0, -1]]):
+        raise ContractError("squared_piecewise_poly needs a finite table whose "
+                            "first and last rows are zero")
+    if not (np.isfinite(x0) and np.isfinite(h) and h > 0):
+        raise ContractError(f"squared_piecewise_poly needs a finite x0 and h > 0, "
+                            f"got x0={x0!r}, h={h!r}")
+    n = coef.shape[0] - 2
+    mid = x0 + h * (np.arange(-1, n + 1) + 0.5)  # row r's offsets start here
+    cols = np.ascontiguousarray(coef.T)
+    slopes = cols[1:] * np.arange(1, cols.shape[0])[:, None]
+
+    # A NaN x casts to an arbitrary row, which mode="clip" keeps in range; its
+    # offset t is NaN whatever the row, and so is p (degree >= 1): an infinite
+    # x likewise gives 0 * inf. _node then raises on the output.
+    def locate():
+        with np.errstate(all="ignore"):
+            u = np.subtract(x.data, x0, out=np.empty(x.shape))
+            u /= h
+            np.clip(u, -1.0, n, out=u)
+            np.floor(u, out=u)
+            u += 1.0
+            row = u.astype(np.intp)
+        return row, x.data - mid.take(row, mode="clip")
+
+    def horner(c, row, t):
+        p = c[-1].take(row, mode="clip")
+        for ck in c[-2::-1]:
+            p *= t
+            p += ck.take(row, mode="clip")
+        return p
+
+    with np.errstate(all="ignore"):
+        data = horner(cols, *locate())
+        data *= data
+
+    def backward_fn(g):
+        row, t = locate()
+        dp = horner(slopes, row, t)
+        dp *= horner(cols, row, t)
+        dp *= 2.0
+        dp *= g
+        return (dp,)
+
+    # Per element: cell index (shift, scale, floor), offset, Horner (2 per
+    # degree), square.
+    degree = cols.shape[0] - 1
+    return _node(data, "squared_piecewise_poly", (x,), backward_fn,
+                 flops=(2 * degree + 5) * x.size)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -76,6 +76,14 @@ class TestKanGrid:
         s, e = grid.support_lo(), grid.support_hi()
         assert np.all(e[:-1] > s[1:])  # consecutive supports overlap
 
+    def test_pooled_bell_table_is_cached_and_read_only(self):
+        grid = KanGrid(G=4, K=2)
+        table = grid.pooled_bell_table
+        assert table is grid.pooled_bell_table
+        assert table.shape == (grid.G + 2 * grid.K + 2, 5)
+        assert not table.flags.writeable
+        assert grid == KanGrid(G=4, K=2)
+
     def test_invalid_grids_rejected(self):
         with pytest.raises(ContractError):
             KanGrid(G=0)
@@ -178,7 +186,8 @@ class TestHingePool:
         if where == "inside":
             x = interior_points(grid, rng, 12)
         else:  # beyond [range_lo, range_hi], in the outer supports and past them
-            x = np.array([-2.5, -2.0, -1.7, -1.3, 1.2, 1.6, 1.9, 2.1, 3.0, -9.0])
+            x = np.array([-2.5, -2.0, -1.7, -1.3, 1.2, 1.6, 1.9, 2.1, 3.0, -9.0,
+                          -1e155, -1e300, 1e300])
         w = rng.normal(size=x.shape)
         rep = T.grad_check(lambda t: T.sum_all(T.mul(_fused_pool(t, grid), Tensor(w))),
                            Tensor(x), tol=1e-6)
@@ -231,6 +240,151 @@ class TestHingePool:
     def test_bad_supports_raise_contract_error(self, lo, hi):
         with pytest.raises(ContractError, match="hinge_pool"):
             T.hinge_pool(Tensor(np.zeros(3)), lo, hi)
+
+
+def _quartic(x, grid):
+    return T.squared_piecewise_poly(x, grid.support_lo()[0], grid.h,
+                                    grid.pooled_bell_table)
+
+
+def _special_points(grid):
+    """Breakpoints, supports, their float neighbours, and far-away points."""
+    breaks = grid.support_lo()[0] + grid.h * np.arange(grid.G + 2 * grid.K + 1)
+    edges = np.concatenate([breaks, grid.support_lo(), grid.support_hi()])
+    return np.concatenate([edges, np.nextafter(edges, np.inf),
+                           np.nextafter(edges, -np.inf),
+                           [50.0, -50.0, 1e300, -1e300]])
+
+
+class TestSquaredPiecewisePoly:
+    GRIDS = TestHingePool.GRIDS + [KanGrid(G=1, K=0)]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=str)
+    def test_matches_loop_oracle(self, grid):
+        s, e = grid.support_lo(), grid.support_hi()
+        x = np.random.default_rng(71).uniform(s[0] - 0.5, e[-1] + 0.5, size=(4, 9))
+        expected = np.array([[np.mean([hinge_basis(v, s[i], e[i])
+                                       for i in range(grid.n_basis)]) ** 2
+                              for v in row] for row in x])
+        np.testing.assert_allclose(_quartic(Tensor(x), grid).data, expected,
+                                   rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=str)
+    def test_agrees_with_squared_hinge_pool(self, grid):
+        width = grid.range_hi - grid.range_lo
+        x = np.concatenate([_special_points(grid), np.random.default_rng(73).uniform(
+            grid.range_lo - width, grid.range_hi + width, 200)])
+        w = np.random.default_rng(79).normal(size=x.shape)
+        values, grads = [], []
+        for f in (_quartic, lambda t, g: T.square(_fused_pool(t, g))):
+            t = Tensor(x, requires_grad=True)
+            q = f(t, grid)
+            T.backward(T.sum_all(T.mul(q, Tensor(w))))
+            values.append(q.data)
+            grads.append(t.grad)
+        np.testing.assert_allclose(values[0], values[1], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(grads[0], grads[1], rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=str)
+    def test_zero_beyond_outermost_supports(self, grid):
+        s0, e_last = grid.support_lo()[0], grid.support_hi()[-1]
+        x = Tensor(np.array([s0 - 1e-3 * grid.h, s0 - 1.0, e_last, e_last + 1e-3 * grid.h,
+                             50.0, -50.0, 1e155, -1e155, 1e300, -1e300]),
+                   requires_grad=True)
+        q = _quartic(x, grid)
+        T.backward(T.sum_all(q))
+        assert np.array_equal(q.data, np.zeros(x.shape))
+        assert np.array_equal(x.grad, np.zeros(x.shape))
+
+    @pytest.mark.parametrize("v", [0.5, 1.5, -1e300])
+    def test_scalar_input(self, v):
+        grid = KanGrid()
+        values, grads = [], []
+        for f in (_quartic, lambda t, g: T.square(_fused_pool(t, g))):
+            t = Tensor(v, requires_grad=True)
+            q = f(t, grid)
+            T.backward(q)
+            assert q.shape == () and t.grad.shape == ()
+            values.append(q.data)
+            grads.append(t.grad)
+        np.testing.assert_allclose(values[0], values[1], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(grads[0], grads[1], rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("where", ["inside", "outside"])
+    def test_gradcheck_on_grid(self, where):
+        grid = KanGrid()
+        rng = np.random.default_rng(83)
+        if where == "inside":
+            x = interior_points(grid, rng, 12)
+        else:  # beyond [range_lo, range_hi], in the outer supports and past them
+            x = np.array([-2.5, -2.0, -1.7, -1.3, 1.2, 1.6, 1.9, 2.1, 3.0, -9.0,
+                          -1e300, 1e300])
+        w = rng.normal(size=x.shape)
+        rep = T.grad_check(lambda t: T.sum_all(T.mul(_quartic(t, grid), Tensor(w))),
+                           Tensor(x), tol=1e-6)
+        assert rep.ok, rep
+
+    @pytest.mark.parametrize("grid", [KanGrid(), KanGrid(G=4, K=2),
+                                      KanGrid(G=3, K=4, range_lo=-0.5, range_hi=2.0)],
+                             ids=str)
+    def test_gradcheck_on_cell_edges(self, grid):
+        # p is C1 at a breakpoint but its curvature jumps, which biases
+        # central differences by O(h). On a uniform grid p has slope 0 at the
+        # outermost breakpoints and, by symmetry, at those between range_lo
+        # and range_hi (at every breakpoint when K <= 1), where differences
+        # carry no signal; so the check keeps the breakpoints at which the
+        # oracle's slope is not 0.
+        breaks = grid.support_lo()[0] + grid.h * np.arange(grid.G + 2 * grid.K + 1)
+        oracle = Tensor(breaks, requires_grad=True)
+        T.backward(T.sum_all(T.square(_fused_pool(oracle, grid))))
+        sloped = Tensor(breaks[np.abs(oracle.grad) > 1e-6])
+        assert sloped.size >= 2
+        w = np.random.default_rng(89).normal(size=sloped.shape)
+        rep = T.grad_check(lambda t: T.sum_all(T.mul(_quartic(t, grid), Tensor(w))),
+                           sloped, h=1e-7, tol=1e-5)
+        assert rep.ok, rep
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        with pytest.raises(T.NumericsError, match="squared_piecewise_poly"):
+            _quartic(Tensor(np.array([0.1, bad])), KanGrid())
+
+    @pytest.mark.parametrize("x0,h,coef", [
+        (0.0, 1.0, np.zeros((3, 5, 1))),
+        (0.0, 1.0, np.zeros((2, 5))),
+        (0.0, 1.0, np.zeros((4, 1))),
+        (0.0, 1.0, np.array([[1.0, 0.0], [1.0, 2.0], [0.0, 0.0]])),
+        (0.0, 1.0, np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 1.0]])),
+        (0.0, 1.0, np.array([[0.0, 0.0], [np.nan, 2.0], [0.0, 0.0]])),
+        (0.0, 0.0, np.zeros((3, 2))),
+        (0.0, -1.0, np.zeros((3, 2))),
+        (np.inf, 1.0, np.zeros((3, 2))),
+        (0.0, np.nan, np.zeros((3, 2))),
+    ], ids=["not_2d", "no_cell", "degree_0", "first_row", "last_row", "nan_entry",
+            "zero_step", "negative_step", "inf_x0", "nan_step"])
+    def test_malformed_table_raises_contract_error(self, x0, h, coef):
+        with pytest.raises(ContractError, match="squared_piecewise_poly"):
+            T.squared_piecewise_poly(Tensor(np.zeros(3)), x0, h, coef)
+
+    def test_backward_keeps_no_array_of_input_size(self):
+        grid = KanGrid()
+        x = Tensor(np.random.default_rng(97).uniform(-2, 2, (6, 50)), requires_grad=True)
+        fn = _quartic(x, grid)._backward_fn
+        stack, seen, arrays = [fn], set(), []
+        while stack:  # every array the closure can reach through nested closures
+            f = stack.pop()
+            if id(f) in seen:
+                continue
+            seen.add(id(f))
+            for cell in f.__closure__ or ():
+                v = cell.cell_contents
+                if isinstance(v, np.ndarray):
+                    arrays.append(v)
+                elif callable(v) and hasattr(v, "__closure__"):
+                    stack.append(v)
+                elif isinstance(v, Tensor):
+                    assert v is x
+        assert arrays and all(a.size <= grid.pooled_bell_table.size for a in arrays)
 
 
 class TestBSplineBasis:
@@ -505,8 +659,17 @@ class TestEfficientKanLayer:
                    requires_grad=True)
         nodes = [n for n in T.Tape(T.sum_all(layer.forward(x))).nodes
                  if n._backward_fn is not None]
-        assert len(nodes) <= 6
+        assert sorted(n.op for n in nodes) == sorted(
+            ["squared_piecewise_poly", "transpose", "matmul", "add", "sum_all"])
         assert all(n.size != rows * c_in * grid.n_basis for n in nodes)
+
+    def test_activate_records_one_node(self):
+        layer = EfficientKanLayer(3, 4, KanGrid())
+        x = Tensor(np.random.default_rng(101).uniform(-1, 1, (5, 3)), requires_grad=True)
+        q = layer.activate(x)
+        assert [n.op for n in T.Tape(q).nodes if n._backward_fn is not None] == [
+            "squared_piecewise_poly"]
+        assert q._parents == (x,)
 
 
 def n_params(layer):

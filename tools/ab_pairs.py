@@ -1,0 +1,60 @@
+"""A/B timing of two source trees with perfbench, in alternating pairs.
+
+    python3 tools/ab_pairs.py PARENT_TREE CHANGE_TREE
+
+For each workload that the parent tree's ``BENCHMARK.json`` declares, each
+pair runs ``perfbench/run.py --workload W`` once in each tree, at perfbench's
+default seed and duration, the parent first in even pairs and the change first
+in odd ones. The unused environment variable ``AB_PAD`` gets a new length in
+every pair, since the process layout alone can move perfbench timings by ~25%.
+Prints one TSV row per run with every metric the run reports, then per
+workload the median of each side and their ratio, change / parent.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+PAIRS = 10  # the fewest alternating pairs a claimed gain is judged on
+
+
+def run(tree, workload, pad):
+    env = dict(os.environ, AB_PAD="x" * pad)
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload],
+                         cwd=tree, env=env, capture_output=True, text=True, check=True)
+    metrics = json.loads(out.stdout.strip().splitlines()[-1])["metrics"]
+    return {name: m["value"] for name, m in metrics.items()}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    args = parser.parse_args()
+    with open(os.path.join(args.parent, "BENCHMARK.json")) as f:
+        workloads = [w["name"] for w in json.load(f)["workloads"]]
+    names = None
+    for workload in workloads:
+        rows = {"parent": [], "change": []}
+        for pair in range(PAIRS):
+            pad = pair * 23 % 64
+            for side in ("parent", "change")[::-1 if pair % 2 else 1]:
+                metrics = run(getattr(args, side), workload, pad)
+                if names is None:
+                    names = list(metrics)
+                    print("\t".join(["workload", "pair", "side", "pad"] + names))
+                rows[side].append([metrics[n] for n in names])
+                print("\t".join([workload, str(pair), side, str(pad)]
+                                + [f"{v:.6g}" for v in rows[side][-1]]), flush=True)
+        medians = {side: [statistics.median(c) for c in zip(*r)] for side, r in rows.items()}
+        for side, med in medians.items():
+            print("\t".join([workload, "median", side, ""] + [f"{v:.6g}" for v in med]))
+        ratio = [c / p if p else float("nan") for p, c in zip(*medians.values())]
+        print("\t".join([workload, "median", "change/parent", ""] + [f"{r:.4f}" for r in ratio]))
+
+
+if __name__ == "__main__":
+    main()
