@@ -13,6 +13,13 @@ Three ways to build a learnable-activation layer on a shared uniform grid:
   ``tensor.squared_piecewise_poly``; no basis block is kept. The layer adds
   no parameters to the affine map it inherits: its weights, their
   initialisation and its mixing map are the ``AffineLayer``'s.
+
+The ReLU-KAN and B-spline layers expand their input with one
+``tensor.basis_expand`` node each. Its forward is the numpy basis below
+(``relukan_basis``, ``bspline_basis``) and its backward recomputes the basis
+slopes from x, so each basis is written once and only x is kept. The pooled
+ReLU-KAN expansion, ``mean_last_axis(relukan_basis_expand(x, grid))``, is the
+oracle that the EfficientKAN quartic is checked against.
 """
 
 from __future__ import annotations
@@ -93,28 +100,44 @@ class KanGrid:
 # Squared-hinge (ReLU product) basis
 # ---------------------------------------------------------------------------
 
+def _hinges(x, grid: KanGrid):
+    """relu(e_i - x), relu(x - s_i) and the bell norms 16/(e_i - s_i)^4."""
+    xe = np.asarray(x, dtype=np.float64)[..., None]
+    s, e = grid.support_lo(), grid.support_hi()
+    return np.maximum(e - xe, 0.0), np.maximum(xe - s, 0.0), 16.0 / (e - s) ** 4
+
+
 def relukan_basis(x, grid: KanGrid) -> np.ndarray:
     """Basis responses R_i(x) = [relu(e_i - x) * relu(x - s_i)]^2 * 16/(e_i - s_i)^4.
 
     The 16/(e-s)^4 factor normalizes each bell to peak at exactly 1 at the
     support midpoint. Returns shape ``x.shape + (G+K,)``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    s = grid.support_lo()
-    e = grid.support_hi()
-    xe = x[..., None]
-    prod = np.maximum(e - xe, 0.0) * np.maximum(xe - s, 0.0)
-    return prod * prod * (16.0 / (e - s) ** 4)
+    a, b, norm = _hinges(x, grid)
+    prod = a * b
+    return prod * prod * norm
+
+
+def _relukan_slopes(x, grid: KanGrid) -> np.ndarray:
+    """dR_i/dx = 2 c_i a b (a - b), with a, b the hinges and c_i the norms."""
+    a, b, norm = _hinges(x, grid)
+    # a b first: it is 0 wherever one hinge is, so a far-away x cannot
+    # overflow (a - b) a to inf and then turn it into inf * 0 = NaN.
+    slope = a * b
+    slope *= a - b
+    slope *= 2.0 * norm
+    return slope
 
 
 def relukan_basis_expand(x: Tensor, grid: KanGrid) -> Tensor:
-    """Graph version of :func:`relukan_basis`: Tensor[..., c] -> Tensor[..., c, G+K]."""
-    s = Tensor(grid.support_lo())
-    e = Tensor(grid.support_hi())
-    norm = Tensor(16.0 / (grid.support_hi() - grid.support_lo()) ** 4)
-    xe = T.reshape(x, x.shape + (1,))
-    prod = T.mul(T.relu(T.sub(e, xe)), T.relu(T.sub(xe, s)))
-    return T.mul(T.square(prod), norm)
+    """:func:`relukan_basis` as one graph node: Tensor[..., c] -> Tensor[..., c, G+K].
+
+    Only x is kept; the backward recomputes the bells' slopes. The FLOPs are
+    those of the elementwise graph it stands for: 2 subtractions, 2 hinges,
+    the product, its square and the norm, 7 per basis element.
+    """
+    return T.basis_expand(x, lambda v: relukan_basis(v, grid),
+                          lambda v: _relukan_slopes(v, grid), 7 * x.size * grid.n_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +157,9 @@ def bspline_knots(grid: KanGrid, order: int) -> np.ndarray:
     return grid.range_lo + (j - (order - 1)) * grid.h
 
 
-def bspline_basis(x, grid: KanGrid, order: int) -> np.ndarray:
-    """Cox-de Boor basis values, vectorized; shape ``x.shape + (G+order,)``.
-
-    Zero outside the knot span; partition of unity on the grid interior.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    t = bspline_knots(grid, order)
-    xe = x[..., None]
+def _cox_de_boor(x, t: np.ndarray, order: int) -> np.ndarray:
+    """Basis of the given order on knots ``t``; shape ``x.shape + (len(t) - order,)``."""
+    xe = np.asarray(x, dtype=np.float64)[..., None]
     # degree-0 indicators on half-open intervals [t_j, t_{j+1})
     b = ((xe >= t[:-1]) & (xe < t[1:])).astype(np.float64)
     for deg in range(1, order):
@@ -152,25 +170,38 @@ def bspline_basis(x, grid: KanGrid, order: int) -> np.ndarray:
     return b
 
 
-def bspline_basis_expand(x: Tensor, grid: KanGrid, order: int) -> Tensor:
-    """Graph version of :func:`bspline_basis`: Tensor[..., c] -> Tensor[..., c, G+order].
+def bspline_basis(x, grid: KanGrid, order: int) -> np.ndarray:
+    """Cox-de Boor basis values, vectorized; shape ``x.shape + (G+order,)``.
 
-    The degree-0 indicators are piecewise constant in x, so they enter the
-    graph as constants; the recursion levels are differentiable ops.
+    Zero outside the knot span; partition of unity on the grid interior.
     """
-    t = bspline_knots(grid, order)
-    xe = T.reshape(x, x.shape + (1,))
-    b = Tensor(((x.data[..., None] >= t[:-1]) & (x.data[..., None] < t[1:]))
-               .astype(np.float64))
-    for deg in range(1, order):
-        nb = len(t) - 1 - deg
-        inv_l = 1.0 / (t[deg:deg + nb] - t[:nb])
-        inv_r = 1.0 / (t[deg + 1:deg + 1 + nb] - t[1:1 + nb])
-        left = T.mul(T.sub(xe, Tensor(t[:nb])), Tensor(inv_l))
-        right = T.mul(T.sub(Tensor(t[deg + 1:deg + 1 + nb]), xe), Tensor(inv_r))
-        b = T.add(T.mul(left, T.slice_axis(b, -1, 0, nb)),
-                  T.mul(right, T.slice_axis(b, -1, 1, nb + 1)))
-    return b
+    return _cox_de_boor(x, bspline_knots(grid, order), order)
+
+
+def _bspline_slopes(x, grid: KanGrid, order: int) -> np.ndarray:
+    """dB_i/dx = (L_i - L_{i+1}) / h, with L the order - 1 basis on the same
+    uniform knots; 0 at order 1. The half-open indicators make it the
+    right-hand derivative at a knot."""
+    if order == 1:
+        return np.zeros(np.shape(x) + (grid.G + 1,))
+    lower = _cox_de_boor(x, bspline_knots(grid, order), order - 1)
+    slope = lower[..., :-1] - lower[..., 1:]
+    slope /= grid.h
+    return slope
+
+
+def bspline_basis_expand(x: Tensor, grid: KanGrid, order: int) -> Tensor:
+    """:func:`bspline_basis` as one graph node: Tensor[..., c] -> Tensor[..., c, G+order].
+
+    Only x is kept; the backward recomputes the order - 1 basis for the
+    slopes. The FLOPs are those of the elementwise graph it stands for: 7 per
+    element of each recursion level (2 offsets, 2 scalings, 2 products and a
+    sum), with the degree-0 indicators free.
+    """
+    n_knots = len(bspline_knots(grid, order))
+    level_sizes = sum(n_knots - 1 - deg for deg in range(1, order))
+    return T.basis_expand(x, lambda v: bspline_basis(v, grid, order),
+                          lambda v: _bspline_slopes(v, grid, order), 7 * x.size * level_sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -261,11 +261,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                          (lambda g, x, y: g * y, lambda g, x, y: g * x))
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return _broadcast_op(a, b, "div", np.divide,
-                         (lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y)))
-
-
 def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
     return _node(x.data * s, "scale", (x,), lambda g: (g * s,), flops=x.size)
@@ -537,50 +532,25 @@ def mean_last_axis(x: Tensor) -> Tensor:
     return _node(data, "mean_last_axis", (x,), backward_fn, flops=x.size)
 
 
-def hinge_pool(x: Tensor, lo, hi) -> Tensor:
-    """Mean over i of the squared-hinge bells 16 [relu(hi_i - x) relu(x - lo_i)]^2
-    / (hi_i - lo_i)^4, elementwise in x.
+def basis_expand(x: Tensor, basis: Callable[[np.ndarray], np.ndarray],
+                 slopes: Callable[[np.ndarray], np.ndarray], flops: int) -> Tensor:
+    """Expansion of each element of x in a fixed basis of n functions.
 
-    Equal bit for bit to pooling the expanded basis with ``mean_last_axis``,
-    but only x is retained: the backward recomputes the hinges. The model no
-    longer calls it: it is the reference oracle that ``squared_piecewise_poly``
-    on a ``KanGrid``'s ``pooled_bell_table`` is checked against.
+    ``basis`` maps an array to the basis values at each element, with shape
+    ``x.shape + (n,)``; ``slopes`` maps it to a new array of their derivatives,
+    of the same shape. Only x is retained: the backward recomputes the slopes
+    and returns (slopes(x) * g).sum(-1). ``flops`` is the caller's count for
+    the forward.
     """
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if lo.ndim != 1 or lo.shape != hi.shape or lo.size < 1:
-        raise ContractError(f"hinge_pool needs 1-d supports of one non-zero "
-                            f"length, got lo {lo.shape} and hi {hi.shape}")
-    if not np.all(hi > lo):
-        raise ContractError("hinge_pool needs hi > lo for every support")
-    norm = 16.0 / (hi - lo) ** 4
-    xe = x.data[..., None]
-
-    def hinges():
-        a = hi - xe
-        np.maximum(a, 0.0, out=a)
-        b = xe - lo
-        np.maximum(b, 0.0, out=b)
-        return a, b
-
     with np.errstate(all="ignore"):  # a non-finite x raises in _node
-        a, b = hinges()
-        a *= b
-        a *= a
-        a *= norm
-        data = np.mean(a, axis=-1)
+        data = basis(x.data)
 
     def backward_fn(g):
-        # d/dx of norm_i (a b)^2 / n is 2 c_i a b (a - b), c_i = norm_i / n.
-        # a b first: it is 0 wherever one hinge is, so a far-away x cannot
-        # overflow (a - b) a to inf and then turn it into inf * 0 = NaN.
-        a, b = hinges()
-        slope = a * b
-        slope *= a - b
-        return (g * np.matmul(slope, 2.0 * norm / lo.size),)
+        slope = slopes(x.data)
+        slope *= g
+        return (slope.sum(axis=-1),)
 
-    # Per basis element: 2 subs, 2 hinges, product, square, scale, pool.
-    return _node(data, "hinge_pool", (x,), backward_fn, flops=8 * x.size * lo.size)
+    return _node(data, "basis_expand", (x,), backward_fn, flops=flops)
 
 
 def squared_piecewise_poly(x: Tensor, x0: float, h: float, coef) -> Tensor:
@@ -593,7 +563,9 @@ def squared_piecewise_poly(x: Tensor, x0: float, h: float, coef) -> Tensor:
     x0 and from x0 + n h on. Each element finds its cell with one index
     computation, clipped before the integer cast so that a huge x lands in a
     zero row, and evaluates p by Horner's rule. Only x is retained: the
-    backward recomputes both and returns 2 p p'.
+    backward recomputes both and returns 2 p p'. Its oracle, on a
+    ``KanGrid``'s ``pooled_bell_table``, is the graph
+    ``square(mean_last_axis(kan.relukan_basis_expand(x, grid)))``.
     """
     coef = np.asarray(coef, dtype=np.float64)
     x0, h = float(x0), float(h)
@@ -695,26 +667,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _node(data, "concat", tuple(tensors), backward_fn, flops=0)
-
-
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """``x[..., start:stop, ...]`` on ``axis``; bounds are not wrapped or clamped."""
-    if not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"slice_axis axis {axis} invalid for shape {x.shape}")
-    axis %= x.ndim
-    if not 0 <= start < stop <= x.shape[axis]:
-        raise DimensionError(f"slice_axis bounds [{start}, {stop}) invalid for "
-                             f"axis {axis} of shape {x.shape}")
-    index = [slice(None)] * x.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
-
-    def backward_fn(g):
-        full = np.zeros(x.shape, dtype=np.float64)
-        full[index] = g
-        return (full,)
-
-    return _node(x.data[index], "slice_axis", (x,), backward_fn, flops=0)
 
 
 # ---------------------------------------------------------------------------

@@ -138,108 +138,19 @@ class TestReluKanBasis:
     def test_basis_gradcheck_interior(self):
         grid = KanGrid()
         rng = np.random.default_rng(29)
-        x = Tensor(interior_points(grid, rng, 6).reshape(2, 3))
-        w = np.random.default_rng(1).normal(size=(2, 3, grid.n_basis))
+        # inside the range, then in the outer supports and past them
+        x = Tensor(np.concatenate([interior_points(grid, rng, 6),
+                                   [-2.5, -1.7, -1.3, 1.2, 1.6, 2.1]]).reshape(4, 3))
+        w = np.random.default_rng(1).normal(size=(4, 3, grid.n_basis))
         rep = T.grad_check(
             lambda t: T.sum_all(T.mul(relukan_basis_expand(t, grid), Tensor(w))),
             x, tol=1e-6)
         assert rep.ok, rep
 
 
-def _unfused_pool(x, grid):
+def _pooled_bells(x, grid):
+    """mean_i R_i(x) through the graph: the oracle of the EfficientKAN activation."""
     return T.mean_last_axis(relukan_basis_expand(x, grid))
-
-
-def _fused_pool(x, grid):
-    return T.hinge_pool(x, grid.support_lo(), grid.support_hi())
-
-
-class TestHingePool:
-    GRIDS = [KanGrid(), KanGrid(G=3, K=0), KanGrid(G=4, K=1, range_lo=-0.5,
-                                                   range_hi=2.0)]
-
-    @pytest.mark.parametrize("grid", GRIDS, ids=str)
-    def test_forward_bit_equal_to_pooled_expansion(self, grid):
-        rng = np.random.default_rng(31)
-        width = grid.range_hi - grid.range_lo
-        x = rng.uniform(grid.range_lo - width, grid.range_hi + width, size=(4, 5, 6))
-        edges = np.concatenate([grid.support_lo(), grid.support_hi()])
-        x.reshape(-1)[:edges.size] = edges
-        assert np.array_equal(_fused_pool(Tensor(x), grid).data,
-                              _unfused_pool(Tensor(x), grid).data)
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(37)
-        grid = KanGrid(G=4, K=2)
-        s, e = grid.support_lo(), grid.support_hi()
-        x = rng.uniform(-2.0, 2.0, size=(3, 7))
-        expected = np.array([[np.mean([hinge_basis(v, s[i], e[i])
-                                       for i in range(grid.n_basis)])
-                              for v in row] for row in x])
-        np.testing.assert_allclose(_fused_pool(Tensor(x), grid).data, expected,
-                                   rtol=1e-13, atol=0.0)
-
-    @pytest.mark.parametrize("where", ["inside", "outside"])
-    def test_gradcheck_on_grid(self, where):
-        grid = KanGrid()
-        rng = np.random.default_rng(41)
-        if where == "inside":
-            x = interior_points(grid, rng, 12)
-        else:  # beyond [range_lo, range_hi], in the outer supports and past them
-            x = np.array([-2.5, -2.0, -1.7, -1.3, 1.2, 1.6, 1.9, 2.1, 3.0, -9.0,
-                          -1e155, -1e300, 1e300])
-        w = rng.normal(size=x.shape)
-        rep = T.grad_check(lambda t: T.sum_all(T.mul(_fused_pool(t, grid), Tensor(w))),
-                           Tensor(x), tol=1e-6)
-        assert rep.ok, rep
-
-    def test_gradcheck_on_support_edges(self):
-        # Uneven supports, so that at every inner edge some other bell has a
-        # nonzero slope. The slope is continuous at an edge but the curvature
-        # jumps, which biases central differences by O(h): 1.4e-5 at h=1e-6,
-        # 1.3e-6 at h=1e-7.
-        lo = np.array([-1.0, -0.7, -0.2, 0.1])
-        hi = np.array([0.4, 0.9, 1.0, 1.5])
-        edges = np.unique(np.concatenate([lo, hi]))
-        inner = Tensor(edges[1:-1])
-        w = np.random.default_rng(43).normal(size=inner.shape)
-        rep = T.grad_check(
-            lambda t: T.sum_all(T.mul(T.hinge_pool(t, lo, hi), Tensor(w))),
-            inner, h=1e-7, tol=1e-5)
-        assert rep.ok, rep
-        # At the outermost edges only one-sided quadratics meet: slope 0.
-        outer = Tensor(edges[[0, -1]], requires_grad=True)
-        T.backward(T.sum_all(T.hinge_pool(outer, lo, hi)))
-        assert np.array_equal(outer.grad, [0.0, 0.0])
-
-    @pytest.mark.parametrize("grid", GRIDS, ids=str)
-    def test_gradient_matches_pooled_expansion_on_edges(self, grid):
-        edges = np.concatenate([grid.support_lo(), grid.support_hi()])
-        x = np.concatenate([edges, np.linspace(grid.range_lo - 1.0,
-                                               grid.range_hi + 1.0, 23)])
-        w = np.random.default_rng(47).normal(size=x.shape)
-        grads = []
-        for pool in (_fused_pool, _unfused_pool):
-            t = Tensor(x, requires_grad=True)
-            T.backward(T.sum_all(T.mul(pool(t, grid), Tensor(w))))
-            grads.append(t.grad)
-        np.testing.assert_allclose(grads[0], grads[1], rtol=1e-12, atol=1e-15)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_input_raises(self, bad):
-        with pytest.raises(T.NumericsError, match="hinge_pool"):
-            _fused_pool(Tensor(np.array([0.1, bad])), KanGrid())
-
-    @pytest.mark.parametrize("lo,hi", [
-        ([0.0, 1.0], [1.0, 2.0, 3.0]),
-        ([[0.0, 1.0]], [[1.0, 2.0]]),
-        ([], []),
-        ([0.0, 1.0], [1.0, 1.0]),
-        ([0.0, 1.0], [1.0, 0.5]),
-    ], ids=["shape_mismatch", "not_1d", "empty", "hi_equals_lo", "hi_below_lo"])
-    def test_bad_supports_raise_contract_error(self, lo, hi):
-        with pytest.raises(ContractError, match="hinge_pool"):
-            T.hinge_pool(Tensor(np.zeros(3)), lo, hi)
 
 
 def _quartic(x, grid):
@@ -257,7 +168,8 @@ def _special_points(grid):
 
 
 class TestSquaredPiecewisePoly:
-    GRIDS = TestHingePool.GRIDS + [KanGrid(G=1, K=0)]
+    GRIDS = [KanGrid(), KanGrid(G=3, K=0), KanGrid(G=4, K=1, range_lo=-0.5, range_hi=2.0),
+             KanGrid(G=1, K=0)]
 
     @pytest.mark.parametrize("grid", GRIDS, ids=str)
     def test_matches_loop_oracle(self, grid):
@@ -276,7 +188,7 @@ class TestSquaredPiecewisePoly:
             grid.range_lo - width, grid.range_hi + width, 200)])
         w = np.random.default_rng(79).normal(size=x.shape)
         values, grads = [], []
-        for f in (_quartic, lambda t, g: T.square(_fused_pool(t, g))):
+        for f in (_quartic, lambda t, g: T.square(_pooled_bells(t, g))):
             t = Tensor(x, requires_grad=True)
             q = f(t, grid)
             T.backward(T.sum_all(T.mul(q, Tensor(w))))
@@ -300,7 +212,7 @@ class TestSquaredPiecewisePoly:
     def test_scalar_input(self, v):
         grid = KanGrid()
         values, grads = [], []
-        for f in (_quartic, lambda t, g: T.square(_fused_pool(t, g))):
+        for f in (_quartic, lambda t, g: T.square(_pooled_bells(t, g))):
             t = Tensor(v, requires_grad=True)
             q = f(t, grid)
             T.backward(q)
@@ -336,7 +248,7 @@ class TestSquaredPiecewisePoly:
         # oracle's slope is not 0.
         breaks = grid.support_lo()[0] + grid.h * np.arange(grid.G + 2 * grid.K + 1)
         oracle = Tensor(breaks, requires_grad=True)
-        T.backward(T.sum_all(T.square(_fused_pool(oracle, grid))))
+        T.backward(T.sum_all(T.square(_pooled_bells(oracle, grid))))
         sloped = Tensor(breaks[np.abs(oracle.grad) > 1e-6])
         assert sloped.size >= 2
         w = np.random.default_rng(89).normal(size=sloped.shape)
@@ -443,6 +355,92 @@ class TestBSplineBasis:
     def test_invalid_order(self):
         with pytest.raises(ContractError):
             bspline_knots(KanGrid(), 0)
+
+
+_GRID = KanGrid()
+# (expansion, its numpy basis) of the ReLU-KAN basis and B-spline orders 1-4.
+EXPANSIONS = {"relukan": (lambda t: relukan_basis_expand(t, _GRID),
+                          lambda v: relukan_basis(v, _GRID)),
+              **{f"bspline{k}": (lambda t, k=k: bspline_basis_expand(t, _GRID, k),
+                                 lambda v, k=k: bspline_basis(v, _GRID, k))
+                 for k in (1, 2, 3, 4)}}
+
+
+class TestBasisExpand:
+    @pytest.mark.parametrize("name", EXPANSIONS)
+    def test_records_one_node(self, name):
+        expand, basis = EXPANSIONS[name]
+        x = Tensor(np.random.default_rng(103).uniform(-2, 2, (5, 3)), requires_grad=True)
+        out = expand(x)
+        assert [n.op for n in T.Tape(out).nodes if n._backward_fn is not None] == [
+            "basis_expand"]
+        assert out._parents == (x,)
+        assert np.array_equal(out.data, basis(x.data))
+
+    @pytest.mark.parametrize("name", EXPANSIONS)
+    @pytest.mark.parametrize("v", [50.0, -50.0, 1e160, -1e160, 1e300, -1e300])
+    def test_zero_far_outside_the_grid(self, name, v):
+        x = Tensor(np.array([v, 0.3]), requires_grad=True)
+        out = EXPANSIONS[name][0](x)
+        w = np.random.default_rng(107).normal(size=out.shape)
+        T.backward(T.sum_all(T.mul(out, Tensor(w))))
+        assert np.array_equal(out.data[0], np.zeros(out.shape[-1]))
+        assert x.grad[0] == 0.0 and np.isfinite(x.grad[1])
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_bspline_gradcheck_inside_cells(self, order):
+        grid = KanGrid()
+        rng = np.random.default_rng(109)
+        # inside the range, then in the extended cells below and above it
+        x = Tensor(np.concatenate([interior_points(grid, rng, 6),
+                                   [-2.1, -1.7, -1.3, 1.2, 1.6, 2.1]]).reshape(4, 3))
+        w = rng.normal(size=(4, 3, grid.G + order))
+        rep = T.grad_check(
+            lambda t: T.sum_all(T.mul(bspline_basis_expand(t, grid, order), Tensor(w))),
+            x, tol=1e-6)
+        assert rep.ok, rep
+
+    @pytest.mark.parametrize("name", EXPANSIONS)
+    def test_gradient_at_knots_is_right_hand(self, name):
+        # The half-open indicators put a knot in the cell to its right. At
+        # B-spline order 2 the slopes jump at every knot, by 1/h on each side
+        # of a hat; the bells and the higher orders are C1 there.
+        expand, basis = EXPANSIONS[name]
+        knots = _GRID.range_lo + _GRID.h * np.arange(-4, _GRID.G + 5)
+        x = Tensor(knots, requires_grad=True)
+        out = expand(x)
+        w = np.random.default_rng(113).normal(size=out.shape)
+        T.backward(T.sum_all(T.mul(out, Tensor(w))))
+        right = knots + 1e-7
+        difference = (np.sum(basis(right) * w, axis=-1)
+                      - np.sum(basis(knots) * w, axis=-1)) / (right - knots)
+        np.testing.assert_allclose(x.grad, difference, rtol=0.0, atol=1e-5)
+
+    @pytest.mark.parametrize("name", [n for n in EXPANSIONS if n != "bspline1"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, name, bad):
+        with pytest.raises(T.NumericsError, match="basis_expand"):
+            EXPANSIONS[name][0](Tensor(np.array([0.1, bad])))
+
+    @pytest.mark.parametrize("name", EXPANSIONS)
+    def test_backward_keeps_no_array_of_input_size(self, name):
+        x = Tensor(np.random.default_rng(127).uniform(-2, 2, (6, 50)), requires_grad=True)
+        out = EXPANSIONS[name][0](x)
+        stack, seen, arrays = [out._backward_fn], set(), []
+        while stack:  # every array the closure can reach through nested closures
+            f = stack.pop()
+            if id(f) in seen:
+                continue
+            seen.add(id(f))
+            for cell in f.__closure__ or ():
+                v = cell.cell_contents
+                if isinstance(v, np.ndarray):
+                    arrays.append(v)
+                elif callable(v) and hasattr(v, "__closure__"):
+                    stack.append(v)
+                elif isinstance(v, Tensor):
+                    assert v is x
+        assert all(a.size < x.size for a in arrays)
 
 
 class TestPhiEdge:

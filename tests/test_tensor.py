@@ -1,3 +1,8 @@
+import ast
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -81,7 +86,7 @@ class TestElementwise:
         rng = np.random.default_rng(5)
         a = Tensor(rng.normal(size=(3, 4)))
         b = Tensor(rng.uniform(0.5, 2.0, size=(4,)))
-        for op in (T.add, T.sub, T.mul, T.div):
+        for op in (T.add, T.sub, T.mul):
             rep = T.grad_check(lambda t: T.sum_all(op(t, b)), a, tol=1e-6)
             assert rep.ok, (op.__name__, rep)
             rep = T.grad_check(lambda t: T.sum_all(op(a, t)), b, tol=1e-6)
@@ -89,7 +94,7 @@ class TestElementwise:
 
     def test_nan_raises(self):
         with pytest.raises(NumericsError):
-            T.div(Tensor(np.ones(2)), Tensor(np.zeros(2)))
+            T.mul(Tensor(np.full(2, 1e200)), Tensor(np.full(2, 1e200)))
 
 
 class TestSoftmax:
@@ -501,18 +506,26 @@ class TestShapeOps:
             x, tol=1e-6)
         assert rep.ok
 
-    def test_slice_axis_grad(self):
-        x = Tensor(np.arange(10.0), requires_grad=True)
-        T.backward(T.sum_all(T.slice_axis(x, 0, 2, 5)))
-        expected = np.zeros(10)
-        expected[2:5] = 1.0
-        np.testing.assert_array_equal(x.grad, expected)
 
-    @pytest.mark.parametrize("axis,start,stop", [
-        (5, 0, 2), (-3, 0, 2), (1, 0, 99), (1, -1, 2), (1, 2, 2), (1, 2, 1),
-    ], ids=["axis_past_end", "axis_before_start", "stop_past_end",
-            "negative_start", "empty", "reversed"])
-    def test_slice_axis_out_of_range_raises(self, axis, start, stop):
-        # numpy would wrap the axis or clamp the bounds and return a smaller slice
-        with pytest.raises(DimensionError, match="slice_axis"):
-            T.slice_axis(Tensor(np.ones((2, 3))), axis, start, stop)
+ROOT = Path(__file__).resolve().parents[1]
+# Public functions kept without a caller: grad_check is the package's
+# finite-difference checker, exported for users and for the tests.
+UNCALLED_BY_DESIGN = ("grad_check",)
+
+
+def test_every_public_function_has_a_caller():
+    """A public ``tensor`` function is called as ``T.<name>`` or
+    ``tensor.<name>`` by the package or the benchmark, or perfbench's tracer
+    patches it by name; otherwise it is dead and goes."""
+    sources = [p for d in ("src/transukan", "perfbench") for p in (ROOT / d).glob("*.py")
+               if not p.name.startswith("test_")]
+    text = "\n".join(p.read_text() for p in sources)
+    spans = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    traced = next(ast.literal_eval(n.value) for n in spans.body if isinstance(n, ast.Assign)
+                  and getattr(n.targets[0], "id", None) == "OPS")
+    uncalled = [name for name, f in vars(T).items()
+                if inspect.isfunction(f) and f.__module__ == T.__name__
+                and not name.startswith("_") and name not in traced
+                and name not in UNCALLED_BY_DESIGN
+                and not re.search(rf"\b(T|tensor)\.{name}\b", text)]
+    assert uncalled == []
