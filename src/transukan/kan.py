@@ -298,10 +298,10 @@ class ReLUKanLayer:
         _check_last_dim(x, self.c_in, "ReLUKanLayer")
         nb = self.grid.n_basis
         basis = relukan_basis_expand(x, self.grid)          # [..., c_in, G+K]
-        block = T.transpose(basis, tuple(range(basis.ndim - 2)) + (basis.ndim - 1,
-                                                                   basis.ndim - 2))
-        flat = T.reshape(block, x.shape[:-1] + (nb * self.c_in,))
-        w = T.transpose(T.reshape(self.kernel, (self.c_out, nb * self.c_in)), (1, 0))
+        flat = T.reshape(basis, x.shape[:-1] + (self.c_in * nb,))  # a view
+        # The kernel, not the batch-sized basis, is permuted to (c_out, c_in, G+K).
+        kernel = T.transpose(self.kernel, (0, 2, 1))
+        w = T.transpose(T.reshape(kernel, (self.c_out, self.c_in * nb)), (1, 0))
         return T.add(T.matmul(flat, w), self.bias)
 
     def parameters(self):

@@ -3,7 +3,8 @@
 A small CNN pyramid extracts features at 1/8 resolution, every spatial
 location becomes a token for the Kansformer encoder, and a cascaded
 upsampling decoder with skip connections restores full resolution before a
-1x1 segmentation head.
+1x1 segmentation head. Each decoder block's upsample, skip concat and 3x3
+conv run as one op that never forms the upsampled map.
 """
 
 from __future__ import annotations
@@ -173,7 +174,10 @@ class DecoderParams:
     repeated for each skip, then a 1x1 head to class logits.
 
     Three doublings take the 1/8-resolution encoder output back to full
-    resolution, consuming skips deep to shallow.
+    resolution, consuming skips deep to shallow. The upsample, concat and
+    conv of a block are one ``T.upsample_concat_conv2d`` op on the block's
+    ``Conv2dLayer`` parameters, which keep the shapes of a conv over the
+    concat.
     """
 
     def __init__(self, d_model: int, skip_channels: tuple[int, int, int],
@@ -191,8 +195,7 @@ class DecoderParams:
     def forward(self, x: Tensor, skips) -> Tensor:
         for i, (conv, skip) in enumerate(zip(self.blocks, reversed(skips))):
             with T.scope(f"block{i}"):
-                x = T.upsample_nearest_2x(x)
-                x = T.relu(conv.forward(T.concat([x, skip], axis=1)))
+                x = T.relu(T.upsample_concat_conv2d(x, skip, conv.weight, conv.bias))
         with T.scope("head"):
             return self.head.forward(x)
 

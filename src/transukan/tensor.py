@@ -409,17 +409,84 @@ def _phase_slices(h: int, w: int, stride: int, padding: int):
             yield r, q, (gy, gx), (sy, sx)
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation over NCHW input with an OIHW kernel.
+def _taps(kh: int, kw: int, s: int, wq: int):
+    """(i, j, phase row, phase column, flat offset) of each kernel tap."""
+    return [(i, j, i % s, j % s, i // s * wq + j // s)
+            for i in range(kh) for j in range(kw)]
+
+
+def _conv_forward(x: np.ndarray, w: np.ndarray, s: int, padding: int):
+    """Cross-correlation of x (b, c, h, w) with w (o, c, kh, kw) on the flat
+    phase grid: returns ``(full, xs)``.
 
     The zero-padded input is stored once per stride phase (r, q) as rows of
     ``xs[r, q]`` (channels x flat b·hq·wq cells, plus a zero tail), so kernel
     tap (i, j) reads one contiguous column slice of phase (i mod s, j mod s)
-    at offset (i div s)·wq + j div s. Output cell m of that flat layout is
-    output pixel (n, y, x) for m = n·hq·wq + y·wq + x; cells with y >= h_out
-    or x >= w_out read wrapped pixels and are dropped. The backward keeps
-    only ``xs`` and works tap by tap, with no im2col buffer.
+    at offset (i div s)·wq + j div s. Cell m of that flat layout is output
+    pixel (n, y, x) for m = n·hq·wq + y·wq + x. ``full`` has shape
+    (o, b, hq, wq); its cells with y >= h_out or x >= w_out read wrapped
+    pixels and are to be dropped.
+    """
+    b, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    hq = -(-(h + 2 * padding) // s)
+    wq = -(-(wd + 2 * padding) // s)
+    n = b * hq * wq
+    tail = (kh - 1) // s * wq + (kw - 1) // s
+
+    xs = np.zeros((s, s, c, n + tail), dtype=np.float64)
+    grid = xs[..., :n].reshape(s, s, c, b, hq, wq)
+    xt = x.transpose(1, 0, 2, 3)
+    for r, q, (gy, gx), (sy, sx) in _phase_slices(h, wd, s, padding):
+        grid[r, q, :, :, gy, gx] = xt[:, :, sy, sx]
+
+    k = c * kh * kw
+    w2 = w.reshape(o, k)
+    full = np.empty((o, n), dtype=np.float64)
+    chunks = -(-n // max(1, _IM2COL_BUDGET // k))
+    step = -(-n // chunks)  # equal chunks: the scratch is no wider than needed
+    cols = np.empty((c, kh, kw, step), dtype=np.float64)
+    for m0 in range(0, n, step):
+        m = min(step, n - m0)
+        for i, j, r, q, off in _taps(kh, kw, s, wq):
+            cols[:, i, j, :m] = xs[r, q, :, off + m0:off + m0 + m]
+        np.matmul(w2, cols.reshape(k, -1)[:, :m], out=full[:, m0:m0 + m])
+    return full.reshape(o, b, hq, wq), xs
+
+
+def _conv_backward(gfull: np.ndarray, xs: np.ndarray, w: np.ndarray,
+                   x_shape: tuple[int, ...], s: int, padding: int, need_dx: bool):
+    """Adjoint of :func:`_conv_forward`: ``(dx or None, dw)`` from the gradient
+    on the flat phase grid, ``gfull`` (o, b, hq, wq), zero in the dropped
+    cells. Works tap by tap, with no im2col buffer."""
+    o, b, hq, wq = gfull.shape
+    _, c, h, wd = x_shape
+    n = b * hq * wq
+    gfull = gfull.reshape(o, n)
+    dw = np.empty(w.shape, dtype=np.float64)
+    dxs = np.zeros_like(xs) if need_dx else None
+    dtap = np.empty((c, n), dtype=np.float64)
+    for i, j, r, q, off in _taps(*w.shape[2:], s, wq):
+        dw[:, :, i, j] = gfull @ xs[r, q, :, off:off + n].T
+        if dxs is not None:
+            np.matmul(w[:, :, i, j].T, gfull, out=dtap)
+            dxs[r, q, :, off:off + n] += dtap
+    if dxs is None:
+        return None, dw
+    dgrid = dxs[..., :n].reshape(s, s, c, b, hq, wq)
+    dx = np.empty(x_shape, dtype=np.float64)
+    dxt = dx.transpose(1, 0, 2, 3)
+    for r, q, (gy, gx), (sy, sx) in _phase_slices(h, wd, s, padding):
+        dxt[:, :, sy, sx] = dgrid[r, q, :, :, gy, gx]
+    return dx, dw
+
+
+def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
+           stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D cross-correlation over NCHW input with an OIHW kernel.
+
+    Computed on the flat phase grid of :func:`_conv_forward`. The backward
+    keeps only the phase-split padded input ``xs``.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d needs 4-d input and kernel, got {x.shape}, {w.shape}")
@@ -442,34 +509,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     if bias is not None and bias.shape != (o,):
         raise DimensionError(f"conv2d bias must have shape ({o},), got {bias.shape}")
 
-    s = stride
-    hq = -(-(h + 2 * padding) // s)
-    wq = -(-(wd + 2 * padding) // s)
-    n = b * hq * wq
-    tail = (kh - 1) // s * wq + (kw - 1) // s
-    taps = [(i, j, i % s, j % s, i // s * wq + j // s)
-            for i in range(kh) for j in range(kw)]
-    phases = list(_phase_slices(h, wd, s, padding))
-
-    xs = np.zeros((s, s, c, n + tail), dtype=np.float64)
-    grid = xs[..., :n].reshape(s, s, c, b, hq, wq)
-    xt = x.data.transpose(1, 0, 2, 3)
-    for r, q, (gy, gx), (sy, sx) in phases:
-        grid[r, q, :, :, gy, gx] = xt[:, :, sy, sx]
-
-    k = c * kh * kw
-    w2 = w.data.reshape(o, k)
-    full = np.empty((o, n), dtype=np.float64)
-    chunks = -(-n // max(1, _IM2COL_BUDGET // k))
-    step = -(-n // chunks)  # equal chunks: the scratch is no wider than needed
-    cols = np.empty((c, kh, kw, step), dtype=np.float64)
-    for m0 in range(0, n, step):
-        m = min(step, n - m0)
-        for i, j, r, q, off in taps:
-            cols[:, i, j, :m] = xs[r, q, :, off + m0:off + m0 + m]
-        np.matmul(w2, cols.reshape(k, -1)[:, :m], out=full[:, m0:m0 + m])
-    del cols  # before the output is allocated, or it sets the forward's peak
-    valid = full.reshape(o, b, hq, wq)[:, :, :h_out, :w_out].transpose(1, 0, 2, 3)
+    full, xs = _conv_forward(x.data, w.data, stride, padding)
+    grid_shape = full.shape
+    valid = full[:, :, :h_out, :w_out].transpose(1, 0, 2, 3)
     data = np.empty((b, o, h_out, w_out), dtype=np.float64)
     if bias is not None:
         np.add(valid, bias.data[:, None, None], out=data)
@@ -478,30 +520,102 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     parents = (x, w) if bias is None else (x, w, bias)
 
     def backward_fn(g):
-        gfull = np.zeros((o, b, hq, wq), dtype=np.float64)
+        gfull = np.zeros(grid_shape, dtype=np.float64)
         gfull[:, :, :h_out, :w_out] = g.transpose(1, 0, 2, 3)
-        gfull = gfull.reshape(o, n)
-        dw = np.empty(w.shape, dtype=np.float64)
-        dxs = np.zeros_like(xs) if x.requires_grad else None
-        dtap = np.empty((c, n), dtype=np.float64)
-        for i, j, r, q, off in taps:
-            dw[:, :, i, j] = gfull @ xs[r, q, :, off:off + n].T
-            if dxs is not None:
-                np.matmul(w.data[:, :, i, j].T, gfull, out=dtap)
-                dxs[r, q, :, off:off + n] += dtap
-        dx = None
-        if dxs is not None:
-            dgrid = dxs[..., :n].reshape(s, s, c, b, hq, wq)
-            dx = np.empty(x.shape, dtype=np.float64)
-            dxt = dx.transpose(1, 0, 2, 3)
-            for r, q, (gy, gx), (sy, sx) in phases:
-                dxt[:, :, sy, sx] = dgrid[r, q, :, :, gy, gx]
+        dx, dw = _conv_backward(gfull, xs, w.data, x.shape, stride, padding,
+                                x.requires_grad)
         if bias is None:
             return (dx, dw)
         return (dx, dw, g.sum(axis=(0, 2, 3)))
 
     # The bias add rides in the multiply-accumulates.
-    return _node(data, "conv2d", parents, backward_fn, flops=2 * data.size * k)
+    return _node(data, "conv2d", parents, backward_fn,
+                 flops=2 * data.size * ci * kh * kw)
+
+
+# Along one axis, output phase a of a 3-tap kernel on a nearest-2x upsample
+# reads two low-resolution pixels: _FOLD_AXIS[a, t, i] = 1 when tap i of the
+# 3x3 kernel lands on pixel t of them. _FOLD[(a, b, t, u), (i, j)] is its
+# outer product over the two axes: phase (a, b), 2x2 tap (t, u).
+_FOLD_AXIS = np.array([[[1, 0, 0], [0, 1, 1]],
+                       [[1, 1, 0], [0, 0, 1]]], dtype=np.float64)
+_FOLD = (_FOLD_AXIS[:, None, :, None, :, None]
+         * _FOLD_AXIS[None, :, None, :, None, :]).reshape(16, 9)
+
+
+def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """``conv2d(concat([upsample_nearest_2x(x), skip], 1), w, bias, padding=1)``
+    for a 3x3 kernel, as one op that never forms the upsample or the concat.
+
+    The kernel splits by input channels: with c_up = x.shape[1], the skip half
+    ``w[:, c_up:]`` is a plain 3x3 conv of ``skip``. The upsampled half folds
+    into one 2x2 conv of x, padded by 1, to 4·o channels, one group of o per
+    output phase (a, b) (sub-pixel convolution; Shi et al., arXiv 1609.07009).
+    Along one axis, phase 0 reads x rows (y-1, y) with taps (w0, w1 + w2) and
+    phase 1 reads (y, y+1) with (w0 + w1, w2); both axes together are one GEMM
+    with the constant 16x9 ``_FOLD``. Group (a, b) of the folded output at cell
+    (y + a, x + b) is output pixel (2y + a, 2x + b). The bias is added once.
+    The backward keeps only the two padded inputs and the folded kernel, and
+    maps the folded kernel's gradient back to ``w[:, :c_up]`` by ``_FOLD``.
+    FLOPs are the multiply-accumulates each output pixel needs: 9 per skip
+    channel and 4 per x channel.
+    """
+    if x.ndim != 4 or skip.ndim != 4 or w.ndim != 4:
+        raise DimensionError(f"upsample_concat_conv2d needs 4-d x, skip and kernel, "
+                             f"got {x.shape}, {skip.shape}, {w.shape}")
+    if w.shape[2:] != (3, 3):
+        raise ContractError(f"upsample_concat_conv2d needs a 3x3 kernel, got "
+                            f"{w.shape[2]}x{w.shape[3]}")
+    b, c_up, h, wd = x.shape
+    o, c_s = w.shape[0], skip.shape[1]
+    if skip.shape[0] != b or skip.shape[2:] != (2 * h, 2 * wd):
+        raise DimensionError(f"upsample_concat_conv2d skip {skip.shape} does not match "
+                             f"the upsampled x: ({b}, *, {2 * h}, {2 * wd})")
+    if w.shape[1] != c_up + c_s:
+        raise DimensionError(f"upsample_concat_conv2d kernel expects {w.shape[1]} input "
+                             f"channels, x and skip have {c_up} + {c_s}")
+    if bias.shape != (o,):
+        raise DimensionError(f"upsample_concat_conv2d bias must have shape ({o},), "
+                             f"got {bias.shape}")
+
+    w_skip = w.data[:, c_up:]
+    folded = w.data.reshape(o, c_up + c_s, 9)[:, :c_up] @ _FOLD.T  # (o, c_up, 16)
+    folded = folded.reshape(o, c_up, 2, 2, 2, 2).transpose(2, 3, 0, 1, 4, 5)
+    folded = folded.reshape(4 * o, c_up, 2, 2)
+
+    full, xs_skip = _conv_forward(skip.data, w_skip, 1, 1)
+    data = np.empty((b, o, 2 * h, 2 * wd), dtype=np.float64)  # after the conv's scratch
+    np.add(full[:, :, :2 * h, :2 * wd].transpose(1, 0, 2, 3), bias.data[:, None, None],
+           out=data)
+    del full
+    full, xs_up = _conv_forward(x.data, folded, 1, 1)
+    phases = full.reshape(2, 2, o, b, h + 2, wd + 2)
+    for r in range(2):
+        for q in range(2):
+            cells = phases[r, q, :, :, r:r + h, q:q + wd]
+            data[:, :, r::2, q::2] += cells.transpose(1, 0, 2, 3)
+    del full, phases
+
+    def backward_fn(g):
+        gt = g.transpose(1, 0, 2, 3)
+        gfull = np.zeros((o, b, 2 * h + 2, 2 * wd + 2), dtype=np.float64)
+        gfull[:, :, :2 * h, :2 * wd] = gt
+        dskip, dw_skip = _conv_backward(gfull, xs_skip, w_skip, skip.shape, 1, 1,
+                                        skip.requires_grad)
+        gfull = np.zeros((2, 2, o, b, h + 2, wd + 2), dtype=np.float64)
+        for r in range(2):
+            for q in range(2):
+                gfull[r, q, :, :, r:r + h, q:q + wd] = gt[:, :, r::2, q::2]
+        dx, dfolded = _conv_backward(gfull.reshape(4 * o, b, h + 2, wd + 2), xs_up,
+                                     folded, x.shape, 1, 1, x.requires_grad)
+        dw = np.empty(w.shape, dtype=np.float64)
+        dw[:, c_up:] = dw_skip
+        dfolded = dfolded.reshape(2, 2, o, c_up, 2, 2).transpose(2, 3, 0, 1, 4, 5)
+        dw[:, :c_up] = (dfolded.reshape(o, c_up, 16) @ _FOLD).reshape(o, c_up, 3, 3)
+        return (dx, dskip, dw, g.sum(axis=(0, 2, 3)))
+
+    return _node(data, "upsample_concat_conv2d", (x, skip, w, bias), backward_fn,
+                 flops=2 * data.size * (9 * c_s + 4 * c_up))
 
 
 def upsample_nearest_2x(x: Tensor) -> Tensor:

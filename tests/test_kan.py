@@ -575,6 +575,18 @@ class TestReLUKanLayer:
             rep = T.grad_check(objective, target, tol=1e-5)
             assert rep.ok, rep
 
+    def test_basis_is_flattened_as_a_view(self):
+        grid = KanGrid()
+        layer = ReLUKanLayer(3, 2, grid)
+        out = layer.forward(Tensor(np.zeros((2, 5, 3)), requires_grad=True))
+        buffers = {}
+        for node in T.Tape(out).nodes:
+            buf = node.data
+            while buf.base is not None:
+                buf = buf.base
+            buffers[id(buf)] = buf.size
+        assert list(buffers.values()).count(2 * 5 * 3 * grid.n_basis) == 1
+
 
 class TestEfficientKanLayer:
     def test_dead_zone_returns_bias(self):

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import json
 import os
@@ -96,6 +97,20 @@ class TestForward:
         expected = model.decoder.forward(enc_map, skips)
         np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
 
+    def test_decoder_matches_upsample_concat_conv_composition(self):
+        model = TransUKanModel(ModelConfig(), rng=np.random.default_rng(0))
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(2, 64, 8, 8)))
+        skips = [Tensor(rng.uniform(size=(2, c, 64 >> i, 64 >> i)))
+                 for i, c in enumerate(model.config.cnn_channels)]
+        expected = x
+        for conv, skip in zip(model.decoder.blocks, reversed(skips)):
+            cat = T.concat([T.upsample_nearest_2x(expected), skip], axis=1)
+            expected = T.relu(conv.forward(cat))
+        expected = model.decoder.head.forward(expected)
+        out = model.decoder.forward(x, skips)
+        np.testing.assert_allclose(out.data, expected.data, rtol=0, atol=1e-14)
+
     def test_stage_name_attached_to_errors(self):
         model = TransUKanModel(MICRO, rng=np.random.default_rng(6))
         with pytest.raises(ContractError) as exc:
@@ -166,6 +181,15 @@ class TestCheckpoint:
         for (n1, p1), (n2, p2) in zip(model.parameters(), loaded.parameters()):
             assert n1 == n2
             assert np.array_equal(p1.data, p2.data)
+
+    def test_default_model_bytes_are_pinned(self, tmp_path):
+        """Parameter names, shapes, order and initial values of the default
+        model, and the TUKN v1 layout, in one digest."""
+        path = str(tmp_path / "model.tukn")
+        save_checkpoint(TransUKanModel(ModelConfig()), path)
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == "58f39fedc4a881bef68cdb9e66bbb71f926a80053b1b094b672256096cfca797"
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.tukn"

@@ -33,12 +33,12 @@ class TestModelReports:
         assert report.total_params == 231_698 == model.n_params()
         assert len(report.entries) == 44
 
-    @pytest.mark.parametrize("batch,flops", [(1, 129_069_056), (4, 516_276_224)],
+    @pytest.mark.parametrize("batch,flops", [(1, 108_097_536), (4, 432_390_144)],
                              ids=["b1", "b4"])
     def test_flops(self, model, batch, flops):
         assert P.estimate_flops(model, (batch, 1, 64, 64)).total_flops == flops
 
-    @pytest.mark.parametrize("batch,nbytes", [(1, 10_977_280), (4, 43_909_120)],
+    @pytest.mark.parametrize("batch,nbytes", [(1, 8_224_768), (4, 32_899_072)],
                              ids=["b1", "b4"])
     def test_activation_memory(self, model, batch, nbytes):
         report = P.estimate_activation_memory(model, batch)
@@ -68,8 +68,9 @@ def _owned_tape_bytes(root):
 # FLOPs per output element of the elementwise ops, by the documented conventions.
 _PER_ELEMENT = {"layer_norm": 8, "softmax": 7, "silu": 7, "add": 1, "sub": 1, "mul": 1,
                 "scale": 1, "relu": 1, "square": 1}
-_COUNTED_OPS = ("conv2d", "matmul", "basis_expand", "squared_piecewise_poly", "reshape",
-                "transpose", "concat", "upsample_nearest_2x", *_PER_ELEMENT)
+_COUNTED_OPS = ("conv2d", "upsample_concat_conv2d", "matmul", "basis_expand",
+                "squared_piecewise_poly", "reshape", "transpose", "concat",
+                "upsample_nearest_2x", *_PER_ELEMENT)
 
 
 def _op_flops(op, out, args):
@@ -77,6 +78,9 @@ def _op_flops(op, out, args):
     if op == "conv2d":
         w = args[1]
         return 2 * out.size * (w.size // w.shape[0])
+    if op == "upsample_concat_conv2d":
+        x, skip = args[:2]
+        return 2 * out.size * (9 * skip.shape[1] + 4 * x.shape[1])
     if op == "matmul":
         return 2 * out.size * args[0].shape[-1]
     if op == "basis_expand":
@@ -229,12 +233,12 @@ def _golden_reports():
 
 GOLDEN_SHA256 = {
     "model.params": "b2b5f3e04ed4671c35fdd5d15b8c18c6da42a93976bacb80a206cbfa0f4b996a",
-    "model.flops.b1": "50ef6f643660e5a7978ed744951bec30b82912704d118fa1a8ca1e8f471b2947",
-    "model.flops.b4": "2c0296848e85ee8e3f2df3c05cb31b2e67136ffe20cb2995fd6cf1ef484a02ed",
-    "model.memory.b1": "86d5b2c8098961de60b457b602f786a55d1d9a7ec524fc262290aee9655b87f4",
-    "model.memory.b4": "63fa3a0978803b2fb20492f2897e2a19fda51ffa2951021755124bfafc8a3ef8",
+    "model.flops.b1": "419cc03294139f2bdb418b7a51dd889d5ffca3184b636117da65af335c8a6756",
+    "model.flops.b4": "f245850f9c7412dd8e3035f3f22bab3012012ec225f02445f37542f4e5218dbb",
+    "model.memory.b1": "3530297b67d5e5490e523c3dfa378c5f50bfd7099a2188b1225940333c56a39d",
+    "model.memory.b4": "9c398b1a18a29e1dd942b3b60cd95d529ebd28db461660d4c895967ad25bc0c6",
     "variants": "94f9c2d72c2c84c661a8d2b7753681ee386cb966fab9744cd52cd4d387d5fbe9",
-    "variants.small": "d02c10807eeb10dca988b2025a78c0af6cfe42c679651ae972828eb83436cf30",
+    "variants.small": "77781251e6a0bdb47c2bcca7bf349b634a6a80d930d43fe0f8ff06d827eda23c",
     "encoder.flops": "b0f356d9a6390bad9165bc68df5ce8b8b93911a411c3cff7295372aa15a840f1",
     "encoder.memory": "747cccc25271de08cc8c8f7da927057ab083adc17d99d31fd59746c9a20dd23b",
     "block.flops": "8b0647a9e3c4b3272ba35283e39a19c5fdee172e6c5cf2ebb82afbb03a3c5362",

@@ -351,6 +351,103 @@ class TestUpsample:
         assert rep.ok
 
 
+def _upsample_concat_conv2d_oracle(x, skip, w, bias):
+    return T.conv2d(T.concat([T.upsample_nearest_2x(x), skip], axis=1), w, bias,
+                    padding=1)
+
+
+def _decoder_inputs(rng, batch, c_up, h, wd, c_skip, c_out):
+    return (Tensor(rng.normal(size=(batch, c_up, h, wd)), requires_grad=True),
+            Tensor(rng.normal(size=(batch, c_skip, 2 * h, 2 * wd)), requires_grad=True),
+            Tensor(rng.normal(size=(c_out, c_up + c_skip, 3, 3)), requires_grad=True),
+            Tensor(rng.normal(size=c_out), requires_grad=True))
+
+
+class TestUpsampleConcatConv2d:
+    # (batch, c_up, h, w, c_skip, c_out): the default decoder's three blocks,
+    # a 1x1 map, non-square maps, batch 3, and the three blocks of perfbench's
+    # TINY config (image_size 16, d_model 8).
+    SHAPES = [(2, 64, 8, 8, 64, 32), (2, 32, 16, 16, 32, 16), (1, 16, 32, 32, 16, 16),
+              (2, 3, 1, 1, 2, 4), (2, 3, 2, 5, 4, 2), (1, 2, 5, 3, 1, 3),
+              (3, 4, 4, 4, 3, 5), (1, 8, 2, 2, 64, 32), (1, 32, 4, 4, 32, 16),
+              (1, 16, 8, 8, 16, 16)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=[
+        "decoder0", "decoder1", "decoder2", "1x1", "2x5", "5x3", "batch3",
+        "tiny0", "tiny1", "tiny2"])
+    def test_matches_composed_oracle(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        args = _decoder_inputs(rng, *shape)
+        g = Tensor(rng.normal(size=(shape[0], shape[5], 2 * shape[2], 2 * shape[3])))
+        results = []
+        for op in (T.upsample_concat_conv2d, _upsample_concat_conv2d_oracle):
+            for t in args:
+                t.zero_grad()
+            out = op(*args)
+            T.backward(T.sum_all(T.mul(out, g)))
+            results.append([out.data] + [t.grad.copy() for t in args])
+        for got, expected in zip(*results):
+            np.testing.assert_allclose(got, expected, rtol=0,
+                                       atol=1e-13 * max(1.0, np.abs(expected).max()))
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(31)
+        args = _decoder_inputs(rng, 2, 3, 3, 2, 2, 4)
+        weights = Tensor(rng.normal(size=(2, 4, 6, 4)))
+        for target in args:
+            rep = T.grad_check(
+                lambda t: T.sum_all(T.mul(T.upsample_concat_conv2d(*args), weights)),
+                target, tol=1e-6)
+            assert rep.ok, (target.shape, rep)
+
+    def test_backward_keeps_neither_the_upsample_nor_the_concat(self):
+        b, c_up, h, wd, c_skip, c_out = 2, 16, 32, 32, 16, 16
+        x, skip, w, bias = _decoder_inputs(np.random.default_rng(32), b, c_up, h, wd,
+                                           c_skip, c_out)
+        out = T.upsample_concat_conv2d(x, skip, w, bias)
+        up, cat = b * c_up * 4 * h * wd, b * (c_up + c_skip) * 4 * h * wd
+        held = [cell.cell_contents for cell in out._backward_fn.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)]
+        assert held
+        assert all(a.size not in (up, cat) for a in held)
+        # Beyond parameter-sized arrays: the padded skip and the padded x, with zero tails.
+        padded = (c_skip * (b * (2 * h + 2) * (2 * wd + 2) + 2 * (2 * wd + 2) + 2)
+                  + c_up * (b * (h + 2) * (wd + 2) + (wd + 2) + 1))
+        assert sum(a.size for a in held if a.size > w.size) == padded
+
+    def test_flops_count_what_each_output_needs(self):
+        x, skip, w, bias = _decoder_inputs(np.random.default_rng(33), 2, 5, 3, 4, 7, 6)
+        out = T.upsample_concat_conv2d(x, skip, w, bias)
+        assert out.flops == 2 * out.size * (9 * 7 + 4 * 5)
+
+    @pytest.mark.parametrize("kernel", [(1, 1), (2, 2), (3, 1), (5, 5)])
+    def test_kernel_other_than_3x3_raises_contract_error(self, kernel):
+        x, skip, _, bias = _decoder_inputs(np.random.default_rng(34), 1, 2, 2, 2, 3, 4)
+        with pytest.raises(ContractError, match="3x3"):
+            T.upsample_concat_conv2d(x, skip, Tensor(np.zeros((4, 5) + kernel)), bias)
+
+    @pytest.mark.parametrize("x_shape, skip_shape, w_shape", [
+        ((1, 2, 2, 2), (2, 3, 4, 4), (4, 5, 3, 3)),
+        ((1, 2, 2, 2), (1, 3, 4, 5), (4, 5, 3, 3)),
+        ((1, 2, 2, 3), (1, 3, 4, 4), (4, 5, 3, 3)),
+        ((1, 2, 2, 2), (1, 3, 4, 4), (4, 6, 3, 3)),
+        ((1, 2, 2, 2), (1, 3, 4, 4), (4, 4, 3, 3)),
+        ((2, 2, 2), (1, 3, 4, 4), (4, 5, 3, 3)),
+    ], ids=["batch", "width", "height", "too_many_channels", "too_few_channels",
+            "rank"])
+    def test_mismatched_operands_raise_dimension_error(self, x_shape, skip_shape, w_shape):
+        args = [Tensor(np.zeros(shape)) for shape in (x_shape, skip_shape, w_shape, (4,))]
+        with pytest.raises(DimensionError):
+            T.upsample_concat_conv2d(*args)
+
+    @pytest.mark.parametrize("operand", [0, 1])
+    def test_nan_input_raises(self, operand):
+        args = list(_decoder_inputs(np.random.default_rng(35), 1, 2, 2, 2, 3, 4))
+        args[operand].data[0, 0, 1, 0] = np.nan
+        with pytest.raises(NumericsError):
+            T.upsample_concat_conv2d(*args)
+
+
 class TestBackward:
     def test_sum_grad_is_ones(self):
         x = Tensor(np.zeros((3, 4)), requires_grad=True)

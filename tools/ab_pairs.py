@@ -8,7 +8,12 @@ default seed and duration, the parent first in even pairs and the change first
 in odd ones. The unused environment variable ``AB_PAD`` gets a new length in
 every pair, since the process layout alone can move perfbench timings by ~25%.
 Prints one TSV row per run with every metric the run reports, then per
-workload the median of each side and their ratio, change / parent.
+workload the median of each side and their ratio, change / parent. Last comes
+one verdict row per workload and end-to-end metric: the pairs the change won,
+in the direction ``better`` gives (ties count for neither side), the parent's
+quartiles and the gap between the medians. It reads ``gain`` when the change
+won at least 9 in 10 pairs and the gap exceeds the parent's interquartile
+range, so that the change's median lies outside it.
 """
 
 import argparse
@@ -35,7 +40,9 @@ def main():
     parser.add_argument("change")
     args = parser.parse_args()
     with open(os.path.join(args.parent, "BENCHMARK.json")) as f:
-        workloads = [w["name"] for w in json.load(f)["workloads"]]
+        spec = json.load(f)
+    workloads = [w["name"] for w in spec["workloads"]]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     names = None
     for workload in workloads:
         rows = {"parent": [], "change": []}
@@ -54,6 +61,26 @@ def main():
             print("\t".join([workload, "median", side, ""] + [f"{v:.6g}" for v in med]))
         ratio = [c / p if p else float("nan") for p, c in zip(*medians.values())]
         print("\t".join([workload, "median", "change/parent", ""] + [f"{r:.4f}" for r in ratio]))
+        print("\t".join(["workload", "verdict", "metric", "better", "wins", "pairs",
+                         "parent_q1", "parent_q3", "gap", "gain"]))
+        for k, name in enumerate(names):
+            if name in better:
+                print("\t".join([workload, "verdict"]
+                                 + verdict(name, better[name], rows, k)), flush=True)
+
+
+def verdict(name, better, rows, k):
+    """Wins, the parent's quartiles, the gap between the medians (the change's
+    better by that much when positive) and ``gain`` or an empty mark."""
+    parent = [r[k] for r in rows["parent"]]
+    change = [r[k] for r in rows["change"]]
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    gap = sign * (statistics.median(parent) - statistics.median(change)) + 0.0  # no -0
+    gain = wins >= 0.9 * len(parent) and gap > q3 - q1
+    return [name, better, str(wins), str(len(parent)), f"{q1:.6g}", f"{q3:.6g}",
+            f"{gap:.6g}", "gain" if gain else ""]
 
 
 if __name__ == "__main__":
