@@ -3,7 +3,9 @@
 Three ways to build a learnable-activation layer on a shared uniform grid:
 
 * ``BSplineKanLayer``: every edge carries its own activation, a silu base
-  term plus a coefficient-weighted B-spline expansion.
+  term plus a coefficient-weighted B-spline expansion. Its order is
+  ``max(grid.K, 1)``, so it carries the grid's G + K basis functions, as in
+  KAN, and the piecewise constants on G + 1 at K = 0.
 * ``ReLUKanLayer``: squared-hinge basis responses integrated by one dense
   kernel of size (G+K, c_in) per output channel.
 * ``EfficientKanLayer``: an ``AffineLayer`` over a fixed activation. Each
@@ -52,8 +54,9 @@ class KanGrid:
         T.check_sizes({"grid G": self.G})
         T.check_sizes({"grid K": self.K}, least=0)
         for name, value in (("range_lo", self.range_lo), ("range_hi", self.range_hi)):
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ContractError(f"grid {name} must be finite, got {value!r}")
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ContractError(f"grid {name} must be a finite number, got {value!r}")
         if not self.range_hi > self.range_lo:
             raise ContractError(f"grid range [{self.range_lo}, {self.range_hi}] is empty")
 
@@ -240,18 +243,19 @@ class AffineLayer:
 class BSplineKanLayer:
     """Edge-function layer: y_q = sum_p [w_b silu(x_p) + w_s sum_i c_i B_i(x_p)].
 
-    Every (output, input) edge owns a base weight, a spline scale and
+    The spline order follows the grid, ``k_spline = max(grid.K, 1)``. Every
+    (output, input) edge owns a base weight, a spline scale and
     ``G + k_spline`` spline coefficients.
     """
 
     def __init__(self, c_in: int, c_out: int, grid: KanGrid | None = None,
-                 k_spline: int = 3, rng: np.random.Generator | None = None):
-        T.check_sizes({"c_in": c_in, "c_out": c_out, "k_spline": k_spline})
+                 rng: np.random.Generator | None = None):
+        T.check_sizes({"c_in": c_in, "c_out": c_out})
         self.c_in = c_in
         self.c_out = c_out
         self.grid = grid or KanGrid()
-        self.k_spline = k_spline
-        self.n_basis = self.grid.G + k_spline
+        self.k_spline = max(self.grid.K, 1)
+        self.n_basis = self.grid.G + self.k_spline
         rng = rng or np.random.default_rng(0)
         bound = 1.0 / np.sqrt(c_in)
         self.w_base = Tensor(_uniform(rng, bound, (c_out, c_in)), requires_grad=True)

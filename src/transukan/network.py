@@ -50,6 +50,8 @@ class ModelConfig:
     decoder_channels: tuple[int, int, int] = (32, 16, 16)
 
     def __post_init__(self):
+        if not isinstance(self.grid, KanGrid):
+            raise ContractError(f"grid must be a KanGrid, got {self.grid!r}")
         sizes = {"in_channels": self.in_channels, "n_classes": self.n_classes,
                  "image_size": self.image_size, "d_model": self.d_model,
                  "depth": self.depth, "n_heads": self.n_heads}
@@ -89,14 +91,16 @@ class ModelConfig:
 
 
 class Conv2dLayer:
+    """``ksize``×``ksize`` conv with bias, padded by ``ksize // 2``: an odd
+    kernel at stride 1 keeps the spatial size, and stride 2 halves an even one."""
+
     def __init__(self, c_in: int, c_out: int, ksize: int, stride: int = 1,
-                 padding: int = 0, rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         T.check_sizes({"c_in": c_in, "c_out": c_out, "ksize": ksize, "stride": stride})
-        T.check_sizes({"padding": padding}, least=0)
         rng = rng or np.random.default_rng(0)
         bound = 1.0 / np.sqrt(c_in * ksize * ksize)
         self.stride = stride
-        self.padding = padding
+        self.padding = ksize // 2
         self.weight = Tensor(rng.uniform(-bound, bound, (c_out, c_in, ksize, ksize)),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
@@ -122,8 +126,8 @@ class CnnEncoderParams:
         self.stages = []
         prev = in_channels
         for ch in channels:
-            conv_a = Conv2dLayer(prev, ch, 3, stride=1, padding=1, rng=rng)
-            conv_b = Conv2dLayer(ch, ch, 3, stride=2, padding=1, rng=rng)
+            conv_a = Conv2dLayer(prev, ch, 3, rng=rng)
+            conv_b = Conv2dLayer(ch, ch, 3, stride=2, rng=rng)
             self.stages.append((conv_a, conv_b))
             prev = ch
 
@@ -187,8 +191,7 @@ class DecoderParams:
         self.blocks = []
         prev = d_model
         for skip_ch, out_ch in zip(reversed(skip_channels), out_channels):
-            self.blocks.append(Conv2dLayer(prev + skip_ch, out_ch, 3, padding=1,
-                                           rng=rng))
+            self.blocks.append(Conv2dLayer(prev + skip_ch, out_ch, 3, rng=rng))
             prev = out_ch
         self.head = Conv2dLayer(prev, n_classes, 1, rng=rng)
 
@@ -225,9 +228,6 @@ class TransUKanModel:
                             ("encoder", self.encoder), ("decoder", self.decoder)):
             out.extend((f"{prefix}.{n}", p) for n, p in sub.parameters())
         return out
-
-    def n_params(self) -> int:
-        return sum(p.size for _, p in self.parameters())
 
     def forward(self, image: Tensor) -> Tensor:
         return forward(image, self)

@@ -3,7 +3,8 @@
 Parameters come from ``parameters()``, one entry per owner (the dotted name
 prefix; ``ROOT`` for none). FLOPs and bytes come from one walk over the tape of
 one forward on a zero input, one entry per ``tensor.scope`` path, which the
-model names after the owners whose parameters it reads. The FLOP conventions
+model names after the owners whose parameters it reads. ``tensor.Tape`` lists
+the nodes in forward order, and the rows keep it. The FLOP conventions
 live next to each op in ``tensor.py`` (1 multiply-accumulate = 2). Memory is
 the op-output buffers the tape owns, by the rule of perfbench's
 ``tape_accounting``: a buffer counts once, at the first op in forward order
@@ -88,21 +89,6 @@ def _input_shape(obj, batch: int) -> tuple[int, ...]:
     return (batch, obj.d if isinstance(obj, LayerNormParams) else obj.c_in)
 
 
-def _ops_in_forward_order(root: Tensor) -> list[Tensor]:
-    """The op outputs below ``root`` in the order the forward made them: first
-    input first (``Tape`` visits the last input first, to suit the backward)."""
-    order, visited, stack = [], set(), [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-        elif node._backward_fn is not None and id(node) not in visited:
-            visited.add(id(node))
-            stack.append((node, True))
-            stack.extend((parent, False) for parent in reversed(node._parents))
-    return order
-
-
 def _buffer(a: np.ndarray) -> np.ndarray:
     while a.base is not None:
         a = a.base
@@ -123,7 +109,7 @@ def _walk(obj, input_shape) -> dict[str, list[int]]:
     out = part(x, obj) if part else obj.forward(x)
     if out._backward_fn is None:
         raise ContractError("profiling walks the recorded graph: call it outside no_grad")
-    nodes = _ops_in_forward_order(out)
+    nodes = [n for n in T.Tape(out).nodes if n._backward_fn is not None]
     counted = {id(_buffer(p.data)) for n in nodes for p in n._parents
                if p._backward_fn is None}
     rows: dict[str, list[int]] = {}
@@ -146,7 +132,9 @@ def count_params(model_or_layer) -> CostReport:
 
 def estimate_flops(model_or_layer, input_shape) -> CostReport:
     """FLOPs per scope of one forward on an input of ``input_shape``."""
-    rows = _walk(_checked(model_or_layer), tuple(input_shape))
+    input_shape = tuple(input_shape)
+    T.check_sizes({f"input_shape[{i}]": n for i, n in enumerate(input_shape)})
+    rows = _walk(_checked(model_or_layer), input_shape)
     return CostReport(type(model_or_layer).__name__,
                       [CostEntry(s or ROOT, flops=f) for s, (_, f, _) in rows.items()])
 
@@ -184,8 +172,7 @@ def _swaps(variant: str, config: ModelConfig,
         ffn = _walk(_MlpFfn(d, 4 * d), shape)[""]
         swaps = {"kan1": {}, "kan2": {"ffn": ffn}}
     else:
-        layer = (ReLUKanLayer(d, d, grid) if variant == "relukan" else
-                 BSplineKanLayer(d, d, grid, k_spline=max(grid.K, 1)))
+        layer = (ReLUKanLayer if variant == "relukan" else BSplineKanLayer)(d, d, grid)
         proj = _walk(layer, shape)[""]
         swaps = {"kan1": {"kan1": proj}, "kan2": {"kan2": proj}}
     return {**swaps, "msa.qkv": {},

@@ -179,8 +179,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tape:
     """Topologically ordered record of the operations below a root tensor.
 
-    Every node's inputs precede it; replaying adjoints over ``reversed(nodes)``
-    visits each recorded node exactly once.
+    ``nodes`` is a depth-first post-order that visits each node's first input
+    first, so it is the order the forward made the nodes in: every node's
+    inputs precede it. ``backward`` replays adjoints over ``reversed(nodes)``,
+    visiting each recorded node exactly once; the profiler's rows and
+    perfbench's tape accounting read ``nodes`` front to back.
     """
 
     def __init__(self, root: Tensor):
@@ -196,7 +199,7 @@ class Tape:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for parent in reversed(node._parents):
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
         self.nodes = order
@@ -481,8 +484,7 @@ def _conv_backward(gfull: np.ndarray, xs: np.ndarray, w: np.ndarray,
     return dx, dw
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation over NCHW input with an OIHW kernel.
 
     Computed on the flat phase grid of :func:`_conv_forward`. The backward
@@ -506,30 +508,24 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     if h_out < 1 or w_out < 1:
         raise DimensionError(f"conv2d kernel {kh}x{kw} larger than padded input "
                              f"{h + 2 * padding}x{wd + 2 * padding}")
-    if bias is not None and bias.shape != (o,):
+    if bias.shape != (o,):
         raise DimensionError(f"conv2d bias must have shape ({o},), got {bias.shape}")
 
     full, xs = _conv_forward(x.data, w.data, stride, padding)
     grid_shape = full.shape
     valid = full[:, :, :h_out, :w_out].transpose(1, 0, 2, 3)
     data = np.empty((b, o, h_out, w_out), dtype=np.float64)
-    if bias is not None:
-        np.add(valid, bias.data[:, None, None], out=data)
-    else:
-        data[...] = valid
-    parents = (x, w) if bias is None else (x, w, bias)
+    np.add(valid, bias.data[:, None, None], out=data)
 
     def backward_fn(g):
         gfull = np.zeros(grid_shape, dtype=np.float64)
         gfull[:, :, :h_out, :w_out] = g.transpose(1, 0, 2, 3)
         dx, dw = _conv_backward(gfull, xs, w.data, x.shape, stride, padding,
                                 x.requires_grad)
-        if bias is None:
-            return (dx, dw)
         return (dx, dw, g.sum(axis=(0, 2, 3)))
 
     # The bias add rides in the multiply-accumulates.
-    return _node(data, "conv2d", parents, backward_fn,
+    return _node(data, "conv2d", (x, w, bias), backward_fn,
                  flops=2 * data.size * ci * kh * kw)
 
 

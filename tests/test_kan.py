@@ -489,9 +489,11 @@ class TestBSplineKanLayer:
         for trial in range(10):
             c_in = int(rng.integers(1, 5))
             c_out = int(rng.integers(1, 5))
-            order = int(rng.integers(1, 5))
-            grid = KanGrid(G=int(rng.integers(2, 7)), K=int(rng.integers(0, 3)))
-            layer = BSplineKanLayer(c_in, c_out, grid, order, rng=rng)
+            # K = 0 and K = 1 are both order 1, so orders 1-4 are all drawn.
+            grid = KanGrid(G=int(rng.integers(2, 7)), K=int(rng.integers(0, 5)))
+            layer = BSplineKanLayer(c_in, c_out, grid, rng=rng)
+            order = max(grid.K, 1)
+            assert layer.k_spline == order
             x = rng.uniform(-1.4, 1.4, size=(3, c_in))
             out = layer.forward(Tensor(x)).data
             expected = np.zeros((3, c_out))
@@ -511,7 +513,7 @@ class TestBSplineKanLayer:
     def test_gradcheck_input_and_params(self):
         rng = np.random.default_rng(43)
         grid = KanGrid()
-        layer = BSplineKanLayer(3, 2, grid, 3, rng=rng)
+        layer = BSplineKanLayer(3, 2, grid, rng=rng)
         x = Tensor(interior_points(grid, rng, 6).reshape(2, 3))
         w = rng.normal(size=(2, 2))
 
@@ -696,7 +698,7 @@ class TestParamCounts:
         assert n_params(ReLUKanLayer(4, 8, grid)) == 8 * 8 * 4 + 8
 
     def test_bspline_closed_form(self):
-        layer = BSplineKanLayer(2, 3, KanGrid(G=5, K=3), k_spline=3)
+        layer = BSplineKanLayer(2, 3, KanGrid(G=5, K=3))
         assert layer.n_basis == 8
         assert n_params(layer) == 2 * 3 * (2 + 8)
 
@@ -743,9 +745,8 @@ class TestLeadingDims:
     (lambda: AffineLayer(3, True), "c_out .*True"),
     (lambda: EfficientKanLayer(4, -1), "c_out .*-1"),
     (lambda: ReLUKanLayer(0, 2), "c_in .*0"),
-    (lambda: BSplineKanLayer(3, 2, k_spline=0), "k_spline .*0"),
 ], ids=["affine_zero", "affine_float", "affine_bool", "efficient_negative",
-        "relu_zero", "bspline_order_zero"])
+        "relu_zero"])
 def test_bad_layer_sizes_raise_contract_error(build, named):
     with pytest.raises(ContractError, match=named):
         build()

@@ -30,7 +30,7 @@ def model():
 class TestModelReports:
     def test_param_count_matches_enumeration(self, model):
         report = P.count_params(model)
-        assert report.total_params == 231_698 == model.n_params()
+        assert report.total_params == 231_698 == sum(p.size for _, p in model.parameters())
         assert len(report.entries) == 44
 
     @pytest.mark.parametrize("batch,flops", [(1, 108_097_536), (4, 432_390_144)],
@@ -166,7 +166,7 @@ class TestVariantComparison:
         report = P.variant_report("bspline_kan", ModelConfig(
             d_model=8, depth=1, n_heads=2, grid=grid))
         kan1 = sum(e.params for e in report.entries if e.name == "block0.kan1")
-        layer = BSplineKanLayer(8, 8, grid, k_spline=1)
+        layer = BSplineKanLayer(8, 8, grid)
         assert kan1 == 384 == sum(p.size for _, p in layer.parameters())
 
     def test_object_walk_agrees_with_variant_table(self):
@@ -195,8 +195,10 @@ def _under_no_grad(fn, *args):
     (lambda m: P.estimate_activation_memory(m, 0), "got 0"),
     (lambda m: P.estimate_activation_memory(m, 1.5), "batch .*1.5"),
     (lambda m: _under_no_grad(P.estimate_flops, AffineLayer(3, 5), (2, 3)), "no_grad"),
+    (lambda m: P.estimate_flops(AffineLayer(3, 5), (-1, 3)), r"input_shape\[0\] .*-1"),
+    (lambda m: P.estimate_flops(AffineLayer(3, 5), (2.5, 3)), r"input_shape\[0\] .*2.5"),
 ], ids=["conv_layer", "cnn_encoder", "unknown_variant", "zero_batch", "float_batch",
-        "no_grad"])
+        "no_grad", "negative_input_dim", "float_input_dim"])
 def test_bad_requests_raise_contract_error(model, call, named):
     with pytest.raises(ContractError, match=named):
         call(model)
@@ -226,7 +228,7 @@ def _golden_reports():
         "msa.flops": lambda: P.estimate_flops(msa, (2, 5, 16)),
         "layers.flops": lambda: [P.estimate_flops(layer, (4, 6, 3)) for layer in (
             AffineLayer(3, 5), EfficientKanLayer(3, 5, grid),
-            ReLUKanLayer(3, 5, grid), BSplineKanLayer(3, 5, grid, k_spline=2),
+            ReLUKanLayer(3, 5, grid), BSplineKanLayer(3, 5, KanGrid(K=2)),
             LayerNormParams(3))],
     }
 

@@ -169,19 +169,20 @@ class TestConv2d:
     def test_all_ones_3x3_padded(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
         w = Tensor(np.ones((1, 1, 3, 3)))
-        out = T.conv2d(x, w, None, padding=1)
+        out = T.conv2d(x, w, Tensor(np.zeros(1)), padding=1)
         assert out.data[0, 0, 1, 1] == 9.0
         assert out.data[0, 0, 0, 0] == 4.0
         assert out.data[0, 0, 0, 2] == 4.0
 
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError):
-            T.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+            T.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))),
+                     Tensor(np.zeros(1)))
 
     def test_output_size_formula(self):
         x = Tensor(np.zeros((1, 2, 11, 9)))
         w = Tensor(np.zeros((3, 2, 3, 3)))
-        out = T.conv2d(x, w, None, stride=2, padding=1)
+        out = T.conv2d(x, w, Tensor(np.zeros(3)), stride=2, padding=1)
         assert out.shape == (1, 3, 6, 5)
 
     def test_matches_naive_convolution(self):
@@ -217,7 +218,7 @@ class TestConv2d:
         x = Tensor(np.zeros((1, 1, 6, 6)))
         w = Tensor(np.zeros((1, 1, 3, 3)))
         with pytest.raises(ContractError, match=f"{name} .*{value}"):
-            T.conv2d(x, w, None, **{name: value})
+            T.conv2d(x, w, Tensor(np.zeros(1)), **{name: value})
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("padding", [0, 1, 2])
@@ -270,7 +271,7 @@ class TestConv2d:
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=shape), requires_grad=True)
         w = Tensor(rng.normal(size=kernel), requires_grad=True)
-        out = T.conv2d(x, w, None, stride=stride, padding=padding)
+        out = T.conv2d(x, w, Tensor(np.zeros(kernel[0])), stride=stride, padding=padding)
         held = [cell.cell_contents for cell in out._backward_fn.__closure__
                 if isinstance(cell.cell_contents, np.ndarray)]
         assert held
@@ -280,8 +281,8 @@ class TestConv2d:
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(1, 2, 5, 5)))
         w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
-        out = T.conv2d(x, w, None, padding=1)
-        dx, dw = out._backward_fn(np.ones(out.shape))
+        out = T.conv2d(x, w, Tensor(np.zeros(3)), padding=1)
+        dx, dw, _ = out._backward_fn(np.ones(out.shape))
         assert dx is None
         assert dw.shape == w.shape
 
@@ -515,6 +516,15 @@ class TestBackward:
             for parent in node._parents:
                 if id(parent) in pos:
                     assert pos[id(parent)] < pos[id(node)]
+
+    def test_tape_lists_ops_in_forward_order(self):
+        # The profiler's rows follow this order: first input first.
+        a = Tensor(np.array([1.0]), requires_grad=True)
+        b = Tensor(np.array([2.0]), requires_grad=True)
+        u, v = T.relu(a), T.relu(b)
+        s = T.add(u, v)
+        ops = [n for n in T.Tape(s).nodes if n._backward_fn is not None]
+        assert [id(n) for n in ops] == [id(u), id(v), id(s)]
 
 
 class TestGradCheckHarness:
