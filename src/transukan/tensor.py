@@ -96,11 +96,13 @@ def _as_array(data) -> np.ndarray:
 class Tensor:
     """n-dimensional float64 array with an optional gradient buffer.
 
-    Gradients accumulate additively across backward passes; ``zero_grad``
-    resets. Tensors produced by operations carry closures so a later
-    ``backward`` can replay adjoints in reverse topological order, and name
-    the ``op`` that made them, its ``flops`` and the ``scope`` it ran in
-    (None, 0 and "" on tensors no op made).
+    Gradients of leaves (tensors no op made) accumulate additively across
+    backward passes; ``zero_grad`` resets. Tensors produced by operations
+    carry closures so a later ``backward`` can replay adjoints in reverse
+    topological order; the closures, and the arrays they hold, live until
+    that backward releases them. Every tensor names the ``op`` that made it,
+    its ``flops`` and the ``scope`` it ran in (None, 0 and "" on tensors no
+    op made).
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
@@ -149,7 +151,13 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
           backward_fn: Callable[[np.ndarray], tuple], flops: int) -> Tensor:
     """Output of ``op``, which cost ``flops``: 1 multiply-accumulate = 2,
-    one elementwise arithmetic op = 1, data movement = 0."""
+    one elementwise arithmetic op = 1, data movement = 0.
+
+    ``backward_fn(g)`` returns one gradient (or None) per parent. It must
+    never write into ``g``: ``backward`` hands an op output's gradient on
+    without a copy, so ``g`` may be a read-only view or share its buffer
+    with another node's gradient.
+    """
     _check_finite(data, op)
     out = Tensor(data)
     out.op, out.flops, out.scope = op, flops, _scope
@@ -206,28 +214,45 @@ class Tape:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` of every tensor the scalar ``loss`` depends on."""
+    """Add to ``grad`` of every leaf tensor the scalar ``loss`` depends on.
+
+    Each op node is released as its adjoint runs: its closure, parents and
+    gradient are dropped, so op outputs keep no ``grad`` after backward and
+    the saved state of the graph is freed while the pass runs. A finished
+    graph cannot be replayed: a backward through any released node raises a
+    ``StateError`` naming its op. Leaves (tensors no op made) keep owned,
+    writable gradients that accumulate across passes until ``zero_grad``.
+    """
+    if not isinstance(loss, Tensor):
+        raise ContractError(f"backward needs a Tensor loss, got {type(loss).__name__}")
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss._backward_ran:
-        raise StateError("backward already ran for this graph; rebuild the "
-                         "forward pass to run it again")
+    tape = Tape(loss)
+    for node in tape.nodes:
+        if node._backward_ran:
+            where = f" [{node.scope}]" if node.scope else ""
+            raise StateError(f"backward already ran through {node.op}{where}; "
+                             f"rebuild the forward pass to run it again")
     if loss._backward_fn is None:
         raise StateError("loss records no operations (empty tape)")
-    tape = Tape(loss)
     loss.grad = np.ones_like(loss.data)
     for node in reversed(tape.nodes):
-        fn = node._backward_fn
-        if fn is None or node.grad is None:
+        fn, parents, grad = node._backward_fn, node._parents, node.grad
+        if fn is None:
             continue
-        for parent, pgrad in zip(node._parents, fn(node.grad)):
+        node._backward_fn, node._parents, node.grad = None, (), None
+        node._backward_ran = True
+        if grad is None:
+            continue
+        for parent, pgrad in zip(parents, fn(grad)):
             if pgrad is None or not parent.requires_grad:
                 continue
-            if parent.grad is None:
+            if parent._backward_fn is not None:  # op output: never written in place
+                parent.grad = pgrad if parent.grad is None else parent.grad + pgrad
+            elif parent.grad is None:
                 parent.grad = np.array(pgrad, dtype=np.float64, copy=True)
             else:
                 parent.grad += pgrad
-    loss._backward_ran = True
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +533,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     if h_out < 1 or w_out < 1:
         raise DimensionError(f"conv2d kernel {kh}x{kw} larger than padded input "
                              f"{h + 2 * padding}x{wd + 2 * padding}")
-    if bias.shape != (o,):
-        raise DimensionError(f"conv2d bias must have shape ({o},), got {bias.shape}")
+    if not isinstance(bias, Tensor) or bias.shape != (o,):
+        raise DimensionError(f"conv2d bias must have shape ({o},), "
+                             f"got {getattr(bias, 'shape', bias)}")
 
     full, xs = _conv_forward(x.data, w.data, stride, padding)
     grid_shape = full.shape
@@ -570,9 +596,9 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> 
     if w.shape[1] != c_up + c_s:
         raise DimensionError(f"upsample_concat_conv2d kernel expects {w.shape[1]} input "
                              f"channels, x and skip have {c_up} + {c_s}")
-    if bias.shape != (o,):
+    if not isinstance(bias, Tensor) or bias.shape != (o,):
         raise DimensionError(f"upsample_concat_conv2d bias must have shape ({o},), "
-                             f"got {bias.shape}")
+                             f"got {getattr(bias, 'shape', bias)}")
 
     w_skip = w.data[:, c_up:]
     folded = w.data.reshape(o, c_up + c_s, 9)[:, :c_up] @ _FOLD.T  # (o, c_up, 16)

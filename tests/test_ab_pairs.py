@@ -39,3 +39,19 @@ def test_higher_is_better_counts_the_other_way():
     row = _verdict([v + 20.0 for v in PARENT], better="higher")
     assert row[2] == "10" and row[-1] == "gain"
     assert _verdict([v + 20.0 for v in PARENT])[2] == "0"
+
+
+def test_each_run_reports_the_minor_page_faults_of_its_process(tmp_path):
+    # A stand-in benchmark that writes to each page of 8 MiB it allocates.
+    script = tmp_path / "perfbench" / "run.py"
+    script.parent.mkdir()
+    script.write_text(
+        "import json\n"
+        "buf = bytearray(8 << 20)\n"
+        "for i in range(0, len(buf), 4096):\n"
+        "    buf[i] = 1\n"
+        "print(json.dumps({'metrics': {'step_ms_p50': {'value': 1.5, 'unit': 'ms'}}}))\n")
+    row = ab_pairs.run(str(tmp_path), "train-64-b4", 0)
+    assert list(row) == ["step_ms_p50", "minflt"]
+    assert row["step_ms_p50"] == 1.5
+    assert row["minflt"] >= (8 << 20) // 4096

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import inspect
 import re
 from pathlib import Path
@@ -525,6 +526,36 @@ class TestBackward:
         s = T.add(u, v)
         ops = [n for n in T.Tape(s).nodes if n._backward_fn is not None]
         assert [id(n) for n in ops] == [id(u), id(v), id(s)]
+
+    @pytest.mark.parametrize("name", ["", "block0"])
+    def test_backward_through_a_released_node_rejected(self, name):
+        # A second loss on a finished graph's output would have reused z's
+        # stale gradient (w.grad 15 where 9 is right); it must raise instead.
+        x = Tensor(np.array([[3.0]]), requires_grad=True)
+        w = Tensor(np.array([[2.0]]), requires_grad=True)
+        with T.scope(name) if name else contextlib.nullcontext():
+            z = T.relu(T.matmul(x, w))
+        T.backward(T.sum_all(z))
+        with pytest.raises(StateError) as exc:
+            T.backward(T.sum_all(T.scale(z, 2.0)))
+        message = str(exc.value)
+        assert "relu" in message
+        assert ("[block0]" in message) == bool(name) and "[]" not in message
+        np.testing.assert_array_equal(w.grad, [[3.0]])  # the first pass only
+
+
+@pytest.mark.parametrize("call, error, named", [
+    (lambda: T.backward(3.0), ContractError, "Tensor loss"),
+    (lambda: T.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 2, 3, 3))),
+                      None), DimensionError, "bias"),
+    (lambda: T.upsample_concat_conv2d(Tensor(np.ones((1, 2, 2, 2))),
+                                      Tensor(np.ones((1, 1, 4, 4))),
+                                      Tensor(np.ones((3, 3, 3, 3))), None),
+     DimensionError, "bias"),
+], ids=["backward_of_float", "conv2d_no_bias", "upsample_concat_conv2d_no_bias"])
+def test_public_entry_points_raise_typed_errors(call, error, named):
+    with pytest.raises(error, match=named):
+        call()
 
 
 class TestGradCheckHarness:

@@ -7,8 +7,12 @@ pair runs ``perfbench/run.py --workload W`` once in each tree, at perfbench's
 default seed and duration, the parent first in even pairs and the change first
 in odd ones. The unused environment variable ``AB_PAD`` gets a new length in
 every pair, since the process layout alone can move perfbench timings by ~25%.
-Prints one TSV row per run with every metric the run reports, then per
-workload the median of each side and their ratio, change / parent. Last comes
+Prints one TSV row per run with every metric the run reports, plus
+``minflt``: the minor page faults of the run's process, from
+``getrusage(RUSAGE_CHILDREN)``, which show when a change moves how the
+allocator hands memory back to the system and takes it again. Then come per
+workload the median of each side and their ratio, change / parent, for every
+column, ``minflt`` included; it gets no verdict row. Last comes
 one verdict row per workload and end-to-end metric: the pairs the change won,
 in the direction ``better`` gives (ties count for neither side), the parent's
 quartiles and the gap between the medians. It reads ``gain`` when the change
@@ -19,6 +23,7 @@ range, so that the change's median lies outside it.
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -28,10 +33,12 @@ PAIRS = 10  # the fewest alternating pairs a claimed gain is judged on
 
 def run(tree, workload, pad):
     env = dict(os.environ, AB_PAD="x" * pad)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload],
                          cwd=tree, env=env, capture_output=True, text=True, check=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     metrics = json.loads(out.stdout.strip().splitlines()[-1])["metrics"]
-    return {name: m["value"] for name, m in metrics.items()}
+    return {**{name: m["value"] for name, m in metrics.items()}, "minflt": faults}
 
 
 def main():
