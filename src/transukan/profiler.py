@@ -9,8 +9,8 @@ live next to each op in ``tensor.py`` (1 multiply-accumulate = 2). Memory is
 the op-output buffers the tape owns, by the rule of perfbench's
 ``tape_accounting``: a buffer counts once, at the first op in forward order
 that outputs it; views of it or of a parameter count zero. Other arrays a
-backward closure keeps, such as the phase-split padded input of conv2d, are
-not counted: perfbench measures them in ``tensor.retained_mb``. The variant
+backward closure keeps, such as relu's mask or layer_norm's normalized input,
+are not counted: perfbench measures them in ``tensor.retained_mb``. The variant
 comparison measures ``TransUKanModel(config).encoder`` and swaps its KAN scopes
 for real layers.
 """

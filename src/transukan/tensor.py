@@ -8,10 +8,36 @@ and the error names the ``scope`` path of the layer it ran in.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+# Allocator policy. A training step frees tens of MB of activations and
+# scratch. By default glibc returns the top of its heap to the system once
+# more than its trim threshold lies free there, and that threshold follows
+# twice the largest freed mmapped block (~16 MiB for the 8 MiB im2col chunks),
+# so the next step faults the same memory in again: thousands of minor faults
+# per step. Pinning both thresholds at the ceilings of glibc's own dynamic
+# rule on 64-bit (mmap 32 MiB, trim 64 MiB) keeps a step's freed heap mapped
+# for the next one. The cost is resident memory: up to 64 MiB of freed heap
+# stays mapped, and blocks below 32 MiB come from the heap, not from mappings
+# of their own. Where mallopt is missing (not glibc), nothing changes.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # the codes of glibc's <malloc.h>
+
+
+def _keep_freed_heap() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_keep_freed_heap()
 
 
 class TensorError(Exception):
@@ -153,10 +179,10 @@ def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
     """Output of ``op``, which cost ``flops``: 1 multiply-accumulate = 2,
     one elementwise arithmetic op = 1, data movement = 0.
 
-    ``backward_fn(g)`` returns one gradient (or None) per parent. It must
-    never write into ``g``: ``backward`` hands an op output's gradient on
-    without a copy, so ``g`` may be a read-only view or share its buffer
-    with another node's gradient.
+    ``backward_fn(g)`` returns one gradient (or None) per parent. ``g`` is
+    an ndarray, 0-d for a scalar output. It must never write into ``g``:
+    ``backward`` hands an op output's gradient on without a copy, so ``g``
+    may be a read-only view or share its buffer with another node's gradient.
     """
     _check_finite(data, op)
     out = Tensor(data)
@@ -248,7 +274,9 @@ def backward(loss: Tensor) -> None:
             if pgrad is None or not parent.requires_grad:
                 continue
             if parent._backward_fn is not None:  # op output: never written in place
-                parent.grad = pgrad if parent.grad is None else parent.grad + pgrad
+                # asarray: an adjoint on a 0-d gradient may return a numpy scalar.
+                parent.grad = np.asarray(pgrad if parent.grad is None
+                                         else parent.grad + pgrad)
             elif parent.grad is None:
                 parent.grad = np.array(pgrad, dtype=np.float64, copy=True)
             else:
@@ -443,66 +471,98 @@ def _taps(kh: int, kw: int, s: int, wq: int):
             for i in range(kh) for j in range(kw)]
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray, s: int, padding: int):
-    """Cross-correlation of x (b, c, h, w) with w (o, c, kh, kw) on the flat
-    phase grid: returns ``(full, xs)``.
+def _phase_split(x: np.ndarray, kh: int, kw: int, s: int, padding: int):
+    """The zero-padded x (b, c, h, w) on the flat phase grid of a kh x kw
+    kernel at stride s: returns ``(xs, hq, wq)``.
 
-    The zero-padded input is stored once per stride phase (r, q) as rows of
+    The padded input is stored once per stride phase (r, q) as rows of
     ``xs[r, q]`` (channels x flat b·hq·wq cells, plus a zero tail), so kernel
     tap (i, j) reads one contiguous column slice of phase (i mod s, j mod s)
     at offset (i div s)·wq + j div s. Cell m of that flat layout is output
-    pixel (n, y, x) for m = n·hq·wq + y·wq + x. ``full`` has shape
-    (o, b, hq, wq); its cells with y >= h_out or x >= w_out read wrapped
-    pixels and are to be dropped.
+    pixel (n, y, x) for m = n·hq·wq + y·wq + x.
     """
     b, c, h, wd = x.shape
-    o, _, kh, kw = w.shape
     hq = -(-(h + 2 * padding) // s)
     wq = -(-(wd + 2 * padding) // s)
     n = b * hq * wq
     tail = (kh - 1) // s * wq + (kw - 1) // s
-
     xs = np.zeros((s, s, c, n + tail), dtype=np.float64)
     grid = xs[..., :n].reshape(s, s, c, b, hq, wq)
     xt = x.transpose(1, 0, 2, 3)
     for r, q, (gy, gx), (sy, sx) in _phase_slices(h, wd, s, padding):
         grid[r, q, :, :, gy, gx] = xt[:, :, sy, sx]
+    return xs, hq, wq
 
+
+def _chunk_columns(n: int, k: int) -> int:
+    """Width of the equal column chunks that split n columns of k rows each
+    into pieces of at most ``_IM2COL_BUDGET`` elements: no wider than needed."""
+    chunks = -(-n // max(1, _IM2COL_BUDGET // k))
+    return -(-n // chunks)
+
+
+def _conv_forward(x: np.ndarray, w: np.ndarray, s: int, padding: int) -> np.ndarray:
+    """Cross-correlation of x (b, c, h, w) with w (o, c, kh, kw) on the flat
+    phase grid of :func:`_phase_split`, im2col chunk by chunk.
+
+    Returns ``full`` of shape (o, b, hq, wq); its cells with y >= h_out or
+    x >= w_out read wrapped pixels and are to be dropped. The phase-split
+    input dies with the call.
+    """
+    b, c = x.shape[:2]
+    o, _, kh, kw = w.shape
+    xs, hq, wq = _phase_split(x, kh, kw, s, padding)
+    n = b * hq * wq
     k = c * kh * kw
     w2 = w.reshape(o, k)
     full = np.empty((o, n), dtype=np.float64)
-    chunks = -(-n // max(1, _IM2COL_BUDGET // k))
-    step = -(-n // chunks)  # equal chunks: the scratch is no wider than needed
+    step = _chunk_columns(n, k)
     cols = np.empty((c, kh, kw, step), dtype=np.float64)
     for m0 in range(0, n, step):
         m = min(step, n - m0)
         for i, j, r, q, off in _taps(kh, kw, s, wq):
             cols[:, i, j, :m] = xs[r, q, :, off + m0:off + m0 + m]
         np.matmul(w2, cols.reshape(k, -1)[:, :m], out=full[:, m0:m0 + m])
-    return full.reshape(o, b, hq, wq), xs
+    return full.reshape(o, b, hq, wq)
 
 
-def _conv_backward(gfull: np.ndarray, xs: np.ndarray, w: np.ndarray,
-                   x_shape: tuple[int, ...], s: int, padding: int, need_dx: bool):
+def _conv_backward(gfull: np.ndarray, x: np.ndarray, w: np.ndarray, s: int,
+                   padding: int, need_dx: bool):
     """Adjoint of :func:`_conv_forward`: ``(dx or None, dw)`` from the gradient
     on the flat phase grid, ``gfull`` (o, b, hq, wq), zero in the dropped
-    cells. Works tap by tap, with no im2col buffer."""
+    cells.
+
+    Rebuilds the phase-split input from x rather than keeping it from the
+    forward, and forms dw from it tap by tap. For dx it then zero-fills that
+    same buffer and accumulates the input's gradient in it, each tap's
+    ``w_tᵀ·g`` product going through a (c, chunk) scratch as wide as the
+    forward's im2col chunk. Its scratch is therefore one phase-split input
+    plus that chunk.
+    """
     o, b, hq, wq = gfull.shape
-    _, c, h, wd = x_shape
+    c, kh, kw = w.shape[1:]
     n = b * hq * wq
     gfull = gfull.reshape(o, n)
+    taps = _taps(kh, kw, s, wq)
+    xs = _phase_split(x, kh, kw, s, padding)[0]
     dw = np.empty(w.shape, dtype=np.float64)
-    dxs = np.zeros_like(xs) if need_dx else None
-    dtap = np.empty((c, n), dtype=np.float64)
-    for i, j, r, q, off in _taps(*w.shape[2:], s, wq):
+    for i, j, r, q, off in taps:
         dw[:, :, i, j] = gfull @ xs[r, q, :, off:off + n].T
-        if dxs is not None:
-            np.matmul(w[:, :, i, j].T, gfull, out=dtap)
-            dxs[r, q, :, off:off + n] += dtap
-    if dxs is None:
+    if not need_dx:
         return None, dw
+    dxs = xs
+    dxs.fill(0.0)
+    step = _chunk_columns(n, c * kh * kw)
+    scratch = np.empty(c * step, dtype=np.float64)
+    for m0 in range(0, n, step):
+        m = min(step, n - m0)
+        dtap = scratch[:c * m].reshape(c, m)
+        for i, j, r, q, off in taps:
+            np.matmul(w[:, :, i, j].T, gfull[:, m0:m0 + m], out=dtap)
+            dxs[r, q, :, off + m0:off + m0 + m] += dtap
+    _, _, h, wd = x.shape
     dgrid = dxs[..., :n].reshape(s, s, c, b, hq, wq)
-    dx = np.empty(x_shape, dtype=np.float64)
+    dx = np.empty(x.shape, dtype=np.float64)
     dxt = dx.transpose(1, 0, 2, 3)
     for r, q, (gy, gx), (sy, sx) in _phase_slices(h, wd, s, padding):
         dxt[:, :, sy, sx] = dgrid[r, q, :, :, gy, gx]
@@ -513,7 +573,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     """2-D cross-correlation over NCHW input with an OIHW kernel.
 
     Computed on the flat phase grid of :func:`_conv_forward`. The backward
-    keeps only the phase-split padded input ``xs``.
+    keeps no array of its own: it rebuilds the padded input from ``x.data``
+    (see :func:`_conv_backward`).
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d needs 4-d input and kernel, got {x.shape}, {w.shape}")
@@ -537,7 +598,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         raise DimensionError(f"conv2d bias must have shape ({o},), "
                              f"got {getattr(bias, 'shape', bias)}")
 
-    full, xs = _conv_forward(x.data, w.data, stride, padding)
+    full = _conv_forward(x.data, w.data, stride, padding)
     grid_shape = full.shape
     valid = full[:, :, :h_out, :w_out].transpose(1, 0, 2, 3)
     data = np.empty((b, o, h_out, w_out), dtype=np.float64)
@@ -546,7 +607,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     def backward_fn(g):
         gfull = np.zeros(grid_shape, dtype=np.float64)
         gfull[:, :, :h_out, :w_out] = g.transpose(1, 0, 2, 3)
-        dx, dw = _conv_backward(gfull, xs, w.data, x.shape, stride, padding,
+        dx, dw = _conv_backward(gfull, x.data, w.data, stride, padding,
                                 x.requires_grad)
         return (dx, dw, g.sum(axis=(0, 2, 3)))
 
@@ -577,8 +638,9 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> 
     phase 1 reads (y, y+1) with (w0 + w1, w2); both axes together are one GEMM
     with the constant 16x9 ``_FOLD``. Group (a, b) of the folded output at cell
     (y + a, x + b) is output pixel (2y + a, 2x + b). The bias is added once.
-    The backward keeps only the two padded inputs and the folded kernel, and
-    maps the folded kernel's gradient back to ``w[:, :c_up]`` by ``_FOLD``.
+    The backward keeps only the folded kernel: it rebuilds each padded input
+    from ``skip.data`` and ``x.data`` in turn, and maps the folded kernel's
+    gradient back to ``w[:, :c_up]`` by ``_FOLD``.
     FLOPs are the multiply-accumulates each output pixel needs: 9 per skip
     channel and 4 per x channel.
     """
@@ -605,12 +667,12 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> 
     folded = folded.reshape(o, c_up, 2, 2, 2, 2).transpose(2, 3, 0, 1, 4, 5)
     folded = folded.reshape(4 * o, c_up, 2, 2)
 
-    full, xs_skip = _conv_forward(skip.data, w_skip, 1, 1)
+    full = _conv_forward(skip.data, w_skip, 1, 1)
     data = np.empty((b, o, 2 * h, 2 * wd), dtype=np.float64)  # after the conv's scratch
     np.add(full[:, :, :2 * h, :2 * wd].transpose(1, 0, 2, 3), bias.data[:, None, None],
            out=data)
     del full
-    full, xs_up = _conv_forward(x.data, folded, 1, 1)
+    full = _conv_forward(x.data, folded, 1, 1)
     phases = full.reshape(2, 2, o, b, h + 2, wd + 2)
     for r in range(2):
         for q in range(2):
@@ -622,14 +684,14 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> 
         gt = g.transpose(1, 0, 2, 3)
         gfull = np.zeros((o, b, 2 * h + 2, 2 * wd + 2), dtype=np.float64)
         gfull[:, :, :2 * h, :2 * wd] = gt
-        dskip, dw_skip = _conv_backward(gfull, xs_skip, w_skip, skip.shape, 1, 1,
+        dskip, dw_skip = _conv_backward(gfull, skip.data, w_skip, 1, 1,
                                         skip.requires_grad)
         gfull = np.zeros((2, 2, o, b, h + 2, wd + 2), dtype=np.float64)
         for r in range(2):
             for q in range(2):
                 gfull[r, q, :, :, r:r + h, q:q + wd] = gt[:, :, r::2, q::2]
-        dx, dfolded = _conv_backward(gfull.reshape(4 * o, b, h + 2, wd + 2), xs_up,
-                                     folded, x.shape, 1, 1, x.requires_grad)
+        dx, dfolded = _conv_backward(gfull.reshape(4 * o, b, h + 2, wd + 2), x.data,
+                                     folded, 1, 1, x.requires_grad)
         dw = np.empty(w.shape, dtype=np.float64)
         dw[:, c_up:] = dw_skip
         dfolded = dfolded.reshape(2, 2, o, c_up, 2, 2).transpose(2, 3, 0, 1, 4, 5)

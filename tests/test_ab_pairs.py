@@ -1,6 +1,8 @@
 """The verdict rule of ``tools/ab_pairs.py``, on made-up runs."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,17 +43,48 @@ def test_higher_is_better_counts_the_other_way():
     assert _verdict([v + 20.0 for v in PARENT])[2] == "0"
 
 
+def _stand_in(tree, body="", attempted=4):
+    """A stand-in ``perfbench/run.py`` in ``tree`` that runs ``body``, then
+    prints a result line of one metric and ``attempted`` operations."""
+    script = tree / "perfbench" / "run.py"
+    script.parent.mkdir(parents=True)
+    script.write_text(
+        "import json\n" + body
+        + "print(json.dumps({'attempted': %d, 'metrics': "
+          "{'step_ms_p50': {'value': 1.5, 'unit': 'ms'}}}))\n" % attempted)
+
+
 def test_each_run_reports_the_minor_page_faults_of_its_process(tmp_path):
     # A stand-in benchmark that writes to each page of 8 MiB it allocates.
-    script = tmp_path / "perfbench" / "run.py"
-    script.parent.mkdir()
-    script.write_text(
-        "import json\n"
-        "buf = bytearray(8 << 20)\n"
-        "for i in range(0, len(buf), 4096):\n"
-        "    buf[i] = 1\n"
-        "print(json.dumps({'metrics': {'step_ms_p50': {'value': 1.5, 'unit': 'ms'}}}))\n")
+    _stand_in(tmp_path, "buf = bytearray(8 << 20)\n"
+                        "for i in range(0, len(buf), 4096):\n"
+                        "    buf[i] = 1\n")
     row = ab_pairs.run(str(tmp_path), "train-64-b4", 0)
-    assert list(row) == ["step_ms_p50", "minflt"]
+    assert list(row) == ["step_ms_p50", "minflt", "minflt_per_op"]
     assert row["step_ms_p50"] == 1.5
     assert row["minflt"] >= (8 << 20) // 4096
+    assert row["minflt_per_op"] == row["minflt"] / 4
+
+
+def test_fault_columns_show_in_rows_and_medians_with_no_verdict(tmp_path, monkeypatch,
+                                                                capsys):
+    for side, attempted in (("parent", 4), ("change", 8)):
+        _stand_in(tmp_path / side, attempted=attempted)
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "step_ms_p50", "better": "lower"}]}))
+    monkeypatch.setattr(ab_pairs, "PAIRS", 2)
+    monkeypatch.setattr(sys, "argv", ["ab_pairs.py", str(tmp_path / "parent"),
+                                      str(tmp_path / "change")])
+    ab_pairs.main()
+    lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert lines[0][-2:] == ["minflt", "minflt_per_op"]
+    runs = [r for r in lines[1:] if r[1] in ("0", "1")]
+    assert len(runs) == 4 and all(len(r) == len(lines[0]) for r in runs)
+    for r in runs:
+        assert float(r[-1]) == float(r[-2]) / (4 if r[2] == "parent" else 8)
+    medians = [r for r in lines if r[1] == "median"]
+    assert [r[2] for r in medians] == ["parent", "change", "change/parent"]
+    assert all(len(r) == len(lines[0]) for r in medians)
+    verdicts = [r[2] for r in lines if r[:2] == ["w", "verdict"]]
+    assert verdicts == ["step_ms_p50"]

@@ -10,9 +10,12 @@ every pair, since the process layout alone can move perfbench timings by ~25%.
 Prints one TSV row per run with every metric the run reports, plus
 ``minflt``: the minor page faults of the run's process, from
 ``getrusage(RUSAGE_CHILDREN)``, which show when a change moves how the
-allocator hands memory back to the system and takes it again. Then come per
-workload the median of each side and their ratio, change / parent, for every
-column, ``minflt`` included; it gets no verdict row. Last comes
+allocator hands memory back to the system and takes it again, and
+``minflt_per_op``: ``minflt`` divided by the ``attempted`` count of the run's
+result line. Runs of equal length attempt different numbers of operations, so
+only the second compares across runs. Then come per workload the median of
+each side and their ratio, change / parent, for every column, the two fault
+columns included; they get no verdict row. Last comes
 one verdict row per workload and end-to-end metric: the pairs the change won,
 in the direction ``better`` gives (ties count for neither side), the parent's
 quartiles and the gap between the medians. It reads ``gain`` when the change
@@ -37,8 +40,11 @@ def run(tree, workload, pad):
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload],
                          cwd=tree, env=env, capture_output=True, text=True, check=True)
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
-    metrics = json.loads(out.stdout.strip().splitlines()[-1])["metrics"]
-    return {**{name: m["value"] for name, m in metrics.items()}, "minflt": faults}
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    attempted = result["attempted"]
+    return {**{name: m["value"] for name, m in result["metrics"].items()},
+            "minflt": faults,
+            "minflt_per_op": faults / attempted if attempted else float("nan")}
 
 
 def main():
