@@ -21,7 +21,8 @@ The ReLU-KAN and B-spline layers expand their input with one
 (``relukan_basis``, ``bspline_basis``) and its backward recomputes the basis
 slopes from x, so each basis is written once and only x is kept. The pooled
 ReLU-KAN expansion, ``mean_last_axis(relukan_basis_expand(x, grid))``, is the
-oracle that the EfficientKAN quartic is checked against.
+oracle that the EfficientKAN quartic is checked against. Layers built without a
+``grid`` share the frozen default ``KanGrid()`` and its cached ``pooled_bell_table``.
 """
 
 from __future__ import annotations
@@ -215,6 +216,11 @@ def _uniform(rng: np.random.Generator, bound: float, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
+def named_parameters(parts) -> list[tuple[str, Tensor]]:
+    """Each ``(name, part)``'s parameters, in order, with names prefixed by ``name.``."""
+    return [(f"{name}.{n}", p) for name, part in parts for n, p in part.parameters()]
+
+
 def _check_last_dim(x: Tensor, c_in: int, name: str) -> None:
     if x.ndim < 1 or x.shape[-1] != c_in:
         raise DimensionError(f"{name} expects last dim {c_in}, got input shape {x.shape}")
@@ -248,12 +254,12 @@ class BSplineKanLayer:
     ``G + k_spline`` spline coefficients.
     """
 
-    def __init__(self, c_in: int, c_out: int, grid: KanGrid | None = None,
+    def __init__(self, c_in: int, c_out: int, grid: KanGrid = KanGrid(),
                  rng: np.random.Generator | None = None):
         T.check_sizes({"c_in": c_in, "c_out": c_out})
         self.c_in = c_in
         self.c_out = c_out
-        self.grid = grid or KanGrid()
+        self.grid = grid
         self.k_spline = max(self.grid.K, 1)
         self.n_basis = self.grid.G + self.k_spline
         rng = rng or np.random.default_rng(0)
@@ -286,12 +292,12 @@ class ReLUKanLayer:
     one flattened matmul: y_o = sum_{i,p} W[o,i,p] R_i(x_p) + bias_o.
     """
 
-    def __init__(self, c_in: int, c_out: int, grid: KanGrid | None = None,
+    def __init__(self, c_in: int, c_out: int, grid: KanGrid = KanGrid(),
                  rng: np.random.Generator | None = None):
         T.check_sizes({"c_in": c_in, "c_out": c_out})
         self.c_in = c_in
         self.c_out = c_out
-        self.grid = grid or KanGrid()
+        self.grid = grid
         rng = rng or np.random.default_rng(0)
         nb = self.grid.n_basis
         self.kernel = Tensor(_uniform(rng, 1.0 / np.sqrt(c_in * nb), (c_out, nb, c_in)),
@@ -323,10 +329,10 @@ class EfficientKanLayer(AffineLayer):
     grid that read the same input can share its output.
     """
 
-    def __init__(self, c_in: int, c_out: int, grid: KanGrid | None = None,
+    def __init__(self, c_in: int, c_out: int, grid: KanGrid = KanGrid(),
                  rng: np.random.Generator | None = None):
         super().__init__(c_in, c_out, rng=rng)
-        self.grid = grid or KanGrid()
+        self.grid = grid
 
     def activate(self, x: Tensor) -> Tensor:
         """q = (mean_i R_i(x))^2, elementwise; the expanded basis is never kept."""

@@ -4,7 +4,7 @@ The block applies, in order: layer norm, an EfficientKAN map, multi-head
 self-attention whose Q/K/V projections are themselves single EfficientKAN
 layers (sharing one activation of their input), a residual add, then a
 second norm + EfficientKAN + residual. The attention output projection stays
-affine.
+affine. The KAN layers of a block or stack share its ``grid``, ``KanGrid()`` by default.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from transukan import tensor as T
 from transukan.tensor import ContractError, DimensionError, Tensor
-from transukan.kan import AffineLayer, EfficientKanLayer, KanGrid
+from transukan.kan import AffineLayer, EfficientKanLayer, KanGrid, named_parameters
 
 
 class LayerNormParams:
@@ -33,7 +33,7 @@ class LayerNormParams:
 class MsaKanParams:
     """Multi-head self-attention with EfficientKAN Q/K/V projections."""
 
-    def __init__(self, d_model: int, n_heads: int, grid: KanGrid | None = None,
+    def __init__(self, d_model: int, n_heads: int, grid: KanGrid = KanGrid(),
                  rng: np.random.Generator | None = None):
         T.check_sizes({"d_model": d_model, "n_heads": n_heads})
         if d_model % n_heads != 0:
@@ -42,18 +42,14 @@ class MsaKanParams:
         self.n_heads = n_heads
         self.head_dim = d_model // n_heads
         rng = rng or np.random.default_rng(0)
-        grid = grid or KanGrid()
         self.q_proj = EfficientKanLayer(d_model, d_model, grid, rng=rng)
         self.k_proj = EfficientKanLayer(d_model, d_model, grid, rng=rng)
         self.v_proj = EfficientKanLayer(d_model, d_model, grid, rng=rng)
         self.out_proj = AffineLayer(d_model, d_model, rng=rng)
 
     def parameters(self):
-        out = []
-        for prefix, sub in (("q_proj", self.q_proj), ("k_proj", self.k_proj),
-                            ("v_proj", self.v_proj), ("out_proj", self.out_proj)):
-            out.extend((f"{prefix}.{n}", p) for n, p in sub.parameters())
-        return out
+        return named_parameters((("q_proj", self.q_proj), ("k_proj", self.k_proj),
+                                 ("v_proj", self.v_proj), ("out_proj", self.out_proj)))
 
 
 def _split_heads(x: Tensor, n_heads: int, head_dim: int) -> Tensor:
@@ -81,7 +77,7 @@ def msa_kan(x: Tensor, p: MsaKanParams) -> Tensor:
     q, k, v = heads
     scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
                      1.0 / np.sqrt(p.head_dim))
-    attn = T.softmax(scores, axis=-1)
+    attn = T.softmax(scores)
     ctx = T.matmul(attn, v)
     merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
     with T.scope("out_proj"):
@@ -92,10 +88,9 @@ class KansformerBlockParams:
     """One encoder block: LN -> EfficientKAN -> MSA -> +residual, then
     LN -> EfficientKAN -> +residual."""
 
-    def __init__(self, d_model: int, n_heads: int, grid: KanGrid | None = None,
+    def __init__(self, d_model: int, n_heads: int, grid: KanGrid = KanGrid(),
                  rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
-        grid = grid or KanGrid()
         self.d_model = d_model
         self.ln1 = LayerNormParams(d_model)
         self.ln2 = LayerNormParams(d_model)
@@ -104,12 +99,8 @@ class KansformerBlockParams:
         self.msa = MsaKanParams(d_model, n_heads, grid, rng=rng)
 
     def parameters(self):
-        out = []
-        for prefix, sub in (("ln1", self.ln1), ("ln2", self.ln2),
-                            ("kan1", self.kan1), ("kan2", self.kan2),
-                            ("msa", self.msa)):
-            out.extend((f"{prefix}.{n}", p) for n, p in sub.parameters())
-        return out
+        return named_parameters((("ln1", self.ln1), ("ln2", self.ln2), ("kan1", self.kan1),
+                                 ("kan2", self.kan2), ("msa", self.msa)))
 
 
 def kansformer_block(z_prev: Tensor, p: KansformerBlockParams) -> Tensor:
@@ -134,13 +125,11 @@ class EncoderStack:
     """Learned positional embedding followed by ``depth`` Kansformer blocks."""
 
     def __init__(self, d_model: int, depth: int, n_heads: int, n_tokens: int,
-                 grid: KanGrid | None = None, rng: np.random.Generator | None = None):
+                 grid: KanGrid = KanGrid(), rng: np.random.Generator | None = None):
         T.check_sizes({"d_model": d_model, "n_tokens": n_tokens})
         T.check_sizes({"depth": depth}, least=0)
         rng = rng or np.random.default_rng(0)
-        grid = grid or KanGrid()
         self.d_model = d_model
-        self.depth = depth
         self.n_tokens = n_tokens
         self.pos_embed = Tensor(rng.uniform(-0.02, 0.02, size=(n_tokens, d_model)),
                                 requires_grad=True)
@@ -148,10 +137,8 @@ class EncoderStack:
                        for _ in range(depth)]
 
     def parameters(self):
-        out = [("pos_embed", self.pos_embed)]
-        for i, block in enumerate(self.blocks):
-            out.extend((f"block{i}.{n}", p) for n, p in block.parameters())
-        return out
+        return [("pos_embed", self.pos_embed),
+                *named_parameters((f"block{i}", b) for i, b in enumerate(self.blocks))]
 
 
 def encoder_forward(tokens: Tensor, stack: EncoderStack) -> Tensor:

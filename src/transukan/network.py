@@ -21,7 +21,7 @@ import numpy as np
 
 from transukan import tensor as T
 from transukan.tensor import ContractError, DimensionError, Tensor
-from transukan.kan import AffineLayer, KanGrid
+from transukan.kan import AffineLayer, KanGrid, named_parameters
 from transukan.kansformer import EncoderStack, encoder_forward
 
 
@@ -132,11 +132,9 @@ class CnnEncoderParams:
             prev = ch
 
     def parameters(self):
-        out = []
-        for i, (conv_a, conv_b) in enumerate(self.stages):
-            out.extend((f"stage{i}.conv_a.{n}", p) for n, p in conv_a.parameters())
-            out.extend((f"stage{i}.conv_b.{n}", p) for n, p in conv_b.parameters())
-        return out
+        return named_parameters((f"stage{i}.{name}", conv)
+                                for i, stage in enumerate(self.stages)
+                                for name, conv in zip(("conv_a", "conv_b"), stage))
 
 
 def cnn_encode(image: Tensor, p: CnnEncoderParams):
@@ -170,7 +168,7 @@ class PatchEmbedParams:
             return self.proj.forward(tokens)
 
     def parameters(self):
-        return [(f"proj.{n}", p) for n, p in self.proj.parameters()]
+        return named_parameters((("proj", self.proj),))
 
 
 class DecoderParams:
@@ -203,11 +201,8 @@ class DecoderParams:
             return self.head.forward(x)
 
     def parameters(self):
-        out = []
-        for i, conv in enumerate(self.blocks):
-            out.extend((f"block{i}.{n}", p) for n, p in conv.parameters())
-        out.extend((f"head.{n}", p) for n, p in self.head.parameters())
-        return out
+        blocks = [(f"block{i}", conv) for i, conv in enumerate(self.blocks)]
+        return named_parameters(blocks + [("head", self.head)])
 
 
 class TransUKanModel:
@@ -223,14 +218,8 @@ class TransUKanModel:
                                      rng=rng)
 
     def parameters(self):
-        out = []
-        for prefix, sub in (("cnn", self.cnn), ("embed", self.embed),
-                            ("encoder", self.encoder), ("decoder", self.decoder)):
-            out.extend((f"{prefix}.{n}", p) for n, p in sub.parameters())
-        return out
-
-    def forward(self, image: Tensor) -> Tensor:
-        return forward(image, self)
+        return named_parameters((("cnn", self.cnn), ("embed", self.embed),
+                                 ("encoder", self.encoder), ("decoder", self.decoder)))
 
 
 def forward(image: Tensor, model: TransUKanModel) -> Tensor:

@@ -3,16 +3,17 @@
 Parameters come from ``parameters()``, one entry per owner (the dotted name
 prefix; ``ROOT`` for none). FLOPs and bytes come from one walk over the tape of
 one forward on a zero input, one entry per ``tensor.scope`` path, which the
-model names after the owners whose parameters it reads. ``tensor.Tape`` lists
-the nodes in forward order, and the rows keep it. The FLOP conventions
-live next to each op in ``tensor.py`` (1 multiply-accumulate = 2). Memory is
-the op-output buffers the tape owns, by the rule of perfbench's
-``tape_accounting``: a buffer counts once, at the first op in forward order
-that outputs it; views of it or of a parameter count zero. Other arrays a
-backward closure keeps, such as relu's mask or layer_norm's normalized input,
-are not counted: perfbench measures them in ``tensor.retained_mb``. The variant
-comparison measures ``TransUKanModel(config).encoder`` and swaps its KAN scopes
-for real layers.
+model names after the owners whose parameters it reads. The forward is the
+package's own: ``network.forward``, an encoder part's module function or a
+layer's ``forward()``. ``tensor.Tape`` lists the nodes in forward order, and
+the rows keep it. The FLOP conventions live next to each op in
+``tensor.py`` (1 multiply-accumulate = 2). Memory is the op-output buffers the
+tape owns, by the rule of perfbench's ``tape_accounting``: a buffer counts
+once, at the first op in forward order that outputs it; views of it or of a
+parameter count zero. Other arrays a backward closure keeps, such as relu's
+mask or layer_norm's normalized input, are not counted: perfbench measures them
+in ``tensor.retained_mb``. The variant comparison measures
+``TransUKanModel(config).encoder`` and swaps its KAN scopes for real layers.
 """
 
 from dataclasses import dataclass, field
@@ -25,17 +26,17 @@ from transukan.kan import (AffineLayer, BSplineKanLayer, EfficientKanLayer,
 from transukan.kansformer import (EncoderStack, KansformerBlockParams, LayerNormParams,
                                   MsaKanParams, encoder_forward, kansformer_block,
                                   msa_kan)
-from transukan.network import ModelConfig, TransUKanModel
+from transukan.network import ModelConfig, TransUKanModel, forward
 from transukan.tensor import ContractError, Tensor
 
 ROOT = "(root)"
 VARIANTS = ("mlp", "efficientkan", "relukan", "bspline_kan")
 
-# Encoder parts run through their module functions, the rest through forward().
-_ENCODER_PARTS = {EncoderStack: encoder_forward, KansformerBlockParams: kansformer_block,
-                  MsaKanParams: msa_kan}
-_PROFILED = (TransUKanModel, *_ENCODER_PARTS, LayerNormParams, AffineLayer,
-             EfficientKanLayer, ReLUKanLayer, BSplineKanLayer)
+# Classes that run through a module function -> that function; the rest, forward().
+_RUN_BY = {TransUKanModel: forward, EncoderStack: encoder_forward,
+           KansformerBlockParams: kansformer_block, MsaKanParams: msa_kan}
+_PROFILED = (*_RUN_BY, LayerNormParams, AffineLayer, EfficientKanLayer, ReLUKanLayer,
+             BSplineKanLayer)
 
 
 @dataclass
@@ -105,8 +106,8 @@ def _add_params(obj, rows: dict[str, list[int]]) -> dict[str, list[int]]:
 def _walk(obj, input_shape) -> dict[str, list[int]]:
     """Rows of one forward of ``obj``: its scopes in forward order, then owners."""
     x = Tensor(np.zeros(input_shape), requires_grad=True)
-    part = _ENCODER_PARTS.get(type(obj))
-    out = part(x, obj) if part else obj.forward(x)
+    run = _RUN_BY.get(type(obj))
+    out = run(x, obj) if run else obj.forward(x)
     if out._backward_fn is None:
         raise ContractError("profiling walks the recorded graph: call it outside no_grad")
     nodes = [n for n in T.Tape(out).nodes if n._backward_fn is not None]
@@ -132,7 +133,8 @@ def count_params(model_or_layer) -> CostReport:
 
 def estimate_flops(model_or_layer, input_shape) -> CostReport:
     """FLOPs per scope of one forward on an input of ``input_shape``."""
-    input_shape = tuple(input_shape)
+    if not isinstance(input_shape, (tuple, list)):
+        raise ContractError(f"input_shape must be a tuple of sizes, got {input_shape!r}")
     T.check_sizes({f"input_shape[{i}]": n for i, n in enumerate(input_shape)})
     rows = _walk(_checked(model_or_layer), input_shape)
     return CostReport(type(model_or_layer).__name__,

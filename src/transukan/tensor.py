@@ -66,6 +66,11 @@ class ContractError(TensorError):
     """An operation precondition was violated."""
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_sizes(sizes: dict[str, object], least: int = 1) -> None:
     """Raise a ``ContractError`` naming the first of ``sizes`` that is not an
     int (a bool is not) of at least ``least``."""
@@ -318,6 +323,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, s: float) -> Tensor:
+    if isinstance(s, bool) or not isinstance(s, (int, float, np.integer, np.floating)):
+        raise ContractError(f"scale factor must be a real number, got {s!r}")
     s = float(s)
     return _node(x.data * s, "scale", (x,), lambda g: (g * s,), flops=x.size)
 
@@ -382,15 +389,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                  flops=2 * data.size * a.shape[-1])
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"softmax axis {axis} invalid for shape {x.shape}")
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    if x.ndim < 1:
+        raise DimensionError(f"softmax normalises the last axis, got shape {x.shape}")
+    shifted = x.data - np.max(x.data, axis=-1, keepdims=True)
     ex = np.exp(shifted)
-    data = ex / np.sum(ex, axis=axis, keepdims=True)
+    data = ex / np.sum(ex, axis=-1, keepdims=True)
 
     def backward_fn(g):
-        dot = np.sum(g * data, axis=axis, keepdims=True)
+        dot = np.sum(g * data, axis=-1, keepdims=True)
         return (data * (g - dot),)
 
     # shift, exp (4), accumulate, divide
@@ -398,8 +405,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"log_softmax axis {axis} invalid for shape {x.shape}")
+    if not _is_int(axis) or not -x.ndim <= axis < x.ndim:
+        raise DimensionError(f"log_softmax axis {axis!r} invalid for shape {x.shape}")
     shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
     lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
     data = shifted - lse
@@ -578,14 +585,12 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d needs 4-d input and kernel, got {x.shape}, {w.shape}")
-    for name, value in (("stride", stride), ("padding", padding)):
-        if not isinstance(value, (int, np.integer)):
-            raise ContractError(f"conv2d {name} must be an integer, got {value!r}")
-    if stride < 1:
-        raise ContractError(f"conv2d stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ContractError(f"conv2d padding must be >= 0, got {padding}")
+    for name, value, least in (("stride", stride, 1), ("padding", padding, 0)):
+        if not _is_int(value) or value < least:
+            raise ContractError(f"conv2d {name} must be an integer >= {least}, got {value!r}")
     b, c, h, wd = x.shape
+    if 0 in (b, c):
+        raise DimensionError(f"conv2d got an empty axis: batch {b}, input channels {c}")
     o, ci, kh, kw = w.shape
     if ci != c:
         raise DimensionError(f"conv2d channel mismatch: input {c}, kernel expects {ci}")
@@ -652,6 +657,9 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> 
                             f"{w.shape[2]}x{w.shape[3]}")
     b, c_up, h, wd = x.shape
     o, c_s = w.shape[0], skip.shape[1]
+    if 0 in (b, c_up, c_s):
+        raise DimensionError(f"upsample_concat_conv2d got an empty axis: batch {b}, "
+                             f"x channels {c_up}, skip channels {c_s}")
     if skip.shape[0] != b or skip.shape[2:] != (2 * h, 2 * wd):
         raise DimensionError(f"upsample_concat_conv2d skip {skip.shape} does not match "
                              f"the upsampled x: ({b}, *, {2 * h}, {2 * wd})")
@@ -828,6 +836,8 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    if not isinstance(shape, tuple) or not all(map(_is_int, shape)):
+        raise DimensionError(f"reshape shape must be a tuple of ints, got {shape!r}")
     try:
         data = x.data.reshape(shape)
     except ValueError as exc:
@@ -840,7 +850,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    if sorted(axes) != list(range(x.ndim)):
+    if not all(map(_is_int, axes)) or sorted(axes) != list(range(x.ndim)):
         raise DimensionError(f"transpose axes {axes} invalid for rank {x.ndim}")
     inv = np.argsort(axes)
 

@@ -82,7 +82,7 @@ class TestMsaKan:
         q, k, v = heads
         scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
                          1.0 / np.sqrt(p.head_dim))
-        ctx = T.matmul(T.softmax(scores, axis=-1), v)
+        ctx = T.matmul(T.softmax(scores), v)
         merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), x.shape)
         expected = p.out_proj.forward(merged)
         assert np.array_equal(msa_kan(x, p).data, expected.data)

@@ -371,6 +371,15 @@ class TestCheckpoint:
             digest = hashlib.sha256(fh.read()).hexdigest()
         assert digest == "58f39fedc4a881bef68cdb9e66bbb71f926a80053b1b094b672256096cfca797"
 
+    def test_default_model_parameter_names_are_pinned(self):
+        """The ordered names a future checkpoint version writes; the v1 bytes
+        above carry shapes and values but no names."""
+        names = [name for name, _ in TransUKanModel(ModelConfig()).parameters()]
+        assert len(names) == 87
+        assert (names[0], names[-1]) == ("cnn.stage0.conv_a.weight", "decoder.head.bias")
+        digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
+        assert digest == "c641b493652cb8720b67ed4d7baaed51f2f86c4c162428730bd1c57506e75528"
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.tukn"
         path.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -1,8 +1,10 @@
-"""The package's settable options, pinned by name so that a new or removed knob
-shows up in review.
+"""The package's settable options and function knobs, pinned by name so that a
+new or removed knob shows up in review.
 
 An option is a parameter of the constructor of a public class defined in a
 ``transukan`` module, exceptions aside; for a dataclass those are its fields.
+A function knob is a parameter with a default of a public function defined in
+a ``transukan`` module.
 """
 
 import importlib
@@ -37,16 +39,41 @@ OPTIONS = {
     "tensor.GradCheckReport": ("max_rel_err", "ok", "n_checked"),
 }
 
+# Public function with a defaulted parameter -> those parameters, in module and
+# definition order.
+KNOBS = {
+    "network.load_checkpoint": ("expect_config",),
+    "tensor.check_sizes": ("least",),
+    "tensor.log_softmax": ("axis",),
+    "tensor.layer_norm": ("eps",),
+    "tensor.conv2d": ("stride", "padding"),
+    "tensor.grad_check": ("h", "tol", "sample", "sample_largest"),
+}
 
-def options_by_class() -> dict[str, tuple[str, ...]]:
-    out = {}
+
+def public_objects():
+    """(``module.name``, object) of every public name a ``transukan`` module defines."""
     for info in pkgutil.iter_modules(transukan.__path__):
         module = importlib.import_module(f"transukan.{info.name}")
         for name, obj in vars(module).items():
-            if (inspect.isclass(obj) and obj.__module__ == module.__name__
-                    and not name.startswith("_")
-                    and not issubclass(obj, BaseException)):
-                out[f"{info.name}.{name}"] = tuple(inspect.signature(obj).parameters)
+            if getattr(obj, "__module__", None) == module.__name__ and not name.startswith("_"):
+                yield f"{info.name}.{name}", obj
+
+
+def options_by_class() -> dict[str, tuple[str, ...]]:
+    return {name: tuple(inspect.signature(obj).parameters)
+            for name, obj in public_objects()
+            if inspect.isclass(obj) and not issubclass(obj, BaseException)}
+
+
+def knobs_by_function() -> dict[str, tuple[str, ...]]:
+    out = {}
+    for name, obj in public_objects():
+        if inspect.isfunction(obj):
+            knobs = tuple(p.name for p in inspect.signature(obj).parameters.values()
+                          if p.default is not p.empty)
+            if knobs:
+                out[name] = knobs
     return out
 
 
@@ -60,3 +87,11 @@ def test_settable_option_count_is_pinned():
 
 def test_settable_option_names_are_pinned():
     assert options_by_class() == OPTIONS
+
+
+def test_function_knob_count_is_pinned():
+    assert sum(len(knobs) for knobs in knobs_by_function().values()) == 10
+
+
+def test_function_knob_names_are_pinned():
+    assert knobs_by_function() == KNOBS

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from transukan import profiler
 from transukan import tensor as T
+from transukan.kan import AffineLayer
 from transukan.tensor import (
     DimensionError,
     ContractError,
@@ -100,22 +102,22 @@ class TestElementwise:
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = T.softmax(Tensor(np.zeros(3)), axis=-1)
+        out = T.softmax(Tensor(np.zeros(3)))
         np.testing.assert_allclose(out.data, np.full(3, 1.0 / 3.0), atol=1e-15)
 
     def test_overflow_stability(self):
-        out = T.softmax(Tensor(np.array([1000.0, 1000.0])), axis=-1)
+        out = T.softmax(Tensor(np.array([1000.0, 1000.0])))
         np.testing.assert_allclose(out.data, [0.5, 0.5], atol=1e-15)
 
     def test_direct_values(self):
-        out = T.softmax(Tensor(np.array([1.0, 2.0])), axis=-1)
+        out = T.softmax(Tensor(np.array([1.0, 2.0])))
         np.testing.assert_allclose(out.data, [0.26894, 0.73106], atol=1e-5)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         for seed in range(10):
             x = Tensor(np.random.default_rng(seed).normal(scale=5, size=(4, 7)))
-            s = T.softmax(x, axis=-1)
+            s = T.softmax(x)
             np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, atol=1e-12)
             assert np.all(s.data >= 0)
 
@@ -124,7 +126,7 @@ class TestSoftmax:
         x = Tensor(rng.normal(size=(3, 5)))
         w = np.random.default_rng(9).normal(size=(3, 5))
         rep = T.grad_check(
-            lambda t: T.sum_all(T.mul(T.softmax(t, axis=-1), Tensor(w))), x, tol=1e-6)
+            lambda t: T.sum_all(T.mul(T.softmax(t), Tensor(w))), x, tol=1e-6)
         assert rep.ok, rep
 
 
@@ -559,6 +561,51 @@ class TestBackward:
      DimensionError, "bias"),
 ], ids=["backward_of_float", "conv2d_no_bias", "upsample_concat_conv2d_no_bias"])
 def test_public_entry_points_raise_typed_errors(call, error, named):
+    with pytest.raises(error, match=named):
+        call()
+
+
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: T.conv2d(_zeros(0, 2, 4, 4), _zeros(3, 2, 3, 3), _zeros(3)), "conv2d .*batch 0"),
+    (lambda: T.conv2d(_zeros(1, 0, 4, 4), _zeros(3, 0, 3, 3), _zeros(3)),
+     "conv2d .*input channels 0"),
+    (lambda: T.upsample_concat_conv2d(_zeros(0, 2, 2, 2), _zeros(0, 1, 4, 4),
+                                      _zeros(3, 3, 3, 3), _zeros(3)),
+     "upsample_concat_conv2d .*batch 0"),
+    (lambda: T.upsample_concat_conv2d(_zeros(1, 0, 2, 2), _zeros(1, 1, 4, 4),
+                                      _zeros(3, 1, 3, 3), _zeros(3)),
+     "upsample_concat_conv2d .*x channels 0"),
+    (lambda: T.upsample_concat_conv2d(_zeros(1, 2, 2, 2), _zeros(1, 0, 4, 4),
+                                      _zeros(3, 2, 3, 3), _zeros(3)),
+     "upsample_concat_conv2d .*skip channels 0"),
+], ids=["conv2d_batch", "conv2d_channels", "decoder_batch", "decoder_x_channels",
+        "decoder_skip_channels"])
+def test_conv_on_an_empty_axis_raises_dimension_error(call, named):
+    with pytest.raises(DimensionError, match=named):
+        call()
+
+
+@pytest.mark.parametrize("call, error, named", [
+    (lambda: T.conv2d(_zeros(1, 1, 6, 6), _zeros(1, 1, 3, 3), _zeros(1), stride=True),
+     ContractError, "stride"),
+    (lambda: T.conv2d(_zeros(1, 1, 6, 6), _zeros(1, 1, 3, 3), _zeros(1), padding=True),
+     ContractError, "padding"),
+    (lambda: T.reshape(_zeros(6), (2, 3.0)), DimensionError, "reshape shape .*3.0"),
+    (lambda: T.reshape(_zeros(6), (True, 6)), DimensionError, "reshape shape .*True"),
+    (lambda: T.transpose(_zeros(2, 3), (1, 0.0)), DimensionError, "transpose axes .*0.0"),
+    (lambda: T.log_softmax(_zeros(2, 3), axis=0.5), DimensionError, "axis 0.5"),
+    (lambda: T.scale(_zeros(2), "a"), ContractError, "scale factor"),
+    (lambda: T.scale(_zeros(2), True), ContractError, "scale factor"),
+    (lambda: profiler.estimate_flops(AffineLayer(2, 2), 5), ContractError, "input_shape"),
+    (lambda: T.softmax(Tensor(1.0)), DimensionError, "softmax"),
+], ids=["conv2d_bool_stride", "conv2d_bool_padding", "reshape_float", "reshape_bool",
+        "transpose_float", "log_softmax_float_axis", "scale_str", "scale_bool",
+        "estimate_flops_int_shape", "softmax_0d"])
+def test_non_integer_arguments_raise_typed_errors(call, error, named):
     with pytest.raises(error, match=named):
         call()
 
