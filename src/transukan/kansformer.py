@@ -3,8 +3,10 @@
 The block applies, in order: layer norm, an EfficientKAN map, multi-head
 self-attention whose Q/K/V projections are themselves single EfficientKAN
 layers (sharing one activation of their input), a residual add, then a
-second norm + EfficientKAN + residual. The attention output projection stays
-affine. The KAN layers of a block or stack share its ``grid``, ``KanGrid()`` by default.
+second norm + EfficientKAN + residual. The heads' scaled dot-product attention
+is one ``tensor.attention`` node, which keeps O(t) state per head rather than
+t x t scores and probabilities. The attention output projection stays affine.
+The KAN layers of a block or stack share its ``grid``, ``KanGrid()`` by default.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ def _split_heads(x: Tensor, n_heads: int, head_dim: int) -> Tensor:
 
 
 def msa_kan(x: Tensor, p: MsaKanParams) -> Tensor:
-    """Scaled dot-product attention over KAN-projected Q, K, V.
+    """Scaled dot-product attention (one ``T.attention`` node) over
+    KAN-projected Q, K, V.
 
     The three projections share one grid and one input, so the KAN
     activation is computed once and mixed by each projection's own weights.
@@ -74,11 +77,7 @@ def msa_kan(x: Tensor, p: MsaKanParams) -> Tensor:
         with T.scope(name):
             y = proj.mix(phi)
         heads.append(_split_heads(y, p.n_heads, p.head_dim))
-    q, k, v = heads
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
-                     1.0 / np.sqrt(p.head_dim))
-    attn = T.softmax(scores)
-    ctx = T.matmul(attn, v)
+    ctx = T.attention(*heads)
     merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
     with T.scope("out_proj"):
         return p.out_proj.forward(merged)

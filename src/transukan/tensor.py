@@ -3,6 +3,11 @@
 Everything is 64-bit so finite-difference checks are decisive. Any operation
 that produces a NaN/Inf raises immediately instead of letting it propagate,
 and the error names the ``scope`` path of the layer it ran in.
+
+Where a fixed composition of ops would keep large intermediates on the tape,
+it is one node that recomputes them in its backward: scaled dot-product
+attention is the single ``attention`` node, which keeps each score row's max
+and sum in place of the t x n scores and probabilities.
 """
 
 from __future__ import annotations
@@ -69,6 +74,12 @@ class ContractError(TensorError):
 def _is_int(value) -> bool:
     """Whether ``value`` is a Python or numpy integer; a bool is not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy real number; a bool is not."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
 
 
 def check_sizes(sizes: dict[str, object], least: int = 1) -> None:
@@ -323,7 +334,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, s: float) -> Tensor:
-    if isinstance(s, bool) or not isinstance(s, (int, float, np.integer, np.floating)):
+    if not _is_real(s):
         raise ContractError(f"scale factor must be a real number, got {s!r}")
     s = float(s)
     return _node(x.data * s, "scale", (x,), lambda g: (g * s,), flops=x.size)
@@ -404,6 +415,68 @@ def softmax(x: Tensor) -> Tensor:
     return _node(data, "softmax", (x,), backward_fn, flops=7 * data.size)
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Scaled dot-product attention, ``softmax(q kᵀ s) v`` with s = 1/√d and
+    d = q.shape[-1], over the last two axes: q is (..., t, d), k (..., n, d)
+    and v (..., n, dv), with equal batch dims.
+
+    One node for the graph ``matmul(softmax(scale(matmul(q, transpose(k)),
+    s)), v)``, by the same numpy calls in the same order, so its output is
+    bit-identical. Beyond q, k and v it keeps each score row's max and sum,
+    never the t x n scores or probabilities P: the backward recomputes P by
+    the same arithmetic (the recompute of FlashAttention, Dao et al., arXiv
+    2205.14135, without its tiling), then forms dv = Pᵀg, dP = g vᵀ,
+    dS = s·P∘(dP − rowsum(dP∘P)), dq = dS k and dk = (qᵀ dS)ᵀ, as the
+    graph's adjoints would. FLOPs are the graph's: batch·t·n·(2d + 8 + 2dv).
+    """
+    if min(q.ndim, k.ndim, v.ndim) < 2 or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
+        raise DimensionError(f"attention needs rank >= 2 q, k, v with equal batch dims, "
+                             f"got {q.shape}, {k.shape}, {v.shape}")
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+        raise DimensionError(f"attention needs q (..., t, d), k (..., n, d) and "
+                             f"v (..., n, dv), got {q.shape}, {k.shape}, {v.shape}")
+    t, d = q.shape[-2:]
+    n, dv = v.shape[-2:]
+    if 0 in (t, n, d):
+        raise DimensionError(f"attention got an empty axis: t {t}, n {n}, d {d}")
+    s = 1.0 / np.sqrt(d)
+
+    def scores():
+        out = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+        out *= s
+        return out
+
+    probs = scores()
+    _check_finite(probs, "attention")
+    row_max = np.max(probs, axis=-1, keepdims=True)
+    probs -= row_max
+    np.exp(probs, out=probs)
+    row_sum = np.sum(probs, axis=-1, keepdims=True)
+    probs /= row_sum
+    data = np.matmul(probs, v.data)
+    del probs
+
+    def backward_fn(g):
+        p = scores()
+        p -= row_max
+        np.exp(p, out=p)
+        p /= row_sum
+        gv = np.matmul(np.swapaxes(p, -1, -2), g)
+        ds = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        ds -= np.sum(ds * p, axis=-1, keepdims=True)
+        ds *= p
+        del p
+        ds *= s
+        gq = np.matmul(ds, k.data)
+        gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), ds), -1, -2)
+        return (gq, gk, gv)
+
+    batch = int(np.prod(q.shape[:-2]))
+    # q kᵀ, scale, softmax (7), P v
+    return _node(data, "attention", (q, k, v), backward_fn,
+                 flops=batch * t * n * (2 * d + 8 + 2 * dv))
+
+
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     if not _is_int(axis) or not -x.ndim <= axis < x.ndim:
         raise DimensionError(f"log_softmax axis {axis!r} invalid for shape {x.shape}")
@@ -420,12 +493,14 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    if x.ndim < 1:
+        raise DimensionError(f"layer_norm normalises the last axis, got shape {x.shape}")
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(f"layer_norm params must have shape ({d},), got "
                              f"{gamma.shape} and {beta.shape}")
-    if eps <= 0:
-        raise ContractError("layer_norm eps must be positive")
+    if not _is_real(eps) or not eps > 0:
+        raise ContractError(f"layer_norm eps must be a positive number, got {eps!r}")
     mean = np.mean(x.data, axis=-1, keepdims=True)
     centered = x.data - mean
     var = np.mean(centered * centered, axis=-1, keepdims=True)
@@ -850,7 +925,8 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    if not all(map(_is_int, axes)) or sorted(axes) != list(range(x.ndim)):
+    if (not isinstance(axes, tuple) or not all(map(_is_int, axes))
+            or sorted(axes) != list(range(x.ndim))):
         raise DimensionError(f"transpose axes {axes} invalid for rank {x.ndim}")
     inv = np.argsort(axes)
 
@@ -863,6 +939,8 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise ContractError("concat needs at least one tensor")
+    if not _is_int(axis) or not -tensors[0].ndim <= axis < tensors[0].ndim:
+        raise DimensionError(f"concat axis {axis!r} invalid for shape {tensors[0].shape}")
     try:
         data = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError as exc:
@@ -903,8 +981,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
     carry no finite-difference signal at small h, so deep composites are
     checked where the comparison is actually informative.
     """
-    if h <= 0:
-        raise ContractError("grad_check step h must be positive")
+    if not _is_real(h) or not h > 0:
+        raise ContractError(f"grad_check step h must be a positive number, got {h!r}")
     if sample is not None:
         check_sizes({"grad_check sample": sample})
     x.requires_grad = True

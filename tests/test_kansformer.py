@@ -14,6 +14,7 @@ from transukan.kansformer import (
     kansformer_block,
     msa_kan,
 )
+from transukan.network import ModelConfig, TransUKanModel, forward
 
 
 def naive_msa(x, p):
@@ -38,13 +39,13 @@ def naive_msa(x, p):
     return ctx @ p.out_proj.weight.data.T + p.out_proj.bias.data
 
 
-def msa_with_attention(x, p):
-    """msa_kan's output and its attention probabilities, read off the tape as
-    the softmax node under the ``msa`` scope."""
-    with T.scope("msa"):
-        out = msa_kan(x, p)
-    [attn] = [n for n in T.Tape(out).nodes if n.op == "softmax" and n.scope == "msa"]
-    return out, attn
+def attention_probs(x, p):
+    """The attention probabilities of ``msa_kan(x, p)``: ``T.attention`` of
+    its heads with v the identity, which returns P itself."""
+    q, k = (_split_heads(proj.forward(x), p.n_heads, p.head_dim)
+            for proj in (p.q_proj, p.k_proj))
+    t = x.shape[1]
+    return T.attention(q, k, Tensor(np.broadcast_to(np.eye(t), q.shape[:-1] + (t,))))
 
 
 class TestMsaKan:
@@ -52,8 +53,9 @@ class TestMsaKan:
         rng = np.random.default_rng(3)
         p = MsaKanParams(8, 2, rng=rng)
         x = Tensor(rng.uniform(-1, 1, size=(2, 1, 8)))
-        out, attn = msa_with_attention(x, p)
+        attn = attention_probs(x, p)
         np.testing.assert_array_equal(attn.data, np.ones((2, 2, 1, 1)))
+        out = msa_kan(x, p)
         v = p.v_proj.forward(x)
         expected = p.out_proj.forward(v)
         np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
@@ -62,7 +64,7 @@ class TestMsaKan:
         rng = np.random.default_rng(5)
         p = MsaKanParams(8, 4, rng=rng)
         x = Tensor(rng.uniform(-1, 1, size=(2, 6, 8)))
-        _, attn = msa_with_attention(x, p)
+        attn = attention_probs(x, p)
         np.testing.assert_allclose(attn.data.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(attn.data >= 0)
 
@@ -93,6 +95,23 @@ class TestMsaKan:
             msa_kan(Tensor(np.zeros((2, 3, 9))), p)
         with pytest.raises(ContractError):
             MsaKanParams(8, 3)
+
+
+def test_model_tape_holds_no_attention_score_buffer():
+    """No op output of a grad-enabled forward at ``ModelConfig()``, nor any
+    array its backward keeps, has the (batch, heads, t, t) shape of attention
+    scores or probabilities: attention keeps O(t) state per head, not t²."""
+    config = ModelConfig()
+    logits = forward(Tensor(np.zeros((2, 1, 64, 64))),
+                     TransUKanModel(config, rng=np.random.default_rng(0)))
+    t2 = (2, config.n_heads, config.n_tokens, config.n_tokens)
+    held = []
+    for node in T.Tape(logits).nodes:
+        cells = getattr(node._backward_fn, "__closure__", None) or ()
+        held += [(node.op, node.scope, a.shape)
+                 for a in (node.data, *(c.cell_contents for c in cells))
+                 if isinstance(a, np.ndarray) and a.shape == t2]
+    assert held == []
 
 
 class TestKansformerBlock:

@@ -130,6 +130,59 @@ class TestSoftmax:
         assert rep.ok, rep
 
 
+def _attention_graph(q, k, v):
+    """The graph ``T.attention`` stands for, op by op."""
+    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(q.shape[-1]))
+    return T.matmul(T.softmax(scores), v)
+
+
+def _attention_inputs(seed, b, h, t, n, d, dv):
+    rng = np.random.default_rng(seed)
+    return [Tensor(rng.normal(size=shape), requires_grad=True)
+            for shape in ((b, h, t, d), (b, h, n, d), (b, h, n, dv))]
+
+
+class TestAttention:
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 5, 4, 4), (2, 3, 1, 1, 4, 4),
+                                       (2, 3, 5, 7, 4, 6)], ids=["t5", "t1", "n7_dv6"])
+    def test_bit_equal_to_the_graph_and_its_gradients(self, shape):
+        w = np.random.default_rng(1).normal(size=shape[:3] + shape[-1:])
+        grads = []
+        for op in (T.attention, _attention_graph):
+            q, k, v = _attention_inputs(0, *shape)
+            out = op(q, k, v)
+            T.backward(T.sum_all(T.mul(out, Tensor(w))))
+            grads.append((out.data, q.grad, k.grad, v.grad))
+        (out, *mine), (expected, *theirs) = grads
+        assert np.array_equal(out, expected)
+        for g, oracle in zip(mine, theirs):
+            np.testing.assert_allclose(g, oracle, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["q", "k", "v"])
+    @pytest.mark.parametrize("shape", [(1, 2, 4, 4, 3, 3), (2, 1, 3, 5, 4, 2)],
+                             ids=["self", "n5_dv2"])
+    def test_gradcheck(self, which, shape):
+        args = _attention_inputs(3, *shape)
+        w = Tensor(np.random.default_rng(4).normal(size=shape[:3] + shape[-1:]))
+
+        def objective(t):
+            return T.sum_all(T.mul(T.attention(*args[:which], t, *args[which + 1:]), w))
+
+        rep = T.grad_check(objective, args[which], tol=1e-6)
+        assert rep.ok, rep
+
+    @pytest.mark.parametrize("shapes, named", [
+        (((4,), (4, 3), (4, 3)), "rank >= 2"),
+        (((2, 5, 3), (3, 5, 3), (2, 5, 3)), "equal batch dims"),
+        (((5, 3), (5, 4), (5, 3)), r"got \(5, 3\), \(5, 4\)"),
+        (((5, 3), (5, 3), (6, 3)), r"\(5, 3\), \(6, 3\)"),
+        (((0, 3), (0, 3), (0, 3)), "empty axis: t 0, n 0"),
+    ], ids=["rank_1", "batch_dims", "feature_dims", "key_lengths", "empty_t"])
+    def test_bad_shapes_raise_dimension_error(self, shapes, named):
+        with pytest.raises(DimensionError, match=f"attention .*{named}"):
+            T.attention(*(_zeros(*shape) for shape in shapes))
+
+
 class TestLayerNorm:
     def test_constant_row(self):
         x = Tensor(np.array([[5.0, 5.0, 5.0]]))
@@ -602,9 +655,18 @@ def test_conv_on_an_empty_axis_raises_dimension_error(call, named):
     (lambda: T.scale(_zeros(2), True), ContractError, "scale factor"),
     (lambda: profiler.estimate_flops(AffineLayer(2, 2), 5), ContractError, "input_shape"),
     (lambda: T.softmax(Tensor(1.0)), DimensionError, "softmax"),
+    (lambda: T.transpose(_zeros(2, 3), 1), DimensionError, "transpose axes 1"),
+    (lambda: T.concat([_zeros(2), _zeros(3)], axis=0.5), DimensionError, "concat axis 0.5"),
+    (lambda: T.concat([_zeros(2), _zeros(3)], axis=True), DimensionError, "concat axis True"),
+    (lambda: T.layer_norm(_zeros(2, 3), _zeros(3), _zeros(3), eps="a"), ContractError,
+     "eps .*'a'"),
+    (lambda: T.grad_check(T.sum_all, _zeros(3), h="a"), ContractError, "step h .*'a'"),
+    (lambda: T.layer_norm(Tensor(1.0), _zeros(1), _zeros(1)), DimensionError,
+     "layer_norm"),
 ], ids=["conv2d_bool_stride", "conv2d_bool_padding", "reshape_float", "reshape_bool",
         "transpose_float", "log_softmax_float_axis", "scale_str", "scale_bool",
-        "estimate_flops_int_shape", "softmax_0d"])
+        "estimate_flops_int_shape", "softmax_0d", "transpose_int_axes", "concat_float_axis",
+        "concat_bool_axis", "layer_norm_str_eps", "grad_check_str_h", "layer_norm_0d"])
 def test_non_integer_arguments_raise_typed_errors(call, error, named):
     with pytest.raises(error, match=named):
         call()
