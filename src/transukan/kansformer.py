@@ -3,9 +3,9 @@
 The block applies, in order: layer norm, an EfficientKAN map, multi-head
 self-attention whose Q/K/V projections are themselves single EfficientKAN
 layers (sharing one activation of their input), a residual add, then a
-second norm + EfficientKAN + residual. The heads' scaled dot-product attention
-is one ``tensor.attention`` node, which keeps O(t) state per head rather than
-t x t scores and probabilities. The attention output projection stays affine.
+second norm + EfficientKAN + residual. Attention is one ``tensor.attention``
+node on the (B, T, d_model) projections, which splits the heads as numpy views
+and keeps O(t) state per head, not t x t scores. Its output projection is affine.
 The KAN layers of a block or stack share its ``grid``, ``KanGrid()`` by default.
 """
 
@@ -42,7 +42,6 @@ class MsaKanParams:
             raise ContractError(f"d_model {d_model} not divisible by n_heads {n_heads}")
         self.d_model = d_model
         self.n_heads = n_heads
-        self.head_dim = d_model // n_heads
         rng = rng or np.random.default_rng(0)
         self.q_proj = EfficientKanLayer(d_model, d_model, grid, rng=rng)
         self.k_proj = EfficientKanLayer(d_model, d_model, grid, rng=rng)
@@ -54,33 +53,24 @@ class MsaKanParams:
                                  ("v_proj", self.v_proj), ("out_proj", self.out_proj)))
 
 
-def _split_heads(x: Tensor, n_heads: int, head_dim: int) -> Tensor:
-    b, t, _ = x.shape
-    return T.transpose(T.reshape(x, (b, t, n_heads, head_dim)), (0, 2, 1, 3))
-
-
 def msa_kan(x: Tensor, p: MsaKanParams) -> Tensor:
-    """Scaled dot-product attention (one ``T.attention`` node) over
-    KAN-projected Q, K, V.
+    """Multi-head scaled dot-product attention (one ``T.attention`` node,
+    which splits and merges the heads itself) over KAN-projected Q, K, V.
 
     The three projections share one grid and one input, so the KAN
     activation is computed once and mixed by each projection's own weights.
     """
     if x.ndim != 3 or x.shape[-1] != p.d_model:
         raise DimensionError(f"msa_kan expects (B, T, {p.d_model}), got {x.shape}")
-    b, t, d = x.shape
     with T.scope("qkv"):
         phi = p.q_proj.activate(x)
-    heads = []
-    for name, proj in (("q_proj", p.q_proj), ("k_proj", p.k_proj),
-                       ("v_proj", p.v_proj)):
+    qkv = []
+    for name in ("q_proj", "k_proj", "v_proj"):
         with T.scope(name):
-            y = proj.mix(phi)
-        heads.append(_split_heads(y, p.n_heads, p.head_dim))
-    ctx = T.attention(*heads)
-    merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
+            qkv.append(getattr(p, name).mix(phi))
+    ctx = T.attention(*qkv, p.n_heads)
     with T.scope("out_proj"):
-        return p.out_proj.forward(merged)
+        return p.out_proj.forward(ctx)
 
 
 class KansformerBlockParams:

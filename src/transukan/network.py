@@ -15,7 +15,7 @@ import json
 import os
 import secrets
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -79,14 +79,24 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
+        """The config ``to_dict`` wrote; a ``ContractError`` names a bad field."""
+        if not isinstance(d, dict):
+            raise ContractError(f"a config must be a dict, got {type(d).__name__}")
         d = dict(d)
         # Configs written before the block layout was fixed carry this key.
         if d.pop("conventional_order", False):
             raise CheckpointFormatError("conventional_order=true blocks are "
                                         "no longer supported")
-        d["grid"] = KanGrid(**d["grid"])
-        d["cnn_channels"] = tuple(d["cnn_channels"])
-        d["decoder_channels"] = tuple(d["decoder_channels"])
+        names = {f.name for f in fields(ModelConfig)}
+        if d.keys() != names:
+            raise ContractError(f"config fields missing: {sorted(names - d.keys())}, "
+                                f"unknown: {sorted(d.keys() - names)}")
+        for name, build in (("grid", lambda v: KanGrid(**v)), ("cnn_channels", tuple),
+                            ("decoder_channels", tuple)):
+            try:
+                d[name] = build(d[name])
+            except TypeError as exc:  # not a mapping or not iterable, or an unknown key
+                raise ContractError(f"config field {name!r}: {exc}") from exc
         return ModelConfig(**d)
 
 
@@ -301,7 +311,7 @@ def load_checkpoint(path: str, expect_config: ModelConfig | None = None) -> Tran
         (config_len,) = struct.unpack("<I", _read_exact(fh, 4))
         try:
             config = ModelConfig.from_dict(json.loads(_read_exact(fh, config_len)))
-        except (ValueError, KeyError, TypeError, ContractError) as exc:
+        except (ValueError, ContractError) as exc:
             raise CheckpointCorruptError(f"{path}: unreadable config block: "
                                          f"{exc}") from exc
         if expect_config is not None and config != expect_config:

@@ -10,11 +10,10 @@ the rows keep it. The FLOP conventions live next to each op in
 ``tensor.py`` (1 multiply-accumulate = 2). Memory is the op-output buffers the
 tape owns, by the rule of perfbench's ``tape_accounting``: a buffer counts
 once, at the first op in forward order that outputs it; views of it or of a
-parameter count zero. Other arrays a backward closure keeps, such as relu's
-mask, attention's row max and row sum or layer_norm's normalized input, are not
-counted: perfbench measures them in ``tensor.retained_mb``. The variant
-comparison measures ``TransUKanModel(config).encoder`` and swaps its KAN scopes
-for real layers.
+parameter count zero. By the retention rule of ``tensor._node``, that count is
+the bytes one forward retains less the row statistics that attention and
+layer_norm keep. The variant comparison measures
+``TransUKanModel(config).encoder`` and swaps its KAN scopes for real layers.
 """
 
 from dataclasses import dataclass, field

@@ -4,10 +4,9 @@ Everything is 64-bit so finite-difference checks are decisive. Any operation
 that produces a NaN/Inf raises immediately instead of letting it propagate,
 and the error names the ``scope`` path of the layer it ran in.
 
-Where a fixed composition of ops would keep large intermediates on the tape,
-it is one node that recomputes them in its backward: scaled dot-product
-attention is the single ``attention`` node, which keeps each score row's max
-and sum in place of the t x n scores and probabilities.
+One retention rule holds for every op (see ``_node``): a backward reads only
+its node's inputs, its own output and per-row statistics, and recomputes the
+rest, so a graph retains its op outputs plus those statistics.
 """
 
 from __future__ import annotations
@@ -199,6 +198,10 @@ def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
     an ndarray, 0-d for a scalar output. It must never write into ``g``:
     ``backward`` hands an op output's gradient on without a copy, so ``g``
     may be a read-only view or share its buffer with another node's gradient.
+
+    Retention rule: ``backward_fn`` reads only the parents' data, ``data``,
+    constants of the op's other arguments and per-row statistics (one value
+    per reduced row); it recomputes the rest by the forward's arithmetic.
     """
     _check_finite(data, op)
     out = Tensor(data)
@@ -342,28 +345,23 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0.0)
-    mask = x.data > 0.0
 
     def backward_fn(g):
-        return (g * mask,)
+        return (g * (data > 0.0),)
 
     return _node(data, "relu", (x,), backward_fn, flops=data.size)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(x))  # never overflows
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def silu(x: Tensor) -> Tensor:
-    sig = _sigmoid(x.data)
-    data = x.data * sig
+    data = x.data * _sigmoid(x.data)
 
     def backward_fn(g):
+        sig = _sigmoid(x.data)
         return (g * sig * (1.0 + x.data * (1.0 - sig)),)
 
     # exp (4), add, divide, multiply
@@ -401,8 +399,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    if x.ndim < 1:
-        raise DimensionError(f"softmax normalises the last axis, got shape {x.shape}")
+    if x.ndim < 1 or x.shape[-1] == 0:
+        raise DimensionError(f"softmax normalises a non-empty last axis, got shape {x.shape}")
     shifted = x.data - np.max(x.data, axis=-1, keepdims=True)
     ex = np.exp(shifted)
     data = ex / np.sum(ex, axis=-1, keepdims=True)
@@ -415,34 +413,39 @@ def softmax(x: Tensor) -> Tensor:
     return _node(data, "softmax", (x,), backward_fn, flops=7 * data.size)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Scaled dot-product attention, ``softmax(q kᵀ s) v`` with s = 1/√d and
-    d = q.shape[-1], over the last two axes: q is (..., t, d), k (..., n, d)
-    and v (..., n, dv), with equal batch dims.
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention: q (..., t, d), k (..., n, d)
+    and v (..., n, dv) with equal batch dims give (..., t, dv).
 
-    One node for the graph ``matmul(softmax(scale(matmul(q, transpose(k)),
-    s)), v)``, by the same numpy calls in the same order, so its output is
-    bit-identical. Beyond q, k and v it keeps each score row's max and sum,
-    never the t x n scores or probabilities P: the backward recomputes P by
-    the same arithmetic (the recompute of FlashAttention, Dao et al., arXiv
-    2205.14135, without its tiling), then forms dv = Pᵀg, dP = g vᵀ,
-    dS = s·P∘(dP − rowsum(dP∘P)), dq = dS k and dk = (qᵀ dS)ᵀ, as the
-    graph's adjoints would. FLOPs are the graph's: batch·t·n·(2d + 8 + 2dv).
+    Head j is columns j·e to (j + 1)·e of the last axis (e = d / n_heads, or
+    dv / n_heads for v and the output), read and written as numpy views. Per
+    head it runs the numpy calls of ``matmul(softmax(scale(matmul(q,
+    transpose(k)), s)), v)``, s = 1/√e, in order: the output is that graph's,
+    bit for bit. It keeps each score row's max and sum, never the t x n scores
+    or probabilities P: the backward recomputes P (the recompute of
+    FlashAttention, Dao et al., arXiv 2205.14135, without its tiling), then
+    forms dv = Pᵀg, dP = g vᵀ, dS = s·P∘(dP − rowsum(dP∘P)), dq = dS k and
+    dk = (qᵀ dS)ᵀ. FLOPs are the graph's: batch·n_heads·t·n·(2e + 8 + 2dv/n_heads).
     """
     if min(q.ndim, k.ndim, v.ndim) < 2 or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
         raise DimensionError(f"attention needs rank >= 2 q, k, v with equal batch dims, "
                              f"got {q.shape}, {k.shape}, {v.shape}")
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
-        raise DimensionError(f"attention needs q (..., t, d), k (..., n, d) and "
-                             f"v (..., n, dv), got {q.shape}, {k.shape}, {v.shape}")
     t, d = q.shape[-2:]
     n, dv = v.shape[-2:]
-    if 0 in (t, n, d):
-        raise DimensionError(f"attention got an empty axis: t {t}, n {n}, d {d}")
-    s = 1.0 / np.sqrt(d)
+    if (q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2] or 0 in (t, n, d)
+            or not _is_int(n_heads) or n_heads < 1 or d % n_heads or dv % n_heads):
+        raise DimensionError(f"attention needs q (..., t, d), k (..., n, d) and v (..., n, dv), "
+                             f"t, n, d > 0 and n_heads dividing d and dv, got {q.shape}, "
+                             f"{k.shape}, {v.shape} and n_heads {n_heads!r}")
+    s = 1.0 / np.sqrt(d // n_heads)
+
+    def heads(a):  # (..., t, n_heads·e) -> the view (..., n_heads, t, e)
+        return np.swapaxes(a.reshape(*a.shape[:-1], n_heads, a.shape[-1] // n_heads), -2, -3)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
 
     def scores():
-        out = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+        out = np.matmul(qh, np.swapaxes(kh, -1, -2))
         out *= s
         return out
 
@@ -453,48 +456,52 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     np.exp(probs, out=probs)
     row_sum = np.sum(probs, axis=-1, keepdims=True)
     probs /= row_sum
-    data = np.matmul(probs, v.data)
+    data = np.empty(q.shape[:-1] + (dv,), dtype=np.float64)
+    np.matmul(probs, vh, out=heads(data))
     del probs
 
     def backward_fn(g):
+        gh = heads(g)
         p = scores()
         p -= row_max
         np.exp(p, out=p)
         p /= row_sum
-        gv = np.matmul(np.swapaxes(p, -1, -2), g)
-        ds = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gv = np.empty(v.shape, dtype=np.float64)
+        np.matmul(np.swapaxes(p, -1, -2), gh, out=heads(gv))
+        ds = np.matmul(gh, np.swapaxes(vh, -1, -2))
         ds -= np.sum(ds * p, axis=-1, keepdims=True)
         ds *= p
         del p
         ds *= s
-        gq = np.matmul(ds, k.data)
-        gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), ds), -1, -2)
-        return (gq, gk, gv)
+        gq = np.empty(q.shape, dtype=np.float64)
+        np.matmul(ds, kh, out=heads(gq))
+        # The graph's (qᵀ dS)ᵀ, handed on as the same strided view, so that sums
+        # over it (k_proj's bias gradient) add in the same order.
+        gk = np.matmul(np.swapaxes(qh, -1, -2), ds)
+        return (gq, np.moveaxis(gk, -1, -3).reshape(k.shape), gv)
 
-    batch = int(np.prod(q.shape[:-2]))
-    # q kᵀ, scale, softmax (7), P v
+    # q kᵀ, scale, softmax (7), P v, over batch·t = q.size // d query rows
     return _node(data, "attention", (q, k, v), backward_fn,
-                 flops=batch * t * n * (2 * d + 8 + 2 * dv))
+                 flops=q.size // d * n * (2 * d + 8 * n_heads + 2 * dv))
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if not _is_int(axis) or not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"log_softmax axis {axis!r} invalid for shape {x.shape}")
+    if not _is_int(axis) or not -x.ndim <= axis < x.ndim or x.shape[axis] == 0:
+        raise DimensionError(f"log_softmax axis {axis!r} invalid or empty for shape {x.shape}")
     shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
     lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
     data = shifted - lse
-    probs = np.exp(data)
 
     def backward_fn(g):
-        return (g - probs * np.sum(g, axis=axis, keepdims=True),)
+        return (g - np.exp(data) * np.sum(g, axis=axis, keepdims=True),)
 
     # shift, exp (4), accumulate, subtract
     return _node(data, "log_softmax", (x,), backward_fn, flops=7 * data.size)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    if x.ndim < 1:
-        raise DimensionError(f"layer_norm normalises the last axis, got shape {x.shape}")
+    if x.ndim < 1 or x.shape[-1] == 0:
+        raise DimensionError(f"layer_norm normalises a non-empty last axis, got {x.shape}")
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(f"layer_norm params must have shape ({d},), got "
@@ -502,13 +509,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if not _is_real(eps) or not eps > 0:
         raise ContractError(f"layer_norm eps must be a positive number, got {eps!r}")
     mean = np.mean(x.data, axis=-1, keepdims=True)
-    centered = x.data - mean
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
+    xhat = x.data - mean
+    inv_std = 1.0 / np.sqrt(np.mean(xhat * xhat, axis=-1, keepdims=True) + eps)
+    xhat *= inv_std
     data = gamma.data * xhat + beta.data
 
     def backward_fn(g):
+        xhat = (x.data - mean) * inv_std  # the forward's arithmetic: the same bits
         dxhat = g * gamma.data
         dx = inv_std * (dxhat
                         - np.mean(dxhat, axis=-1, keepdims=True)
@@ -718,9 +725,9 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> 
     phase 1 reads (y, y+1) with (w0 + w1, w2); both axes together are one GEMM
     with the constant 16x9 ``_FOLD``. Group (a, b) of the folded output at cell
     (y + a, x + b) is output pixel (2y + a, 2x + b). The bias is added once.
-    The backward keeps only the folded kernel: it rebuilds each padded input
-    from ``skip.data`` and ``x.data`` in turn, and maps the folded kernel's
-    gradient back to ``w[:, :c_up]`` by ``_FOLD``.
+    The backward keeps nothing of its own: it folds the kernel again, rebuilds
+    each padded input from ``skip.data`` and ``x.data`` in turn, and maps the
+    folded kernel's gradient back to ``w[:, :c_up]`` by ``_FOLD``.
     FLOPs are the multiply-accumulates each output pixel needs: 9 per skip
     channel and 4 per x channel.
     """
@@ -746,16 +753,18 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> 
                              f"got {getattr(bias, 'shape', bias)}")
 
     w_skip = w.data[:, c_up:]
-    folded = w.data.reshape(o, c_up + c_s, 9)[:, :c_up] @ _FOLD.T  # (o, c_up, 16)
-    folded = folded.reshape(o, c_up, 2, 2, 2, 2).transpose(2, 3, 0, 1, 4, 5)
-    folded = folded.reshape(4 * o, c_up, 2, 2)
+
+    def fold():
+        folded = w.data.reshape(o, c_up + c_s, 9)[:, :c_up] @ _FOLD.T  # (o, c_up, 16)
+        folded = folded.reshape(o, c_up, 2, 2, 2, 2).transpose(2, 3, 0, 1, 4, 5)
+        return folded.reshape(4 * o, c_up, 2, 2)
 
     full = _conv_forward(skip.data, w_skip, 1, 1)
     data = np.empty((b, o, 2 * h, 2 * wd), dtype=np.float64)  # after the conv's scratch
     np.add(full[:, :, :2 * h, :2 * wd].transpose(1, 0, 2, 3), bias.data[:, None, None],
            out=data)
     del full
-    full = _conv_forward(x.data, folded, 1, 1)
+    full = _conv_forward(x.data, fold(), 1, 1)
     phases = full.reshape(2, 2, o, b, h + 2, wd + 2)
     for r in range(2):
         for q in range(2):
@@ -774,7 +783,7 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> 
             for q in range(2):
                 gfull[r, q, :, :, r:r + h, q:q + wd] = gt[:, :, r::2, q::2]
         dx, dfolded = _conv_backward(gfull.reshape(4 * o, b, h + 2, wd + 2), x.data,
-                                     folded, 1, 1, x.requires_grad)
+                                     fold(), 1, 1, x.requires_grad)
         dw = np.empty(w.shape, dtype=np.float64)
         dw[:, c_up:] = dw_skip
         dfolded = dfolded.reshape(2, 2, o, c_up, 2, 2).transpose(2, 3, 0, 1, 4, 5)

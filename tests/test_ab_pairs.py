@@ -15,9 +15,10 @@ _spec.loader.exec_module(ab_pairs)
 PARENT = [170.0, 172.0, 174.0, 176.0, 178.0, 180.0, 182.0, 184.0, 186.0, 188.0]
 
 
-def _verdict(change, better="lower", parent=PARENT):
+def _verdict(change, better="lower", parent=PARENT, bound=0.25):
     rows = {"parent": [[v] for v in parent], "change": [[v] for v in change]}
-    return ab_pairs.verdict("step_ms_p50", better, rows, 0)
+    metric = {"name": "step_ms_p50", "better": better, "bound": bound}
+    return ab_pairs.verdict(metric, rows, 0)
 
 
 def test_gain_needs_nine_wins_and_a_gap_beyond_the_parent_iqr():
@@ -41,6 +42,27 @@ def test_higher_is_better_counts_the_other_way():
     row = _verdict([v + 20.0 for v in PARENT], better="higher")
     assert row[2] == "10" and row[-1] == "gain"
     assert _verdict([v + 20.0 for v in PARENT])[2] == "0"
+
+
+@pytest.mark.parametrize("better, shift, mark", [
+    ("lower", 50.0, "worse"),  # the median loses 50 ms against a bound of 44.75
+    ("lower", 40.0, ""),  # within the bound
+    ("higher", -50.0, "worse"),
+], ids=["lower_beyond_bound", "lower_within_bound", "higher_beyond_bound"])
+def test_worse_when_the_median_loses_more_than_the_bound(better, shift, mark):
+    # Parent median 179; a bound of 0.25 allows 44.75 either way.
+    assert _verdict([v + shift for v in PARENT], better=better)[-1] == mark
+
+
+def test_unresolved_when_the_parent_spread_exceeds_the_bound():
+    # A bound of 0.02 allows 3.58 ms, less than the parent's IQR of 9.
+    assert _verdict(PARENT, bound=0.02)[-1] == "unresolved"
+    # Unless every change run beats every parent run: median 105, IQR 27.5,
+    # and a gap of 6 that is no gain.
+    parent = [100.0] * 5 + [110.0, 120.0, 130.0, 140.0, 150.0]
+    row = _verdict([99.0] * 10, parent=parent, bound=0.02)
+    assert row[2] == "10" and row[-1] == ""
+    assert _verdict([101.0] * 10, parent=parent, bound=0.02)[-1] == "unresolved"
 
 
 def _stand_in(tree, body="", attempted=4):
@@ -72,7 +94,7 @@ def test_fault_columns_show_in_rows_and_medians_with_no_verdict(tmp_path, monkey
         _stand_in(tmp_path / side, attempted=attempted)
     (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps({
         "workloads": [{"name": "w"}],
-        "end_to_end": [{"name": "step_ms_p50", "better": "lower"}]}))
+        "end_to_end": [{"name": "step_ms_p50", "better": "lower", "bound": 0.25}]}))
     monkeypatch.setattr(ab_pairs, "PAIRS", 2)
     monkeypatch.setattr(sys, "argv", ["ab_pairs.py", str(tmp_path / "parent"),
                                       str(tmp_path / "change")])

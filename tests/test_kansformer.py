@@ -9,7 +9,6 @@ from transukan.kansformer import (
     KansformerBlockParams,
     LayerNormParams,
     MsaKanParams,
-    _split_heads,
     encoder_forward,
     kansformer_block,
     msa_kan,
@@ -24,7 +23,7 @@ def naive_msa(x, p):
         k = p.k_proj.forward(Tensor(x)).data
         v = p.v_proj.forward(Tensor(x)).data
     b, t, d = x.shape
-    hd = p.head_dim
+    hd = d // p.n_heads
     ctx = np.zeros((b, t, d))
     for bi in range(b):
         for h in range(p.n_heads):
@@ -39,13 +38,20 @@ def naive_msa(x, p):
     return ctx @ p.out_proj.weight.data.T + p.out_proj.bias.data
 
 
+def split_heads(x, n_heads):
+    """(b, t, d) -> (b, n_heads, t, d / n_heads), as graph ops."""
+    b, t, d = x.shape
+    return T.transpose(T.reshape(x, (b, t, n_heads, d // n_heads)), (0, 2, 1, 3))
+
+
 def attention_probs(x, p):
-    """The attention probabilities of ``msa_kan(x, p)``: ``T.attention`` of
-    its heads with v the identity, which returns P itself."""
-    q, k = (_split_heads(proj.forward(x), p.n_heads, p.head_dim)
-            for proj in (p.q_proj, p.k_proj))
-    t = x.shape[1]
-    return T.attention(q, k, Tensor(np.broadcast_to(np.eye(t), q.shape[:-1] + (t,))))
+    """The attention probabilities of ``msa_kan(x, p)``, (b, heads, t, t):
+    ``T.attention`` of its projections with each head's v the identity, so
+    that head h's output columns are P itself."""
+    q, k = (proj.forward(x) for proj in (p.q_proj, p.k_proj))
+    b, t, _ = x.shape
+    v = Tensor(np.broadcast_to(np.tile(np.eye(t), (1, p.n_heads)), (b, t, p.n_heads * t)))
+    return split_heads(T.attention(q, k, v, p.n_heads), p.n_heads)
 
 
 class TestMsaKan:
@@ -79,11 +85,11 @@ class TestMsaKan:
         rng = np.random.default_rng(11)
         p = MsaKanParams(8, 2, KanGrid(G=4, K=2), rng=rng)
         x = Tensor(rng.uniform(-1.3, 1.3, size=(2, 5, 8)))
-        heads = [_split_heads(proj.forward(x), p.n_heads, p.head_dim)
+        heads = [split_heads(proj.forward(x), p.n_heads)
                  for proj in (p.q_proj, p.k_proj, p.v_proj)]
         q, k, v = heads
         scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
-                         1.0 / np.sqrt(p.head_dim))
+                         1.0 / np.sqrt(q.shape[-1]))
         ctx = T.matmul(T.softmax(scores), v)
         merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), x.shape)
         expected = p.out_proj.forward(merged)

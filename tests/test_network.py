@@ -520,6 +520,20 @@ class TestModelConfig:
         with pytest.raises(ContractError, match="grid"):
             ModelConfig(grid=grid)
 
+    @pytest.mark.parametrize("mutate,named", [
+        (lambda c: {}, r"missing: \[.*'grid'"),
+        (lambda c: {**c, "grid": [1]}, "'grid'.*mapping"),
+        (lambda c: {**c, "cnn_channels": None}, "'cnn_channels'.*not iterable"),
+        (lambda c: {**c, "grid": {**c["grid"], "H": 1}}, "'grid'.*'H'"),
+        (lambda c: {k: v for k, v in c.items() if k != "depth"}, r"missing: \['depth'\]"),
+        (lambda c: {**c, "colour": 1}, r"unknown: \['colour'\]"),
+        (lambda c: [1], "must be a dict"),
+    ], ids=["empty", "grid_list", "cnn_channels_none", "grid_unknown_key", "depth_missing",
+            "unknown_field", "list"])
+    def test_from_dict_names_a_bad_field(self, mutate, named):
+        with pytest.raises(ContractError, match=named):
+            ModelConfig.from_dict(mutate(ModelConfig().to_dict()))
+
     def test_dict_round_trip(self):
         cfg = ModelConfig(grid=KanGrid(G=4, K=1, range_lo=-2.0, range_hi=2.0))
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg

@@ -130,27 +130,37 @@ class TestSoftmax:
         assert rep.ok, rep
 
 
-def _attention_graph(q, k, v):
-    """The graph ``T.attention`` stands for, op by op."""
+def _attention_graph(q, k, v, n_heads):
+    """The graph ``T.attention`` stands for, op by op: split the heads, run
+    matmul, scale, softmax and matmul on them, and merge the heads."""
+    def split(x):
+        b, t, d = x.shape
+        return T.transpose(T.reshape(x, (b, t, n_heads, d // n_heads)), (0, 2, 1, 3))
+
+    q, k, v = split(q), split(k), split(v)
     scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(q.shape[-1]))
-    return T.matmul(T.softmax(scores), v)
+    ctx = T.matmul(T.softmax(scores), v)
+    b, _, t, _ = ctx.shape
+    return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, -1))
 
 
 def _attention_inputs(seed, b, h, t, n, d, dv):
+    """q, k and v in the token layout, for h heads of widths d, d and dv."""
     rng = np.random.default_rng(seed)
     return [Tensor(rng.normal(size=shape), requires_grad=True)
-            for shape in ((b, h, t, d), (b, h, n, d), (b, h, n, dv))]
+            for shape in ((b, t, h * d), (b, n, h * d), (b, n, h * dv))]
 
 
 class TestAttention:
     @pytest.mark.parametrize("shape", [(2, 3, 5, 5, 4, 4), (2, 3, 1, 1, 4, 4),
                                        (2, 3, 5, 7, 4, 6)], ids=["t5", "t1", "n7_dv6"])
     def test_bit_equal_to_the_graph_and_its_gradients(self, shape):
-        w = np.random.default_rng(1).normal(size=shape[:3] + shape[-1:])
+        b, h, t, _, _, dv = shape
+        w = np.random.default_rng(1).normal(size=(b, t, h * dv))
         grads = []
         for op in (T.attention, _attention_graph):
             q, k, v = _attention_inputs(0, *shape)
-            out = op(q, k, v)
+            out = op(q, k, v, h)
             T.backward(T.sum_all(T.mul(out, Tensor(w))))
             grads.append((out.data, q.grad, k.grad, v.grad))
         (out, *mine), (expected, *theirs) = grads
@@ -158,29 +168,42 @@ class TestAttention:
         for g, oracle in zip(mine, theirs):
             np.testing.assert_allclose(g, oracle, rtol=1e-15, atol=0)
 
+    def test_leading_dims_are_batch_dims(self):
+        q, k, v = _attention_inputs(2, 6, 2, 5, 3, 4, 2)
+        flat = T.attention(q, k, v, 2)
+        split = T.attention(*(Tensor(x.data.reshape((2, 3) + x.shape[1:])) for x in (q, k, v)),
+                            2)
+        assert np.array_equal(split.data.reshape(flat.shape), flat.data)
+
     @pytest.mark.parametrize("which", [0, 1, 2], ids=["q", "k", "v"])
     @pytest.mark.parametrize("shape", [(1, 2, 4, 4, 3, 3), (2, 1, 3, 5, 4, 2)],
                              ids=["self", "n5_dv2"])
     def test_gradcheck(self, which, shape):
         args = _attention_inputs(3, *shape)
-        w = Tensor(np.random.default_rng(4).normal(size=shape[:3] + shape[-1:]))
+        b, h, t, _, _, dv = shape
+        w = Tensor(np.random.default_rng(4).normal(size=(b, t, h * dv)))
 
-        def objective(t):
-            return T.sum_all(T.mul(T.attention(*args[:which], t, *args[which + 1:]), w))
+        def objective(x):
+            return T.sum_all(T.mul(T.attention(*args[:which], x, *args[which + 1:], h), w))
 
         rep = T.grad_check(objective, args[which], tol=1e-6)
         assert rep.ok, rep
 
-    @pytest.mark.parametrize("shapes, named", [
-        (((4,), (4, 3), (4, 3)), "rank >= 2"),
-        (((2, 5, 3), (3, 5, 3), (2, 5, 3)), "equal batch dims"),
-        (((5, 3), (5, 4), (5, 3)), r"got \(5, 3\), \(5, 4\)"),
-        (((5, 3), (5, 3), (6, 3)), r"\(5, 3\), \(6, 3\)"),
-        (((0, 3), (0, 3), (0, 3)), "empty axis: t 0, n 0"),
-    ], ids=["rank_1", "batch_dims", "feature_dims", "key_lengths", "empty_t"])
-    def test_bad_shapes_raise_dimension_error(self, shapes, named):
+    @pytest.mark.parametrize("shapes, heads, named", [
+        (((4,), (4, 3), (4, 3)), 1, "rank >= 2"),
+        (((2, 5, 3), (3, 5, 3), (2, 5, 3)), 1, "equal batch dims"),
+        (((5, 3), (5, 4), (5, 3)), 1, r"got \(5, 3\), \(5, 4\)"),
+        (((5, 3), (5, 3), (6, 3)), 1, r"\(5, 3\), \(6, 3\)"),
+        (((0, 3), (0, 3), (0, 3)), 1, r"t, n, d > 0 .*got \(0, 3\)"),
+        (((5, 6), (5, 6), (5, 4)), 4, "dividing d and dv.* n_heads 4"),
+        (((5, 4), (5, 4), (5, 6)), 4, "dividing d and dv.* n_heads 4"),
+        (((5, 4), (5, 4), (5, 4)), 0, "n_heads 0"),
+        (((5, 4), (5, 4), (5, 4)), 2.0, "n_heads 2.0"),
+    ], ids=["rank_1", "batch_dims", "feature_dims", "key_lengths", "empty_t", "heads_split_d",
+            "heads_split_dv", "zero_heads", "float_heads"])
+    def test_bad_shapes_raise_dimension_error(self, shapes, heads, named):
         with pytest.raises(DimensionError, match=f"attention .*{named}"):
-            T.attention(*(_zeros(*shape) for shape in shapes))
+            T.attention(*(_zeros(*shape) for shape in shapes), heads)
 
 
 class TestLayerNorm:
@@ -612,7 +635,13 @@ class TestBackward:
                                       Tensor(np.ones((1, 1, 4, 4))),
                                       Tensor(np.ones((3, 3, 3, 3))), None),
      DimensionError, "bias"),
-], ids=["backward_of_float", "conv2d_no_bias", "upsample_concat_conv2d_no_bias"])
+    (lambda: T.softmax(_zeros(2, 0)), DimensionError, "softmax .*non-empty"),
+    (lambda: T.log_softmax(_zeros(2, 0, 3), axis=1), DimensionError,
+     r"log_softmax axis 1 invalid or empty .*\(2, 0, 3\)"),
+    (lambda: T.layer_norm(_zeros(2, 0), _zeros(0), _zeros(0)), DimensionError,
+     r"layer_norm .*non-empty .*\(2, 0\)"),
+], ids=["backward_of_float", "conv2d_no_bias", "upsample_concat_conv2d_no_bias",
+        "softmax_empty_axis", "log_softmax_empty_axis", "layer_norm_empty_axis"])
 def test_public_entry_points_raise_typed_errors(call, error, named):
     with pytest.raises(error, match=named):
         call()

@@ -18,9 +18,16 @@ each side and their ratio, change / parent, for every column, the two fault
 columns included; they get no verdict row. Last comes
 one verdict row per workload and end-to-end metric: the pairs the change won,
 in the direction ``better`` gives (ties count for neither side), the parent's
-quartiles and the gap between the medians. It reads ``gain`` when the change
-won at least 9 in 10 pairs and the gap exceeds the parent's interquartile
-range, so that the change's median lies outside it.
+quartiles, the gap between the medians and a mark. The mark reads
+
+- ``gain`` when the change won at least 9 in 10 pairs and the gap exceeds the
+  parent's interquartile range, so that the change's median lies outside it;
+- ``worse`` when the change's median is worse than the parent's by more than
+  the metric's ``bound`` in ``BENCHMARK.json``, taken as a share of the
+  parent's median;
+- ``unresolved`` when the parent's interquartile range is wider than that
+  bound, so that no regression within it could show, unless every run of the
+  change reads better than every run of the parent.
 """
 
 import argparse
@@ -55,7 +62,7 @@ def main():
     with open(os.path.join(args.parent, "BENCHMARK.json")) as f:
         spec = json.load(f)
     workloads = [w["name"] for w in spec["workloads"]]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    end_to_end = {m["name"]: m for m in spec["end_to_end"]}
     names = None
     for workload in workloads:
         rows = {"parent": [], "change": []}
@@ -75,25 +82,35 @@ def main():
         ratio = [c / p if p else float("nan") for p, c in zip(*medians.values())]
         print("\t".join([workload, "median", "change/parent", ""] + [f"{r:.4f}" for r in ratio]))
         print("\t".join(["workload", "verdict", "metric", "better", "wins", "pairs",
-                         "parent_q1", "parent_q3", "gap", "gain"]))
+                         "parent_q1", "parent_q3", "gap", "mark"]))
         for k, name in enumerate(names):
-            if name in better:
+            if name in end_to_end:
                 print("\t".join([workload, "verdict"]
-                                 + verdict(name, better[name], rows, k)), flush=True)
+                                 + verdict(end_to_end[name], rows, k)), flush=True)
 
 
-def verdict(name, better, rows, k):
+def verdict(metric, rows, k):
     """Wins, the parent's quartiles, the gap between the medians (the change's
-    better by that much when positive) and ``gain`` or an empty mark."""
+    better by that much when positive) and the mark, for ``metric``, an
+    ``end_to_end`` entry of ``BENCHMARK.json``."""
     parent = [r[k] for r in rows["parent"]]
     change = [r[k] for r in rows["change"]]
-    sign = 1 if better == "lower" else -1
+    sign = 1 if metric["better"] == "lower" else -1
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
-    gap = sign * (statistics.median(parent) - statistics.median(change)) + 0.0  # no -0
-    gain = wins >= 0.9 * len(parent) and gap > q3 - q1
-    return [name, better, str(wins), str(len(parent)), f"{q1:.6g}", f"{q3:.6g}",
-            f"{gap:.6g}", "gain" if gain else ""]
+    median = statistics.median(parent)
+    gap = sign * (median - statistics.median(change)) + 0.0  # no -0
+    bound = metric["bound"] * abs(median)
+    if wins >= 0.9 * len(parent) and gap > q3 - q1:
+        mark = "gain"
+    elif -gap > bound:
+        mark = "worse"
+    elif q3 - q1 > bound and not all(sign * (p - c) > 0 for p in parent for c in change):
+        mark = "unresolved"
+    else:
+        mark = ""
+    return [metric["name"], metric["better"], str(wins), str(len(parent)), f"{q1:.6g}",
+            f"{q3:.6g}", f"{gap:.6g}", mark]
 
 
 if __name__ == "__main__":
