@@ -16,6 +16,10 @@ Three ways to build a learnable-activation layer on a shared uniform grid:
   no parameters to the affine map it inherits: its weights, their
   initialisation and its mixing map are the ``AffineLayer``'s.
 
+An ``AffineLayer``, and so an EfficientKAN layer's mix and the ReLU-KAN
+layer's integration, is one ``tensor.affine`` node that adds its bias in
+place: no bias-free product is kept.
+
 The ReLU-KAN and B-spline layers expand their input with one
 ``tensor.basis_expand`` node each. Its forward is the numpy basis below
 (``relukan_basis``, ``bspline_basis``) and its backward recomputes the basis
@@ -240,7 +244,7 @@ class AffineLayer:
 
     def forward(self, x: Tensor) -> Tensor:
         _check_last_dim(x, self.c_in, "AffineLayer")
-        return T.add(T.matmul(x, T.transpose(self.weight, (1, 0))), self.bias)
+        return T.affine(x, self.weight, self.bias)
 
     def parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -311,8 +315,7 @@ class ReLUKanLayer:
         flat = T.reshape(basis, x.shape[:-1] + (self.c_in * nb,))  # a view
         # The kernel, not the batch-sized basis, is permuted to (c_out, c_in, G+K).
         kernel = T.transpose(self.kernel, (0, 2, 1))
-        w = T.transpose(T.reshape(kernel, (self.c_out, self.c_in * nb)), (1, 0))
-        return T.add(T.matmul(flat, w), self.bias)
+        return T.affine(flat, T.reshape(kernel, (self.c_out, self.c_in * nb)), self.bias)
 
     def parameters(self):
         return [("kernel", self.kernel), ("bias", self.bias)]

@@ -4,7 +4,10 @@ A small CNN pyramid extracts features at 1/8 resolution, every spatial
 location becomes a token for the Kansformer encoder, and a cascaded
 upsampling decoder with skip connections restores full resolution before a
 1x1 segmentation head. Each decoder block's upsample, skip concat and 3x3
-conv run as one op that never forms the upsampled map.
+conv run as one op that never forms the upsampled map. Every {conv, relu}
+pair, in the CNN and in the decoder, is one node: the conv op clamps its own
+output in place (``relu=True``), so no pre-activation map is kept. The head
+is a bare conv.
 """
 
 from __future__ import annotations
@@ -115,9 +118,9 @@ class Conv2dLayer:
                              requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, relu: bool = False) -> Tensor:
         return T.conv2d(x, self.weight, self.bias, stride=self.stride,
-                        padding=self.padding)
+                        padding=self.padding, relu=relu)
 
     def parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -158,10 +161,10 @@ def cnn_encode(image: Tensor, p: CnnEncoderParams):
     skips = []
     for i, (conv_a, conv_b) in enumerate(p.stages):
         with T.scope(f"stage{i}.conv_a"):
-            skip = T.relu(conv_a.forward(x))
+            skip = conv_a.forward(x, relu=True)
         skips.append(skip)
         with T.scope(f"stage{i}.conv_b"):
-            x = T.relu(conv_b.forward(skip))
+            x = conv_b.forward(skip, relu=True)
     return x, skips
 
 
@@ -206,7 +209,7 @@ class DecoderParams:
     def forward(self, x: Tensor, skips) -> Tensor:
         for i, (conv, skip) in enumerate(zip(self.blocks, reversed(skips))):
             with T.scope(f"block{i}"):
-                x = T.relu(T.upsample_concat_conv2d(x, skip, conv.weight, conv.bias))
+                x = T.upsample_concat_conv2d(x, skip, conv.weight, conv.bias, relu=True)
         with T.scope("head"):
             return self.head.forward(x)
 

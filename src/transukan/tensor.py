@@ -7,6 +7,13 @@ and the error names the ``scope`` path of the layer it ran in.
 One retention rule holds for every op (see ``_node``): a backward reads only
 its node's inputs, its own output and per-row statistics, and recomputes the
 rest, so a graph retains its op outputs plus those statistics.
+
+Epilogues are fused where a layer's intermediate would be kept for no
+backward: ``affine`` adds its bias into the matmul's output in place, and the
+conv ops take ``relu=True`` to clamp their output in place and mask the
+gradient by it in the backward (the in-place activation of Rota Bulò et al.,
+arXiv 1712.02616). A public op first checks that its operands are Tensors and
+raises a ``ContractError`` naming the op and the argument if one is not.
 """
 
 from __future__ import annotations
@@ -131,7 +138,10 @@ def scope(name: str):
 def _as_array(data) -> np.ndarray:
     if isinstance(data, np.ndarray) and data.dtype == np.float64:
         return data
-    return np.asarray(data, dtype=np.float64)
+    try:
+        return np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"Tensor data must be real numbers, got {data!r:.60}") from exc
 
 
 class Tensor:
@@ -182,6 +192,14 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def _operands(op: str, **operands) -> None:
+    """Raise a ``ContractError`` naming ``op`` and the first of ``operands``
+    that is not a Tensor."""
+    for name, value in operands.items():
+        if not isinstance(value, Tensor):
+            raise ContractError(f"{op}: {name} must be a Tensor, got {type(value).__name__}")
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -307,6 +325,7 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 def _broadcast_op(a: Tensor, b: Tensor, op: str, fwd, bwd) -> Tensor:
+    _operands(op, a=a, b=b)
     try:
         with np.errstate(all="ignore"):  # non-finite output raises below anyway
             data = fwd(a.data, b.data)
@@ -337,6 +356,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, s: float) -> Tensor:
+    _operands("scale", x=x)
     if not _is_real(s):
         raise ContractError(f"scale factor must be a real number, got {s!r}")
     s = float(s)
@@ -344,6 +364,7 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    _operands("relu", x=x)
     data = np.maximum(x.data, 0.0)
 
     def backward_fn(g):
@@ -358,6 +379,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def silu(x: Tensor) -> Tensor:
+    _operands("silu", x=x)
     data = x.data * _sigmoid(x.data)
 
     def backward_fn(g):
@@ -369,6 +391,7 @@ def silu(x: Tensor) -> Tensor:
 
 
 def square(x: Tensor) -> Tensor:
+    _operands("square", x=x)
     def backward_fn(g):
         return (g * 2.0 * x.data,)
 
@@ -380,6 +403,7 @@ def square(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    _operands("matmul", a=a, b=b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -398,7 +422,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                  flops=2 * data.size * a.shape[-1])
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x wᵀ + b for x (..., c_in), w (c_out, c_in) and b (c_out,), as one node
+    for ``add(matmul(x, transpose(w, (1, 0))), b)``: the bias goes into the
+    matmul's output in place, so no bias-free product is kept. The backward
+    runs those ops' numpy calls, and sums dw and db over the leading axes in
+    their order, so the gradients are theirs bit for bit.
+    """
+    _operands("affine", x=x, w=w, b=b)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1] or b.shape != w.shape[:1]:
+        raise DimensionError(f"affine needs x (..., c_in) of rank >= 2, w (c_out, c_in) "
+                             f"and b (c_out,), got {x.shape}, {w.shape} and {b.shape}")
+    data = np.matmul(x.data, w.data.T)
+    data += b.data
+
+    def backward_fn(g):
+        dw = _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape[::-1])
+        return (np.matmul(g, w.data), dw.T, _unbroadcast(g, b.shape))
+
+    return _node(data, "affine", (x, w, b), backward_fn,
+                 flops=data.size * (2 * w.shape[1] + 1))
+
+
 def softmax(x: Tensor) -> Tensor:
+    _operands("softmax", x=x)
     if x.ndim < 1 or x.shape[-1] == 0:
         raise DimensionError(f"softmax normalises a non-empty last axis, got shape {x.shape}")
     shifted = x.data - np.max(x.data, axis=-1, keepdims=True)
@@ -427,6 +474,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     forms dv = Pᵀg, dP = g vᵀ, dS = s·P∘(dP − rowsum(dP∘P)), dq = dS k and
     dk = (qᵀ dS)ᵀ. FLOPs are the graph's: batch·n_heads·t·n·(2e + 8 + 2dv/n_heads).
     """
+    _operands("attention", q=q, k=k, v=v)
     if min(q.ndim, k.ndim, v.ndim) < 2 or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
         raise DimensionError(f"attention needs rank >= 2 q, k, v with equal batch dims, "
                              f"got {q.shape}, {k.shape}, {v.shape}")
@@ -486,6 +534,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+    _operands("log_softmax", x=x)
     if not _is_int(axis) or not -x.ndim <= axis < x.ndim or x.shape[axis] == 0:
         raise DimensionError(f"log_softmax axis {axis!r} invalid or empty for shape {x.shape}")
     shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
@@ -500,6 +549,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    _operands("layer_norm", x=x, gamma=gamma, beta=beta)
     if x.ndim < 1 or x.shape[-1] == 0:
         raise DimensionError(f"layer_norm normalises a non-empty last axis, got {x.shape}")
     d = x.shape[-1]
@@ -626,7 +676,8 @@ def _conv_backward(gfull: np.ndarray, x: np.ndarray, w: np.ndarray, s: int,
     same buffer and accumulates the input's gradient in it, each tap's
     ``w_tᵀ·g`` product going through a (c, chunk) scratch as wide as the
     forward's im2col chunk. Its scratch is therefore one phase-split input
-    plus that chunk.
+    plus that chunk. It drops ``gfull`` and the chunk before it allocates dx,
+    so a caller hands ``gfull`` over as an expression, keeping no name for it.
     """
     o, b, hq, wq = gfull.shape
     c, kh, kw = w.shape[1:]
@@ -649,6 +700,7 @@ def _conv_backward(gfull: np.ndarray, x: np.ndarray, w: np.ndarray, s: int,
         for i, j, r, q, off in taps:
             np.matmul(w[:, :, i, j].T, gfull[:, m0:m0 + m], out=dtap)
             dxs[r, q, :, off + m0:off + m0 + m] += dtap
+    del gfull, scratch, dtap
     _, _, h, wd = x.shape
     dgrid = dxs[..., :n].reshape(s, s, c, b, hq, wq)
     dx = np.empty(x.shape, dtype=np.float64)
@@ -658,13 +710,47 @@ def _conv_backward(gfull: np.ndarray, x: np.ndarray, w: np.ndarray, s: int,
     return dx, dw
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation over NCHW input with an OIHW kernel.
+def _put_grad(cells: np.ndarray, g: np.ndarray, relu_out: np.ndarray | None) -> None:
+    """Write the gradient ``g`` into ``cells``; through a fused relu whose
+    output is ``relu_out``, zero it where that output is 0."""
+    if relu_out is None:
+        cells[...] = g
+    else:
+        np.multiply(g, relu_out > 0.0, out=cells)
+
+
+def _grad_grid(g: np.ndarray, relu_out: np.ndarray | None, shape) -> np.ndarray:
+    """The output gradient g (b, o, h, w), put by :func:`_put_grad` in the
+    top-left cells of a zero phase grid of ``shape`` (o, b, hq, wq)."""
+    gfull = np.zeros(shape, dtype=np.float64)
+    _put_grad(gfull[:, :, :g.shape[2], :g.shape[3]].transpose(1, 0, 2, 3), g, relu_out)
+    return gfull
+
+
+def _bias_grad(g: np.ndarray, relu_out: np.ndarray | None) -> np.ndarray:
+    """Sum of g over all axes but the channels, masked as by :func:`_put_grad`;
+    the masked copy dies here."""
+    return (g if relu_out is None else g * (relu_out > 0.0)).sum(axis=(0, 2, 3))
+
+
+def _check_relu(op: str, relu) -> None:
+    if not isinstance(relu, bool):
+        raise ContractError(f"{op} relu must be a bool, got {relu!r}")
+
+
+def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0,
+           relu: bool = False) -> Tensor:
+    """2-D cross-correlation over NCHW input with an OIHW kernel, then
+    ``relu(·)`` in place if ``relu`` is set.
 
     Computed on the flat phase grid of :func:`_conv_forward`. The backward
     keeps no array of its own: it rebuilds the padded input from ``x.data``
-    (see :func:`_conv_backward`).
+    (see :func:`_conv_backward`). With ``relu`` it also reads its own output,
+    masking g where that is 0; the pre-activation is never kept, and a -inf
+    in it clamps to 0 rather than raising.
     """
+    _operands("conv2d", x=x, w=w)
+    _check_relu("conv2d", relu)
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d needs 4-d input and kernel, got {x.shape}, {w.shape}")
     for name, value, least in (("stride", stride, 1), ("padding", padding, 0)):
@@ -690,17 +776,20 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     valid = full[:, :, :h_out, :w_out].transpose(1, 0, 2, 3)
     data = np.empty((b, o, h_out, w_out), dtype=np.float64)
     np.add(valid, bias.data[:, None, None], out=data)
+    del full, valid
+    if relu:
+        np.maximum(data, 0.0, out=data)
+    relu_out = data if relu else None
 
     def backward_fn(g):
-        gfull = np.zeros(grid_shape, dtype=np.float64)
-        gfull[:, :, :h_out, :w_out] = g.transpose(1, 0, 2, 3)
-        dx, dw = _conv_backward(gfull, x.data, w.data, stride, padding,
-                                x.requires_grad)
-        return (dx, dw, g.sum(axis=(0, 2, 3)))
+        db = _bias_grad(g, relu_out)
+        dx, dw = _conv_backward(_grad_grid(g, relu_out, grid_shape), x.data, w.data, stride,
+                                padding, x.requires_grad)
+        return (dx, dw, db)
 
-    # The bias add rides in the multiply-accumulates.
+    # The bias add rides in the multiply-accumulates; the relu is 1 per output.
     return _node(data, "conv2d", (x, w, bias), backward_fn,
-                 flops=2 * data.size * ci * kh * kw)
+                 flops=data.size * (2 * ci * kh * kw + relu))
 
 
 # Along one axis, output phase a of a 3-tap kernel on a nearest-2x upsample
@@ -713,9 +802,11 @@ _FOLD = (_FOLD_AXIS[:, None, :, None, :, None]
          * _FOLD_AXIS[None, :, None, :, None, :]).reshape(16, 9)
 
 
-def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> Tensor:
-    """``conv2d(concat([upsample_nearest_2x(x), skip], 1), w, bias, padding=1)``
-    for a 3x3 kernel, as one op that never forms the upsample or the concat.
+def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor,
+                           relu: bool = False) -> Tensor:
+    """``conv2d(concat([upsample_nearest_2x(x), skip], 1), w, bias, padding=1,
+    relu=relu)`` for a 3x3 kernel, as one op that never forms the upsample or
+    the concat.
 
     The kernel splits by input channels: with c_up = x.shape[1], the skip half
     ``w[:, c_up:]`` is a plain 3x3 conv of ``skip``. The upsampled half folds
@@ -729,8 +820,11 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> 
     each padded input from ``skip.data`` and ``x.data`` in turn, and maps the
     folded kernel's gradient back to ``w[:, :c_up]`` by ``_FOLD``.
     FLOPs are the multiply-accumulates each output pixel needs: 9 per skip
-    channel and 4 per x channel.
+    channel and 4 per x channel, plus 1 for the relu. ``relu`` is applied and
+    differentiated as in :func:`conv2d`.
     """
+    _operands("upsample_concat_conv2d", x=x, skip=skip, w=w)
+    _check_relu("upsample_concat_conv2d", relu)
     if x.ndim != 4 or skip.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"upsample_concat_conv2d needs 4-d x, skip and kernel, "
                              f"got {x.shape}, {skip.shape}, {w.shape}")
@@ -770,31 +864,38 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> 
         for q in range(2):
             cells = phases[r, q, :, :, r:r + h, q:q + wd]
             data[:, :, r::2, q::2] += cells.transpose(1, 0, 2, 3)
-    del full, phases
+    del full, phases, cells
+    if relu:
+        np.maximum(data, 0.0, out=data)
+    relu_out = data if relu else None
 
     def backward_fn(g):
-        gt = g.transpose(1, 0, 2, 3)
-        gfull = np.zeros((o, b, 2 * h + 2, 2 * wd + 2), dtype=np.float64)
-        gfull[:, :, :2 * h, :2 * wd] = gt
-        dskip, dw_skip = _conv_backward(gfull, skip.data, w_skip, 1, 1,
-                                        skip.requires_grad)
-        gfull = np.zeros((2, 2, o, b, h + 2, wd + 2), dtype=np.float64)
-        for r in range(2):
-            for q in range(2):
-                gfull[r, q, :, :, r:r + h, q:q + wd] = gt[:, :, r::2, q::2]
-        dx, dfolded = _conv_backward(gfull.reshape(4 * o, b, h + 2, wd + 2), x.data,
-                                     fold(), 1, 1, x.requires_grad)
+        db = _bias_grad(g, relu_out)
+        dskip, dw_skip = _conv_backward(_grad_grid(g, relu_out, (o, b, 2 * h + 2, 2 * wd + 2)),
+                                        skip.data, w_skip, 1, 1, skip.requires_grad)
+
+        def phase_grid():
+            gfull = np.zeros((2, 2, o, b, h + 2, wd + 2), dtype=np.float64)
+            for r in range(2):
+                for q in range(2):
+                    _put_grad(gfull[r, q, :, :, r:r + h, q:q + wd].transpose(1, 0, 2, 3),
+                              g[:, :, r::2, q::2],
+                              None if relu_out is None else relu_out[:, :, r::2, q::2])
+            return gfull.reshape(4 * o, b, h + 2, wd + 2)
+
+        dx, dfolded = _conv_backward(phase_grid(), x.data, fold(), 1, 1, x.requires_grad)
         dw = np.empty(w.shape, dtype=np.float64)
         dw[:, c_up:] = dw_skip
         dfolded = dfolded.reshape(2, 2, o, c_up, 2, 2).transpose(2, 3, 0, 1, 4, 5)
         dw[:, :c_up] = (dfolded.reshape(o, c_up, 16) @ _FOLD).reshape(o, c_up, 3, 3)
-        return (dx, dskip, dw, g.sum(axis=(0, 2, 3)))
+        return (dx, dskip, dw, db)
 
     return _node(data, "upsample_concat_conv2d", (x, skip, w, bias), backward_fn,
-                 flops=2 * data.size * (9 * c_s + 4 * c_up))
+                 flops=data.size * (2 * (9 * c_s + 4 * c_up) + relu))
 
 
 def upsample_nearest_2x(x: Tensor) -> Tensor:
+    _operands("upsample_nearest_2x", x=x)
     if x.ndim != 4:
         raise DimensionError(f"upsample_nearest_2x needs 4-d input, got {x.shape}")
     data = x.data.repeat(2, axis=2).repeat(2, axis=3)
@@ -811,6 +912,7 @@ def upsample_nearest_2x(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def mean_last_axis(x: Tensor) -> Tensor:
+    _operands("mean_last_axis", x=x)
     if x.ndim < 1 or x.shape[-1] < 1:
         raise DimensionError(f"mean_last_axis needs a non-empty last axis, got {x.shape}")
     k = x.shape[-1]
@@ -832,6 +934,7 @@ def basis_expand(x: Tensor, basis: Callable[[np.ndarray], np.ndarray],
     and returns (slopes(x) * g).sum(-1). ``flops`` is the caller's count for
     the forward.
     """
+    _operands("basis_expand", x=x)
     with np.errstate(all="ignore"):  # a non-finite x raises in _node
         data = basis(x.data)
 
@@ -857,8 +960,13 @@ def squared_piecewise_poly(x: Tensor, x0: float, h: float, coef) -> Tensor:
     ``KanGrid``'s ``pooled_bell_table``, is the graph
     ``square(mean_last_axis(kan.relukan_basis_expand(x, grid)))``.
     """
-    coef = np.asarray(coef, dtype=np.float64)
-    x0, h = float(x0), float(h)
+    _operands("squared_piecewise_poly", x=x)
+    try:
+        coef = np.asarray(coef, dtype=np.float64)
+        x0, h = float(x0), float(h)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"squared_piecewise_poly needs a numeric table, x0 and h: "
+                            f"{exc}") from exc
     if coef.ndim != 2 or coef.shape[0] < 3 or coef.shape[1] < 2:
         raise ContractError(f"squared_piecewise_poly needs a (cells + 2, degree + 1) "
                             f"table of degree >= 1, got shape {coef.shape}")
@@ -913,6 +1021,7 @@ def squared_piecewise_poly(x: Tensor, x0: float, h: float, coef) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
+    _operands("sum_all", x=x)
     def backward_fn(g):
         return (np.broadcast_to(g, x.shape),)
 
@@ -920,6 +1029,7 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    _operands("reshape", x=x)
     if not isinstance(shape, tuple) or not all(map(_is_int, shape)):
         raise DimensionError(f"reshape shape must be a tuple of ints, got {shape!r}")
     try:
@@ -934,6 +1044,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
+    _operands("transpose", x=x)
     if (not isinstance(axes, tuple) or not all(map(_is_int, axes))
             or sorted(axes) != list(range(x.ndim))):
         raise DimensionError(f"transpose axes {axes} invalid for rank {x.ndim}")
@@ -946,8 +1057,9 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    if not tensors:
-        raise ContractError("concat needs at least one tensor")
+    if not isinstance(tensors, (list, tuple)) or not tensors:
+        raise ContractError(f"concat needs a non-empty list of tensors, got {tensors!r:.60}")
+    _operands("concat", **{f"tensors[{i}]": t for i, t in enumerate(tensors)})
     if not _is_int(axis) or not -tensors[0].ndim <= axis < tensors[0].ndim:
         raise DimensionError(f"concat axis {axis!r} invalid for shape {tensors[0].shape}")
     try:
@@ -990,6 +1102,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
     carry no finite-difference signal at small h, so deep composites are
     checked where the comparison is actually informative.
     """
+    _operands("grad_check", x=x)
     if not _is_real(h) or not h > 0:
         raise ContractError(f"grad_check step h must be a positive number, got {h!r}")
     if sample is not None:

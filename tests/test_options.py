@@ -46,7 +46,8 @@ KNOBS = {
     "tensor.check_sizes": ("least",),
     "tensor.log_softmax": ("axis",),
     "tensor.layer_norm": ("eps",),
-    "tensor.conv2d": ("stride", "padding"),
+    "tensor.conv2d": ("stride", "padding", "relu"),
+    "tensor.upsample_concat_conv2d": ("relu",),
     "tensor.grad_check": ("h", "tol", "sample", "sample_largest"),
 }
 
@@ -90,7 +91,7 @@ def test_settable_option_names_are_pinned():
 
 
 def test_function_knob_count_is_pinned():
-    assert sum(len(knobs) for knobs in knobs_by_function().values()) == 10
+    assert sum(len(knobs) for knobs in knobs_by_function().values()) == 12
 
 
 def test_function_knob_names_are_pinned():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from transukan import profiler
+from transukan import network, profiler
 from transukan import tensor as T
 from transukan.kan import AffineLayer
 from transukan.tensor import (
@@ -56,6 +56,61 @@ class TestMatmul:
         assert out.shape == (2, 5, 3, 6)
         rep = T.grad_check(lambda t: T.sum_all(T.matmul(a, t)), b, tol=1e-6)
         assert rep.ok
+
+
+def _affine_graph(x, w, b):
+    return T.add(T.matmul(x, T.transpose(w, (1, 0))), b)
+
+
+def _outputs_and_grads(op, args, seed):
+    """op(*args), and the gradient of each arg under sum(op(*args) * G) for a
+    random G: the arrays a fused op must reproduce bit for bit."""
+    for t in args:
+        t.requires_grad = True
+        t.zero_grad()
+    out = op(*args)
+    g = Tensor(np.random.default_rng(seed).normal(size=out.shape))
+    T.backward(T.sum_all(T.mul(out, g)))
+    return [out.data] + [t.grad for t in args]
+
+
+class TestAffine:
+    @pytest.mark.parametrize("x_shape", [(5, 3), (2, 7, 3)], ids=["2d", "3d"])
+    def test_bit_equal_to_the_graph_and_its_gradients(self, x_shape):
+        rng = np.random.default_rng(61)
+        args = [Tensor(rng.normal(size=shape)) for shape in (x_shape, (4, 3), (4,))]
+        fused = _outputs_and_grads(T.affine, args, 62)
+        for got, expected in zip(fused, _outputs_and_grads(_affine_graph, args, 62)):
+            assert np.array_equal(got, expected)
+
+    def test_one_node_of_the_graph_flops(self):
+        rng = np.random.default_rng(63)
+        x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in ((2, 5, 3), (4, 3), (4,)))
+        out = T.affine(x, w, b)
+        assert out._parents == (x, w, b)
+        graph = [n for n in T.Tape(_affine_graph(x, w, b)).nodes if n._backward_fn]
+        assert out.flops == sum(n.flops for n in graph) == 2 * 40 * 3 + 40
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["x", "w", "b"])
+    def test_gradcheck(self, which):
+        rng = np.random.default_rng(64)
+        args = [Tensor(rng.normal(size=s)) for s in ((2, 3, 5), (4, 5), (4,))]
+        weights = Tensor(rng.normal(size=(2, 3, 4)))
+
+        def f(t):
+            return T.sum_all(T.mul(T.affine(*args[:which], t, *args[which + 1:]), weights))
+
+        rep = T.grad_check(f, args[which], tol=1e-6)
+        assert rep.ok, rep
+
+    @pytest.mark.parametrize("shapes", [
+        ((3,), (4, 3), (4,)), ((2, 3), (4, 3, 1), (4,)), ((2, 5), (4, 3), (4,)),
+        ((2, 3), (4, 3), (3,)), ((2, 3), (4, 3), (4, 1)),
+    ], ids=["rank1_x", "rank3_w", "c_in", "bias_size", "bias_rank"])
+    def test_bad_shapes_raise_dimension_error(self, shapes):
+        with pytest.raises(DimensionError, match="affine"):
+            T.affine(*(Tensor(np.zeros(s)) for s in shapes))
 
 
 class TestElementwise:
@@ -533,6 +588,96 @@ class TestUpsampleConcatConv2d:
             T.upsample_concat_conv2d(*args)
 
 
+def _closure_arrays(out):
+    return [cell.cell_contents for cell in out._backward_fn.__closure__
+            if isinstance(cell.cell_contents, np.ndarray)]
+
+
+class TestFusedRelu:
+    """``relu=True`` on a conv op is the bare op followed by ``T.relu``."""
+
+    # (x shape, kernel, stride, padding): the conv oracle grid's kernels and
+    # strides, and the model's 3x3 convs at stride 1 and 2.
+    CONVS = [((2, 3, 7, 6), (2, 3, 3, 3), 1, 1), ((2, 3, 8, 6), (4, 3, 3, 3), 2, 1),
+             ((2, 1, 8, 4), (2, 1, 3, 2), 3, 2), ((1, 2, 6, 6), (3, 2, 2, 2), 1, 0),
+             ((2, 3, 5, 5), (2, 3, 1, 1), 2, 0)]
+    CONV_IDS = ["3x3", "3x3_stride2", "3x2_stride3", "2x2_unpadded", "1x1_stride2"]
+
+    @pytest.mark.parametrize("shape, kernel, stride, padding", CONVS, ids=CONV_IDS)
+    def test_conv2d_equals_conv_then_relu(self, shape, kernel, stride, padding):
+        rng = np.random.default_rng(71)
+        args = [Tensor(rng.normal(size=s)) for s in (shape, kernel, kernel[:1])]
+        kw = {"stride": stride, "padding": padding}
+        fused = _outputs_and_grads(lambda *a: T.conv2d(*a, **kw, relu=True), args, 72)
+        graph = _outputs_and_grads(lambda *a: T.relu(T.conv2d(*a, **kw)), args, 72)
+        assert 0 < np.count_nonzero(fused[0]) < fused[0].size
+        for got, expected in zip(fused, graph):
+            assert np.array_equal(got, expected)
+        bare = T.conv2d(*args, **kw)
+        assert T.conv2d(*args, **kw, relu=True).flops == bare.flops + bare.size
+
+    @pytest.mark.parametrize("shape", [(2, 3, 2, 5, 4, 2), (1, 16, 8, 8, 16, 16),
+                                       (3, 4, 4, 4, 3, 5)], ids=["2x5", "decoder2", "batch3"])
+    def test_upsample_concat_conv2d_equals_it_then_relu(self, shape):
+        args = _decoder_inputs(np.random.default_rng(73), *shape)
+        fused = _outputs_and_grads(
+            lambda *a: T.upsample_concat_conv2d(*a, relu=True), args, 74)
+        graph = _outputs_and_grads(
+            lambda *a: T.relu(T.upsample_concat_conv2d(*a)), args, 74)
+        assert 0 < np.count_nonzero(fused[0]) < fused[0].size
+        for got, expected in zip(fused, graph):
+            assert np.array_equal(got, expected)
+
+    @staticmethod
+    def _away_from_the_kink(op, args):
+        # A finite-difference step of 1e-5 moves no pre-activation across 0.
+        with T.no_grad():
+            assert np.abs(op(*args).data).min() > 1e-3
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["x", "w", "bias"])
+    def test_conv2d_gradcheck(self, which):
+        rng = np.random.default_rng(75)
+        args = [Tensor(rng.normal(size=s)) for s in ((2, 2, 5, 5), (3, 2, 3, 3), (3,))]
+        self._away_from_the_kink(lambda *a: T.conv2d(*a, stride=2, padding=1), args)
+        weights = Tensor(rng.normal(size=(2, 3, 3, 3)))
+        rep = T.grad_check(lambda t: T.sum_all(T.mul(
+            T.conv2d(*args, stride=2, padding=1, relu=True), weights)), args[which], tol=1e-6)
+        assert rep.ok, rep
+
+    @pytest.mark.parametrize("which", [0, 1, 2, 3], ids=["x", "skip", "w", "bias"])
+    def test_upsample_concat_conv2d_gradcheck(self, which):
+        rng = np.random.default_rng(76)
+        args = _decoder_inputs(rng, 2, 3, 3, 2, 2, 4)
+        self._away_from_the_kink(T.upsample_concat_conv2d, args)
+        weights = Tensor(rng.normal(size=(2, 4, 6, 4)))
+        rep = T.grad_check(lambda t: T.sum_all(T.mul(
+            T.upsample_concat_conv2d(*args, relu=True), weights)), args[which], tol=1e-6)
+        assert rep.ok, rep
+
+    def test_backward_keeps_only_its_own_output(self):
+        rng = np.random.default_rng(77)
+        x = Tensor(rng.normal(size=(2, 3, 8, 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        x2, skip, w2, bias2 = _decoder_inputs(rng, 2, 16, 8, 8, 16, 16)
+        for out, kernel in ((T.conv2d(x, w, Tensor(np.zeros(4)), stride=2, padding=1,
+                                      relu=True), w),
+                            (T.upsample_concat_conv2d(x2, skip, w2, bias2, relu=True), w2)):
+            held = [a for a in _closure_arrays(out) if a is not out.data]
+            assert len(held) < len(_closure_arrays(out))
+            assert all(a.size <= kernel.size for a in held), [a.shape for a in held]
+
+    @pytest.mark.parametrize("call, op", [
+        (lambda: T.conv2d(_zeros(1, 1, 4, 4), _zeros(2, 1, 3, 3), _zeros(2), relu=1),
+         "conv2d"),
+        (lambda: T.upsample_concat_conv2d(_zeros(1, 1, 2, 2), _zeros(1, 1, 4, 4),
+                                          _zeros(2, 2, 3, 3), _zeros(2), relu="yes"),
+         "upsample_concat_conv2d"),
+    ], ids=["conv2d", "upsample_concat_conv2d"])
+    def test_relu_must_be_a_bool(self, call, op):
+        with pytest.raises(ContractError, match=f"{op} relu"):
+            call()
+
+
 class TestBackward:
     def test_sum_grad_is_ones(self):
         x = Tensor(np.zeros((3, 4)), requires_grad=True)
@@ -640,8 +785,27 @@ class TestBackward:
      r"log_softmax axis 1 invalid or empty .*\(2, 0, 3\)"),
     (lambda: T.layer_norm(_zeros(2, 0), _zeros(0), _zeros(0)), DimensionError,
      r"layer_norm .*non-empty .*\(2, 0\)"),
+    (lambda: T.add(_zeros(2), 3), ContractError, "add: b must be a Tensor, got int"),
+    (lambda: T.sum_all(3), ContractError, "sum_all: x must be a Tensor, got int"),
+    (lambda: T.relu([1.0]), ContractError, "relu: x must be a Tensor, got list"),
+    (lambda: AffineLayer(2, 3).forward(np.zeros((4, 2))), ContractError,
+     "affine: x must be a Tensor, got ndarray"),
+    (lambda: T.conv2d(np.ones((1, 2, 4, 4)), _zeros(3, 2, 3, 3), _zeros(3)), ContractError,
+     "conv2d: x must be a Tensor, got ndarray"),
+    (lambda: network.forward(np.zeros((1, 1, 16, 16)), network.TransUKanModel(
+        network.ModelConfig(image_size=16, d_model=8, depth=1, n_heads=2))), ContractError,
+     r"\[cnn.stage0.conv_a\] conv2d: x must be a Tensor, got ndarray"),
+    (lambda: T.matmul(_zeros(2, 3), np.zeros((3, 2))), ContractError,
+     "matmul: b must be a Tensor, got ndarray"),
+    (lambda: Tensor("a"), ContractError, "Tensor data must be real numbers, got 'a'"),
+    (lambda: Tensor(object()), ContractError, "Tensor data must be real numbers"),
+    (lambda: T.squared_piecewise_poly(_zeros(2), 0, 1, "ab"), ContractError,
+     "squared_piecewise_poly needs a numeric table"),
 ], ids=["backward_of_float", "conv2d_no_bias", "upsample_concat_conv2d_no_bias",
-        "softmax_empty_axis", "log_softmax_empty_axis", "layer_norm_empty_axis"])
+        "softmax_empty_axis", "log_softmax_empty_axis", "layer_norm_empty_axis",
+        "add_int", "sum_all_int", "relu_list", "affine_layer_ndarray", "conv2d_ndarray",
+        "network_forward_ndarray", "matmul_ndarray", "tensor_of_str", "tensor_of_object",
+        "squared_piecewise_poly_str_table"])
 def test_public_entry_points_raise_typed_errors(call, error, named):
     with pytest.raises(error, match=named):
         call()
