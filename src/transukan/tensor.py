@@ -10,10 +10,11 @@ rest, so a graph retains its op outputs plus those statistics.
 
 Epilogues are fused where a layer's intermediate would be kept for no
 backward: ``affine`` adds its bias into the matmul's output in place, and the
-conv ops take ``relu=True`` to clamp their output in place and mask the
-gradient by it in the backward (the in-place activation of Rota Bulò et al.,
-arXiv 1712.02616). A public op first checks that its operands are Tensors and
-raises a ``ContractError`` naming the op and the argument if one is not.
+conv ops take ``relu=True`` to clamp their output in place (the in-place
+activation of Rota Bulò et al., arXiv 1712.02616); their backward masks g by
+it once, onto the phase grid, whose channel sums are the bias gradient. A
+public op first checks that its operands are Tensors and raises a
+``ContractError`` naming the op and the argument if one is not.
 """
 
 from __future__ import annotations
@@ -136,12 +137,15 @@ def scope(name: str):
 
 
 def _as_array(data) -> np.ndarray:
+    """``data`` as a float64 array; bool, int and float data only, so that
+    None does not become NaN nor a complex number lose its imaginary part."""
     if isinstance(data, np.ndarray) and data.dtype == np.float64:
         return data
-    try:
-        return np.asarray(data, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ContractError(f"Tensor data must be real numbers, got {data!r:.60}") from exc
+    with contextlib.suppress(TypeError, ValueError):  # ragged or unconvertible data
+        arr = np.asarray(data)
+        if arr.dtype.kind in "biuf":
+            return arr.astype(np.float64, copy=False)
+    raise ContractError(f"Tensor data must be real numbers, got {data!r:.60}")
 
 
 class Tensor:
@@ -548,7 +552,10 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _node(data, "log_softmax", (x,), backward_fn, flops=7 * data.size)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+_LAYER_NORM_EPS = 1e-5  # added to each row's variance, as torch.nn.LayerNorm does
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     _operands("layer_norm", x=x, gamma=gamma, beta=beta)
     if x.ndim < 1 or x.shape[-1] == 0:
         raise DimensionError(f"layer_norm normalises a non-empty last axis, got {x.shape}")
@@ -556,11 +563,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(f"layer_norm params must have shape ({d},), got "
                              f"{gamma.shape} and {beta.shape}")
-    if not _is_real(eps) or not eps > 0:
-        raise ContractError(f"layer_norm eps must be a positive number, got {eps!r}")
     mean = np.mean(x.data, axis=-1, keepdims=True)
     xhat = x.data - mean
-    inv_std = 1.0 / np.sqrt(np.mean(xhat * xhat, axis=-1, keepdims=True) + eps)
+    inv_std = 1.0 / np.sqrt(np.mean(xhat * xhat, axis=-1, keepdims=True) + _LAYER_NORM_EPS)
     xhat *= inv_std
     data = gamma.data * xhat + beta.data
 
@@ -667,9 +672,9 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, s: int, padding: int) -> np.ndar
 
 def _conv_backward(gfull: np.ndarray, x: np.ndarray, w: np.ndarray, s: int,
                    padding: int, need_dx: bool):
-    """Adjoint of :func:`_conv_forward`: ``(dx or None, dw)`` from the gradient
-    on the flat phase grid, ``gfull`` (o, b, hq, wq), zero in the dropped
-    cells.
+    """Adjoint of :func:`_conv_forward`: ``(dx or None, dw, db)`` from the
+    gradient on the flat phase grid, ``gfull`` (o, b, hq, wq), zero in the
+    dropped cells; db, the bias gradient, is its sum per channel.
 
     Rebuilds the phase-split input from x rather than keeping it from the
     forward, and forms dw from it tap by tap. For dx it then zero-fills that
@@ -683,13 +688,14 @@ def _conv_backward(gfull: np.ndarray, x: np.ndarray, w: np.ndarray, s: int,
     c, kh, kw = w.shape[1:]
     n = b * hq * wq
     gfull = gfull.reshape(o, n)
+    db = gfull.sum(axis=1)
     taps = _taps(kh, kw, s, wq)
     xs = _phase_split(x, kh, kw, s, padding)[0]
     dw = np.empty(w.shape, dtype=np.float64)
     for i, j, r, q, off in taps:
         dw[:, :, i, j] = gfull @ xs[r, q, :, off:off + n].T
     if not need_dx:
-        return None, dw
+        return None, dw, db
     dxs = xs
     dxs.fill(0.0)
     step = _chunk_columns(n, c * kh * kw)
@@ -707,7 +713,7 @@ def _conv_backward(gfull: np.ndarray, x: np.ndarray, w: np.ndarray, s: int,
     dxt = dx.transpose(1, 0, 2, 3)
     for r, q, (gy, gx), (sy, sx) in _phase_slices(h, wd, s, padding):
         dxt[:, :, sy, sx] = dgrid[r, q, :, :, gy, gx]
-    return dx, dw
+    return dx, dw, db
 
 
 def _put_grad(cells: np.ndarray, g: np.ndarray, relu_out: np.ndarray | None) -> None:
@@ -727,13 +733,10 @@ def _grad_grid(g: np.ndarray, relu_out: np.ndarray | None, shape) -> np.ndarray:
     return gfull
 
 
-def _bias_grad(g: np.ndarray, relu_out: np.ndarray | None) -> np.ndarray:
-    """Sum of g over all axes but the channels, masked as by :func:`_put_grad`;
-    the masked copy dies here."""
-    return (g if relu_out is None else g * (relu_out > 0.0)).sum(axis=(0, 2, 3))
-
-
-def _check_relu(op: str, relu) -> None:
+def _check_epilogue(op: str, bias, o: int, relu) -> None:
+    """Raise unless ``bias`` is a Tensor of shape (o,) and ``relu`` a bool."""
+    if not isinstance(bias, Tensor) or bias.shape != (o,):
+        raise DimensionError(f"{op} bias shape must be ({o},), got {getattr(bias, 'shape', bias)}")
     if not isinstance(relu, bool):
         raise ContractError(f"{op} relu must be a bool, got {relu!r}")
 
@@ -750,7 +753,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     in it clamps to 0 rather than raising.
     """
     _operands("conv2d", x=x, w=w)
-    _check_relu("conv2d", relu)
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d needs 4-d input and kernel, got {x.shape}, {w.shape}")
     for name, value, least in (("stride", stride, 1), ("padding", padding, 0)):
@@ -767,9 +769,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     if h_out < 1 or w_out < 1:
         raise DimensionError(f"conv2d kernel {kh}x{kw} larger than padded input "
                              f"{h + 2 * padding}x{wd + 2 * padding}")
-    if not isinstance(bias, Tensor) or bias.shape != (o,):
-        raise DimensionError(f"conv2d bias must have shape ({o},), "
-                             f"got {getattr(bias, 'shape', bias)}")
+    _check_epilogue("conv2d", bias, o, relu)
 
     full = _conv_forward(x.data, w.data, stride, padding)
     grid_shape = full.shape
@@ -782,10 +782,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     relu_out = data if relu else None
 
     def backward_fn(g):
-        db = _bias_grad(g, relu_out)
-        dx, dw = _conv_backward(_grad_grid(g, relu_out, grid_shape), x.data, w.data, stride,
-                                padding, x.requires_grad)
-        return (dx, dw, db)
+        return _conv_backward(_grad_grid(g, relu_out, grid_shape), x.data, w.data, stride,
+                              padding, x.requires_grad)
 
     # The bias add rides in the multiply-accumulates; the relu is 1 per output.
     return _node(data, "conv2d", (x, w, bias), backward_fn,
@@ -824,7 +822,6 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor,
     differentiated as in :func:`conv2d`.
     """
     _operands("upsample_concat_conv2d", x=x, skip=skip, w=w)
-    _check_relu("upsample_concat_conv2d", relu)
     if x.ndim != 4 or skip.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"upsample_concat_conv2d needs 4-d x, skip and kernel, "
                              f"got {x.shape}, {skip.shape}, {w.shape}")
@@ -842,9 +839,7 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor,
     if w.shape[1] != c_up + c_s:
         raise DimensionError(f"upsample_concat_conv2d kernel expects {w.shape[1]} input "
                              f"channels, x and skip have {c_up} + {c_s}")
-    if not isinstance(bias, Tensor) or bias.shape != (o,):
-        raise DimensionError(f"upsample_concat_conv2d bias must have shape ({o},), "
-                             f"got {getattr(bias, 'shape', bias)}")
+    _check_epilogue("upsample_concat_conv2d", bias, o, relu)
 
     w_skip = w.data[:, c_up:]
 
@@ -854,6 +849,7 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor,
         return folded.reshape(4 * o, c_up, 2, 2)
 
     full = _conv_forward(skip.data, w_skip, 1, 1)
+    grid_shape = full.shape
     data = np.empty((b, o, 2 * h, 2 * wd), dtype=np.float64)  # after the conv's scratch
     np.add(full[:, :, :2 * h, :2 * wd].transpose(1, 0, 2, 3), bias.data[:, None, None],
            out=data)
@@ -870,9 +866,8 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor,
     relu_out = data if relu else None
 
     def backward_fn(g):
-        db = _bias_grad(g, relu_out)
-        dskip, dw_skip = _conv_backward(_grad_grid(g, relu_out, (o, b, 2 * h + 2, 2 * wd + 2)),
-                                        skip.data, w_skip, 1, 1, skip.requires_grad)
+        dskip, dw_skip, db = _conv_backward(_grad_grid(g, relu_out, grid_shape), skip.data,
+                                            w_skip, 1, 1, skip.requires_grad)
 
         def phase_grid():
             gfull = np.zeros((2, 2, o, b, h + 2, wd + 2), dtype=np.float64)
@@ -883,7 +878,7 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor,
                               None if relu_out is None else relu_out[:, :, r::2, q::2])
             return gfull.reshape(4 * o, b, h + 2, wd + 2)
 
-        dx, dfolded = _conv_backward(phase_grid(), x.data, fold(), 1, 1, x.requires_grad)
+        dx, dfolded, _ = _conv_backward(phase_grid(), x.data, fold(), 1, 1, x.requires_grad)
         dw = np.empty(w.shape, dtype=np.float64)
         dw[:, c_up:] = dw_skip
         dfolded = dfolded.reshape(2, 2, o, c_up, 2, 2).transpose(2, 3, 0, 1, 4, 5)
@@ -1105,11 +1100,16 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
     _operands("grad_check", x=x)
     if not _is_real(h) or not h > 0:
         raise ContractError(f"grad_check step h must be a positive number, got {h!r}")
+    if not _is_real(tol):
+        raise ContractError(f"grad_check tol must be a real number, got {tol!r}")
     if sample is not None:
         check_sizes({"grad_check sample": sample})
     x.requires_grad = True
     x.zero_grad()
     out = f(x)
+    if not isinstance(out, Tensor):
+        raise ContractError(f"grad_check target must return a Tensor, "
+                            f"got {type(out).__name__}")
     if out.size != 1:
         raise ContractError("grad_check target must return a scalar")
     backward(out)

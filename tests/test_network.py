@@ -485,6 +485,29 @@ def test_embedded_config_checked_on_load(tmp_path, mutate, error):
         assert np.array_equal(p1.data, p2.data)
 
 
+def _count_at(blob):
+    """Offset of the u32 tensor count that follows a checkpoint's config block."""
+    (config_len,) = struct.unpack("<I", blob[5:9])
+    return 9 + config_len
+
+
+@pytest.mark.parametrize("rewrite,named", [
+    (lambda blob, at: struct.pack_into("<I", blob, at, struct.unpack_from("<I", blob, at)[0] + 1),
+     r"has \d+ tensors, model declares \d+"),
+    (lambda blob, at: struct.pack_into("<I", blob, at + 8, 17),  # first dim of tensor 0
+     r"tensor cnn.stage0.conv_a.weight has shape \(17, 1, 3, 3\)"),
+    (lambda blob, at: blob.extend(b"\0"), "trailing bytes after parameters"),
+], ids=["tensor_count", "tensor_shape", "trailing_bytes"])
+def test_rewritten_tensor_block_refused(tmp_path, rewrite, named):
+    path = str(tmp_path / "model.tukn")
+    save_checkpoint(TransUKanModel(MICRO, rng=np.random.default_rng(17)), path)
+    blob = bytearray(open(path, "rb").read())
+    rewrite(blob, _count_at(blob))
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(CheckpointCorruptError, match=named):
+        load_checkpoint(path)
+
+
 class TestModelConfig:
     def test_validation(self):
         with pytest.raises(ContractError):

@@ -7,9 +7,11 @@ A function knob is a parameter with a default of a public function defined in
 a ``transukan`` module.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import transukan
 
@@ -45,7 +47,6 @@ KNOBS = {
     "network.load_checkpoint": ("expect_config",),
     "tensor.check_sizes": ("least",),
     "tensor.log_softmax": ("axis",),
-    "tensor.layer_norm": ("eps",),
     "tensor.conv2d": ("stride", "padding", "relu"),
     "tensor.upsample_concat_conv2d": ("relu",),
     "tensor.grad_check": ("h", "tol", "sample", "sample_largest"),
@@ -91,8 +92,48 @@ def test_settable_option_names_are_pinned():
 
 
 def test_function_knob_count_is_pinned():
-    assert sum(len(knobs) for knobs in knobs_by_function().values()) == 12
+    assert sum(len(knobs) for knobs in knobs_by_function().values()) == 11
 
 
 def test_function_knob_names_are_pinned():
     assert knobs_by_function() == KNOBS
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# Knobs kept without a caller that sets them: grad_check is the package's
+# finite-difference checker, exported for users and for the tests.
+UNSET_BY_DESIGN = ("tensor.grad_check",)
+
+
+def knobs_set_by_callers() -> set[str]:
+    """``module.function.knob`` of every knob that a call in the non-test
+    sources of the package or the benchmark sets, by keyword or by position.
+    A call names its function by the bare name, as ``T.conv2d`` or ``conv2d``."""
+    objects = dict(public_objects())
+    params = {name.rsplit(".", 1)[1]: (name, list(inspect.signature(objects[name]).parameters))
+              for name in knobs_by_function()}
+    sources = [p for d in ("src/transukan", "perfbench") for p in (ROOT / d).glob("*.py")
+               if not p.name.startswith("test_")]
+    set_knobs = set()
+    for path in sources:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            bare = getattr(call.func, "attr", getattr(call.func, "id", None))
+            if bare not in params:
+                continue
+            name, names = params[bare]
+            positional = [names[i] for i, arg in enumerate(call.args)
+                          if i < len(names) and not isinstance(arg, ast.Starred)]
+            set_knobs.update(f"{name}.{knob}"
+                             for knob in positional + [kw.arg for kw in call.keywords])
+    return set_knobs
+
+
+def test_every_function_knob_is_set_by_a_caller():
+    """A knob no caller sets is a constant spelled as an option; it goes."""
+    set_knobs = knobs_set_by_callers()
+    unset = [f"{name}.{knob}" for name, knobs in knobs_by_function().items()
+             if name not in UNSET_BY_DESIGN for knob in knobs
+             if f"{name}.{knob}" not in set_knobs]
+    assert unset == []

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from transukan import network, profiler
+from transukan import kansformer, network, profiler
 from transukan import tensor as T
 from transukan.kan import AffineLayer
 from transukan.tensor import (
@@ -269,15 +269,16 @@ class TestLayerNorm:
 
     def test_two_point_row(self):
         x = Tensor(np.array([[1.0, 3.0]]))
-        out = T.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
+        out = T.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)))
         np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-5)
 
     def test_normalization_moments(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(6, 9), scale=3.0) + 2.0)
-        out = T.layer_norm(x, Tensor(np.ones(9)), Tensor(np.zeros(9)), eps=1e-10)
+        out = T.layer_norm(x, Tensor(np.ones(9)), Tensor(np.zeros(9)))
         np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-10)
-        np.testing.assert_allclose(out.data.var(axis=-1), 1.0, atol=1e-6)
+        v = x.data.var(axis=-1)  # the normalised variance is v / (v + eps), eps = 1e-5
+        np.testing.assert_allclose(out.data.var(axis=-1), v / (v + 1e-5), atol=1e-6)
 
     def test_gradcheck_all_inputs(self):
         rng = np.random.default_rng(8)
@@ -801,11 +802,52 @@ class TestBackward:
     (lambda: Tensor(object()), ContractError, "Tensor data must be real numbers"),
     (lambda: T.squared_piecewise_poly(_zeros(2), 0, 1, "ab"), ContractError,
      "squared_piecewise_poly needs a numeric table"),
+    (lambda: Tensor(None), ContractError, "Tensor data must be real numbers, got None"),
+    (lambda: Tensor([None]), ContractError, r"Tensor data must be real numbers, got \[None\]"),
+    (lambda: Tensor(np.array([1 + 2j])), ContractError, "Tensor data must be real numbers"),
+    (lambda: T.grad_check(lambda t: 3.0, _zeros(2)), ContractError,
+     "grad_check target must return a Tensor, got float"),
+    # An f that returns None: tol is refused before f runs.
+    (lambda: T.grad_check(lambda t: None, _zeros(2), tol="a"), ContractError,
+     "grad_check tol .*'a'"),
+    (lambda: _zeros(2).item(), ContractError, r"expected scalar tensor, got shape \(2,\)"),
+    (lambda: T.matmul(_zeros(3), _zeros(3, 2)), DimensionError, "matmul needs rank >= 2"),
+    (lambda: T.matmul(_zeros(2, 2, 3), _zeros(3, 3, 4)), DimensionError,
+     "matmul batch dims not broadcastable"),
+    (lambda: T.layer_norm(_zeros(2, 3), _zeros(2), _zeros(3)), DimensionError,
+     r"layer_norm params must have shape \(3,\)"),
+    (lambda: T.conv2d(_zeros(2, 4, 4), _zeros(3, 2, 3, 3), _zeros(3)), DimensionError,
+     "conv2d needs 4-d input"),
+    (lambda: T.conv2d(_zeros(1, 2, 4, 4), _zeros(3, 1, 3, 3), _zeros(3)), DimensionError,
+     "conv2d channel mismatch: input 2, kernel expects 1"),
+    (lambda: T.upsample_nearest_2x(_zeros(2, 2, 2)), DimensionError,
+     "upsample_nearest_2x needs 4-d input"),
+    (lambda: T.mean_last_axis(_zeros(2, 0)), DimensionError,
+     "mean_last_axis needs a non-empty last axis"),
+    (lambda: T.reshape(_zeros(6), (4,)), DimensionError, r"cannot reshape \(6,\) to \(4,\)"),
+    (lambda: T.concat([], axis=0), ContractError, "concat needs a non-empty list"),
+    (lambda: T.concat([_zeros(2, 3), _zeros(2, 4)], axis=0), DimensionError,
+     "concat shapes incompatible"),
+    (lambda: T.grad_check(lambda t: t, _zeros(3)), ContractError,
+     "grad_check target must return a scalar"),
+    (lambda: T.grad_check(lambda t: T.sum_all(Tensor(np.zeros(2), requires_grad=True)),
+                          _zeros(3)), StateError, "f does not depend on x"),
+    (lambda: kansformer.kansformer_block(_zeros(1, 4, 6), kansformer.KansformerBlockParams(
+        8, 2)), DimensionError, r"kansformer_block expects \(B, T, 8\)"),
+    (lambda: network.ModelConfig(n_classes=1), ContractError, "at least 2 classes, got 1"),
+    (lambda: network.cnn_encode(_zeros(1, 16, 16), network.CnnEncoderParams(1, (4, 4, 4))),
+     DimensionError, r"cnn_encode expects \(B, C, H, W\)"),
 ], ids=["backward_of_float", "conv2d_no_bias", "upsample_concat_conv2d_no_bias",
         "softmax_empty_axis", "log_softmax_empty_axis", "layer_norm_empty_axis",
         "add_int", "sum_all_int", "relu_list", "affine_layer_ndarray", "conv2d_ndarray",
         "network_forward_ndarray", "matmul_ndarray", "tensor_of_str", "tensor_of_object",
-        "squared_piecewise_poly_str_table"])
+        "squared_piecewise_poly_str_table", "tensor_of_none", "tensor_of_none_list",
+        "tensor_of_complex", "grad_check_float_target", "grad_check_str_tol",
+        "item_of_vector", "matmul_rank_1", "matmul_batch_dims", "layer_norm_param_shape",
+        "conv2d_3d_input", "conv2d_channel_mismatch", "upsample_nearest_2x_3d_input",
+        "mean_last_axis_empty", "reshape_size", "concat_empty_list", "concat_shapes",
+        "grad_check_vector_target", "grad_check_independent_target",
+        "kansformer_block_shape", "model_config_one_class", "cnn_encode_3d_input"])
 def test_public_entry_points_raise_typed_errors(call, error, named):
     with pytest.raises(error, match=named):
         call()
@@ -851,15 +893,13 @@ def test_conv_on_an_empty_axis_raises_dimension_error(call, named):
     (lambda: T.transpose(_zeros(2, 3), 1), DimensionError, "transpose axes 1"),
     (lambda: T.concat([_zeros(2), _zeros(3)], axis=0.5), DimensionError, "concat axis 0.5"),
     (lambda: T.concat([_zeros(2), _zeros(3)], axis=True), DimensionError, "concat axis True"),
-    (lambda: T.layer_norm(_zeros(2, 3), _zeros(3), _zeros(3), eps="a"), ContractError,
-     "eps .*'a'"),
     (lambda: T.grad_check(T.sum_all, _zeros(3), h="a"), ContractError, "step h .*'a'"),
     (lambda: T.layer_norm(Tensor(1.0), _zeros(1), _zeros(1)), DimensionError,
      "layer_norm"),
 ], ids=["conv2d_bool_stride", "conv2d_bool_padding", "reshape_float", "reshape_bool",
         "transpose_float", "log_softmax_float_axis", "scale_str", "scale_bool",
         "estimate_flops_int_shape", "softmax_0d", "transpose_int_axes", "concat_float_axis",
-        "concat_bool_axis", "layer_norm_str_eps", "grad_check_str_h", "layer_norm_0d"])
+        "concat_bool_axis", "grad_check_str_h", "layer_norm_0d"])
 def test_non_integer_arguments_raise_typed_errors(call, error, named):
     with pytest.raises(error, match=named):
         call()
