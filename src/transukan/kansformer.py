@@ -60,6 +60,7 @@ def msa_kan(x: Tensor, p: MsaKanParams) -> Tensor:
     The three projections share one grid and one input, so the KAN
     activation is computed once and mixed by each projection's own weights.
     """
+    T.check_type("msa_kan", "p", p, MsaKanParams)
     if x.ndim != 3 or x.shape[-1] != p.d_model:
         raise DimensionError(f"msa_kan expects (B, T, {p.d_model}), got {x.shape}")
     with T.scope("qkv"):
@@ -93,6 +94,7 @@ class KansformerBlockParams:
 
 
 def kansformer_block(z_prev: Tensor, p: KansformerBlockParams) -> Tensor:
+    T.check_type("kansformer_block", "p", p, KansformerBlockParams)
     if z_prev.ndim != 3 or z_prev.shape[-1] != p.d_model:
         raise DimensionError(f"kansformer_block expects (B, T, {p.d_model}), "
                              f"got {z_prev.shape}")
@@ -131,6 +133,7 @@ class EncoderStack:
 
 
 def encoder_forward(tokens: Tensor, stack: EncoderStack) -> Tensor:
+    T.check_type("encoder_forward", "stack", stack, EncoderStack)
     if tokens.ndim != 3 or tokens.shape[1] != stack.n_tokens \
             or tokens.shape[2] != stack.d_model:
         raise DimensionError(f"encoder expects (B, {stack.n_tokens}, "

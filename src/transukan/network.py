@@ -40,6 +40,22 @@ class CheckpointCorruptError(CheckpointError):
     """File truncated or structurally inconsistent."""
 
 
+class CheckpointIOError(CheckpointError, OSError):
+    """The checkpoint path could not be read or written. It is also the
+    ``OSError`` it was raised from (its ``__cause__``): ``errno`` is that
+    error's, and ``filename`` is the checkpoint path."""
+
+
+@contextlib.contextmanager
+def _path_errors(path: str, doing: str):
+    """Re-raise an ``OSError`` of the block as a ``CheckpointIOError`` on ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise CheckpointIOError(exc.errno, f"cannot {doing} checkpoint: "
+                                f"{exc.strerror or exc}", path) from exc
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     in_channels: int = 1
@@ -152,6 +168,7 @@ class CnnEncoderParams:
 
 def cnn_encode(image: Tensor, p: CnnEncoderParams):
     """Returns (features at 1/8 resolution, skips ordered shallow to deep)."""
+    T.check_type("cnn_encode", "p", p, CnnEncoderParams)
     if image.ndim != 4:
         raise DimensionError(f"cnn_encode expects (B, C, H, W), got {image.shape}")
     if image.shape[2] % 8 or image.shape[3] % 8:
@@ -207,6 +224,10 @@ class DecoderParams:
         self.head = Conv2dLayer(prev, n_classes, 1, rng=rng)
 
     def forward(self, x: Tensor, skips) -> Tensor:
+        """Logits from the encoder map x and the CNN's three skips, shallow to deep."""
+        if not isinstance(skips, (list, tuple)) or len(skips) != len(self.blocks):
+            raise ContractError(f"DecoderParams.forward: skips must be a list of "
+                                f"{len(self.blocks)} skips, got {skips!r:.60}")
         for i, (conv, skip) in enumerate(zip(self.blocks, reversed(skips))):
             with T.scope(f"block{i}"):
                 x = T.upsample_concat_conv2d(x, skip, conv.weight, conv.bias, relu=True)
@@ -237,6 +258,7 @@ class TransUKanModel:
 
 def forward(image: Tensor, model: TransUKanModel) -> Tensor:
     """Full pipeline to per-pixel class logits of the input's spatial size."""
+    T.check_type("forward", "model", model, TransUKanModel)
     cfg = model.config
     if image.ndim != 4 or image.shape[1] != cfg.in_channels:
         raise DimensionError(f"expected (B, {cfg.in_channels}, H, W), got {image.shape}")
@@ -266,7 +288,9 @@ _VERSION = 1
 
 def save_checkpoint(model: TransUKanModel, path: str) -> None:
     """Write ``model`` to ``path`` atomically: the file there is either the
-    previous one or the whole new one, never a partial write."""
+    previous one or the whole new one, never a partial write. A failed read
+    or write of the path raises a ``CheckpointIOError``."""
+    T.check_type("save_checkpoint", "model", model, TransUKanModel)
     buf = io.BytesIO()
     buf.write(_MAGIC)
     buf.write(struct.pack("<B", _VERSION))
@@ -281,11 +305,12 @@ def save_checkpoint(model: TransUKanModel, path: str) -> None:
         buf.write(p.data.astype("<f8").tobytes())
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
     try:
-        with open(tmp, "xb") as fh:
-            fh.write(buf.getvalue())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        with _path_errors(path, "write"):
+            with open(tmp, "xb") as fh:
+                fh.write(buf.getvalue())
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
@@ -303,9 +328,10 @@ def _read_exact(fh, n: int) -> bytes:
 def load_checkpoint(path: str, expect_config: ModelConfig | None = None) -> TransUKanModel:
     """Rebuild a model from a checkpoint; bit-exact round trip with save.
 
-    ``expect_config``, when given, must match the embedded config exactly.
+    ``expect_config``, when given, must match the embedded config exactly. A
+    path that cannot be read raises a ``CheckpointIOError``.
     """
-    with open(path, "rb") as fh:
+    with _path_errors(path, "read"), open(path, "rb") as fh:
         if _read_exact(fh, 4) != _MAGIC:
             raise CheckpointFormatError(f"{path}: bad magic, not a checkpoint")
         (version,) = struct.unpack("<B", _read_exact(fh, 1))

@@ -189,6 +189,7 @@ def variant_report(variant: str, config: ModelConfig) -> CostReport:
     functions per input."""
     if variant not in VARIANTS:
         raise ContractError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+    T.check_type("variant_report", "config", config, ModelConfig)
     shape = (1, config.n_tokens, config.d_model)
     swaps = _swaps(variant, config, shape)
     rows = {}

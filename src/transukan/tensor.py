@@ -89,9 +89,19 @@ def _is_real(value) -> bool:
             and not isinstance(value, bool))
 
 
+def check_type(where: str, name: str, value, cls: type) -> None:
+    """Raise a ``ContractError`` naming ``where`` and the argument ``name``
+    unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ContractError(f"{where}: {name} must be {article} {cls.__name__}, "
+                            f"got {type(value).__name__}")
+
+
 def check_sizes(sizes: dict[str, object], least: int = 1) -> None:
     """Raise a ``ContractError`` naming the first of ``sizes`` that is not an
     int (a bool is not) of at least ``least``."""
+    check_type("check_sizes", "sizes", sizes, dict)
     for name, value in sizes.items():
         if isinstance(value, bool) or not isinstance(value, int) or value < least:
             raise ContractError(f"{name} must be an int >= {least}, got {value!r}")
@@ -154,8 +164,9 @@ class Tensor:
     Gradients of leaves (tensors no op made) accumulate additively across
     backward passes; ``zero_grad`` resets. Tensors produced by operations
     carry closures so a later ``backward`` can replay adjoints in reverse
-    topological order; the closures, and the arrays they hold, live until
-    that backward releases them. Every tensor names the ``op`` that made it,
+    topological order. That backward drops each closure as its adjoint runs,
+    so an op output nothing else holds dies once its own adjoint and those of
+    the ops that read it have run. Every tensor names the ``op`` that made it,
     its ``flops`` and the ``scope`` it ran in (None, 0 and "" on tensors no
     op made).
     """
@@ -262,6 +273,7 @@ class Tape:
     """
 
     def __init__(self, root: Tensor):
+        _operands("Tape", root=root)
         order: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -283,19 +295,21 @@ class Tape:
 def backward(loss: Tensor) -> None:
     """Add to ``grad`` of every leaf tensor the scalar ``loss`` depends on.
 
-    Each op node is released as its adjoint runs: its closure, parents and
-    gradient are dropped, so op outputs keep no ``grad`` after backward and
-    the saved state of the graph is freed while the pass runs. A finished
-    graph cannot be replayed: a backward through any released node raises a
-    ``StateError`` naming its op. Leaves (tensors no op made) keep owned,
-    writable gradients that accumulate across passes until ``zero_grad``.
+    Each op node is released as its adjoint runs: it leaves the tape, and its
+    closure, parents and gradient are dropped, so op outputs keep no ``grad``
+    after backward. An op output that nothing outside the graph holds is
+    freed once its own adjoint and those of the ops that read it have run,
+    so the graph's memory falls as the pass goes. A finished graph cannot be
+    replayed: a backward through any released node raises a ``StateError``
+    naming its op. Leaves (tensors no op made) keep owned, writable gradients
+    that accumulate across passes until ``zero_grad``.
     """
     if not isinstance(loss, Tensor):
         raise ContractError(f"backward needs a Tensor loss, got {type(loss).__name__}")
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    tape = Tape(loss)
-    for node in tape.nodes:
+    nodes = Tape(loss).nodes
+    for node in nodes:
         if node._backward_ran:
             where = f" [{node.scope}]" if node.scope else ""
             raise StateError(f"backward already ran through {node.op}{where}; "
@@ -303,25 +317,31 @@ def backward(loss: Tensor) -> None:
     if loss._backward_fn is None:
         raise StateError("loss records no operations (empty tape)")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
-        fn, parents, grad = node._backward_fn, node._parents, node.grad
-        if fn is None:
+    while nodes:
+        _run_adjoint(nodes.pop())
+
+
+def _run_adjoint(node: Tensor) -> None:
+    """Release ``node`` and pass its gradient on to its parents; the closure,
+    the gradient and the parents' gradients die with the call."""
+    fn, parents, grad = node._backward_fn, node._parents, node.grad
+    if fn is None:
+        return
+    node._backward_fn, node._parents, node.grad = None, (), None
+    node._backward_ran = True
+    if grad is None:
+        return
+    for parent, pgrad in zip(parents, fn(grad)):
+        if pgrad is None or not parent.requires_grad:
             continue
-        node._backward_fn, node._parents, node.grad = None, (), None
-        node._backward_ran = True
-        if grad is None:
-            continue
-        for parent, pgrad in zip(parents, fn(grad)):
-            if pgrad is None or not parent.requires_grad:
-                continue
-            if parent._backward_fn is not None:  # op output: never written in place
-                # asarray: an adjoint on a 0-d gradient may return a numpy scalar.
-                parent.grad = np.asarray(pgrad if parent.grad is None
-                                         else parent.grad + pgrad)
-            elif parent.grad is None:
-                parent.grad = np.array(pgrad, dtype=np.float64, copy=True)
-            else:
-                parent.grad += pgrad
+        if parent._backward_fn is not None:  # op output: never written in place
+            # asarray: an adjoint on a 0-d gradient may return a numpy scalar.
+            parent.grad = np.asarray(pgrad if parent.grad is None
+                                     else parent.grad + pgrad)
+        elif parent.grad is None:
+            parent.grad = np.array(pgrad, dtype=np.float64, copy=True)
+        else:
+            parent.grad += pgrad
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +607,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 # Convolution and spatial ops
 # ---------------------------------------------------------------------------
 
-# Most elements of im2col scratch that one conv2d forward chunk fills (8 MiB).
-# On the default model, 2**19 and below made the batch-1 64x64 forward slower,
-# and 2**21 raised its peak memory from 9.3 to 14.4 MB.
-_IM2COL_BUDGET = 2 ** 20
+# Most elements of im2col scratch that one conv2d forward chunk fills (4 MiB).
+# The chunk sets the peak of an inference forward, and of a training forward
+# now that the backward frees activations as it goes. For the default model's
+# batch-1 64x64 forward (2 vCPUs, 16 alternating rounds), 2**20 peaked at
+# 7.31 MB, 2**19 peaks at 4.80 MB and takes ~1% longer, and 2**18 peaked at
+# 3.97 MB but took ~3% longer; a training step times the same at 2**19 and 2**20.
+_IM2COL_BUDGET = 2 ** 19
 
 
 def _phase_slices(h: int, w: int, stride: int, padding: int):

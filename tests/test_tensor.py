@@ -837,6 +837,28 @@ class TestBackward:
     (lambda: network.ModelConfig(n_classes=1), ContractError, "at least 2 classes, got 1"),
     (lambda: network.cnn_encode(_zeros(1, 16, 16), network.CnnEncoderParams(1, (4, 4, 4))),
      DimensionError, r"cnn_encode expects \(B, C, H, W\)"),
+    (lambda: network.forward(_zeros(1, 1, 16, 16), "m"), ContractError,
+     "forward: model must be a TransUKanModel, got str"),
+    (lambda: network.cnn_encode(_zeros(1, 1, 16, 16), None), ContractError,
+     "cnn_encode: p must be a CnnEncoderParams, got NoneType"),
+    (lambda: kansformer.encoder_forward(_zeros(1, 4, 8), None), ContractError,
+     "encoder_forward: stack must be an EncoderStack, got NoneType"),
+    (lambda: kansformer.msa_kan(_zeros(1, 4, 8), None), ContractError,
+     "msa_kan: p must be a MsaKanParams, got NoneType"),
+    (lambda: kansformer.kansformer_block(_zeros(1, 4, 8), None), ContractError,
+     "kansformer_block: p must be a KansformerBlockParams, got NoneType"),
+    (lambda: network.save_checkpoint(None, "model.tukn"), ContractError,
+     "save_checkpoint: model must be a TransUKanModel, got NoneType"),
+    (lambda: profiler.variant_report("mlp", None), ContractError,
+     "variant_report: config must be a ModelConfig, got NoneType"),
+    (lambda: T.Tape(3), ContractError, "Tape: root must be a Tensor, got int"),
+    (lambda: T.check_sizes(3), ContractError, "check_sizes: sizes must be a dict, got int"),
+    (lambda: network.DecoderParams(8, (4, 4, 4), (8, 8, 8), 2).forward(_zeros(1, 8, 2, 2),
+                                                                       None),
+     ContractError, "DecoderParams.forward: skips must be a list of 3 skips, got None"),
+    (lambda: network.DecoderParams(8, (4, 4, 4), (8, 8, 8), 2).forward(
+        _zeros(1, 8, 2, 2), [_zeros(1, 4, 16, 16), _zeros(1, 4, 8, 8)]),
+     ContractError, "DecoderParams.forward: skips must be a list of 3 skips"),
 ], ids=["backward_of_float", "conv2d_no_bias", "upsample_concat_conv2d_no_bias",
         "softmax_empty_axis", "log_softmax_empty_axis", "layer_norm_empty_axis",
         "add_int", "sum_all_int", "relu_list", "affine_layer_ndarray", "conv2d_ndarray",
@@ -847,7 +869,11 @@ class TestBackward:
         "conv2d_3d_input", "conv2d_channel_mismatch", "upsample_nearest_2x_3d_input",
         "mean_last_axis_empty", "reshape_size", "concat_empty_list", "concat_shapes",
         "grad_check_vector_target", "grad_check_independent_target",
-        "kansformer_block_shape", "model_config_one_class", "cnn_encode_3d_input"])
+        "kansformer_block_shape", "model_config_one_class", "cnn_encode_3d_input",
+        "network_forward_str_model", "cnn_encode_none_params", "encoder_forward_none_stack",
+        "msa_kan_none_params", "kansformer_block_none_params", "save_checkpoint_none_model",
+        "variant_report_none_config", "tape_of_int", "check_sizes_int",
+        "decoder_forward_none_skips", "decoder_forward_two_skips"])
 def test_public_entry_points_raise_typed_errors(call, error, named):
     with pytest.raises(error, match=named):
         call()

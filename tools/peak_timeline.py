@@ -1,0 +1,109 @@
+"""Memory timeline of one training step, one row per adjoint of the backward.
+
+    python3 tools/peak_timeline.py [--config JSON] [--batch B] [--seed S]
+
+Builds ``TransUKanModel`` at ``ModelConfig()`` with the fields of ``--config``
+(a JSON object, e.g. ``'{"image_size": 128}'``) put over it, and runs one
+training step on a random image and labelling drawn from ``--seed``: forward,
+mean pixel cross-entropy and ``T.backward``. Memory is tracemalloc's, counted
+from just before the forward, so the parameters are not in it and their
+gradients are.
+
+Prints one TSV row per adjoint, in the order the backward runs them: the op,
+its scope, the bytes held when the adjoint starts and the peak while it runs
+(tracemalloc's peak, reset as it starts). The peak covers the adjoint's own
+call only; adding its gradients to the parents' ones comes after. The last row,
+op ``(step)``, gives the bytes the forward left held and the whole step's peak.
+"""
+
+import argparse
+import json
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from transukan import tensor as T
+from transukan.network import ModelConfig, TransUKanModel, forward
+from transukan.tensor import Tensor
+
+
+class Timeline:
+    """Rows ``(op, scope, held, peak)`` of the adjoints run so far, in bytes
+    above ``base``, and the step's peak before the last reset."""
+
+    def __init__(self):
+        self.base = tracemalloc.get_traced_memory()[0]
+        self.rows: list[tuple[str, str, int, int]] = []
+        self.peak = 0
+
+    def wrap(self, op: str, scope: str, fn):
+        """``fn``, an adjoint, recording its row; it holds no node."""
+        def recorded(g):
+            held, peak = tracemalloc.get_traced_memory()
+            self.peak = max(self.peak, peak - self.base)
+            tracemalloc.reset_peak()
+            try:
+                return fn(g)
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                self.rows.append((op, scope, held - self.base, peak - self.base))
+        return recorded
+
+    def step_peak(self) -> int:
+        return max(self.peak, tracemalloc.get_traced_memory()[1] - self.base)
+
+
+def pixel_loss(model: TransUKanModel, batch: int, seed: int) -> Tensor:
+    """Mean pixel cross-entropy of ``model`` on a random image and labelling."""
+    cfg = model.config
+    rng = np.random.default_rng(seed)
+    size = cfg.image_size
+    img = Tensor(rng.uniform(size=(batch, cfg.in_channels, size, size)))
+    labels = rng.integers(0, cfg.n_classes, size=(batch, size, size))
+    target = Tensor(np.eye(cfg.n_classes)[labels].transpose(0, 3, 1, 2))
+    picked = T.mul(T.log_softmax(forward(img, model), axis=1), target)
+    return T.scale(T.sum_all(picked), -1.0 / (batch * size * size))
+
+
+def instrument(loss: Tensor, timeline: Timeline) -> None:
+    """Wrap the adjoint of every op node below ``loss``; the tape dies here."""
+    for node in T.Tape(loss).nodes:
+        if node._backward_fn is not None:
+            node._backward_fn = timeline.wrap(node.op, node.scope, node._backward_fn)
+
+
+def step_timeline(cfg: ModelConfig, batch: int, seed: int):
+    """``(rows, forward bytes, step peak)`` of one training step at ``cfg``."""
+    model = TransUKanModel(cfg, rng=np.random.default_rng(seed))
+    tracemalloc.start()
+    try:
+        timeline = Timeline()
+        loss = pixel_loss(model, batch, seed + 1)
+        held = tracemalloc.get_traced_memory()[0] - timeline.base
+        instrument(loss, timeline)
+        T.backward(loss)
+        return timeline.rows, held, timeline.step_peak()
+    finally:
+        tracemalloc.stop()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--config", default="{}", help="ModelConfig fields as a JSON object")
+    parser.add_argument("--batch", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+    cfg = ModelConfig.from_dict({**ModelConfig().to_dict(), **json.loads(args.config)})
+    rows, held, peak = step_timeline(cfg, args.batch, args.seed)
+    print("op\tscope\theld_bytes\tpeak_bytes")
+    for op, scope, held_on_entry, peak_during in rows:
+        print(f"{op}\t{scope}\t{held_on_entry}\t{peak_during}")
+    print(f"(step)\t\t{held}\t{peak}")
+
+
+if __name__ == "__main__":
+    main()
