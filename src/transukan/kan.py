@@ -32,6 +32,7 @@ oracle that the EfficientKAN quartic is checked against. Layers built without a
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -110,7 +111,7 @@ class KanGrid:
 
 def _hinges(x, grid: KanGrid):
     """relu(e_i - x), relu(x - s_i) and the bell norms 16/(e_i - s_i)^4."""
-    xe = np.asarray(x, dtype=np.float64)[..., None]
+    xe = T.real_array(x, "relukan_basis: x")[..., None]
     s, e = grid.support_lo(), grid.support_hi()
     return np.maximum(e - xe, 0.0), np.maximum(xe - s, 0.0), 16.0 / (e - s) ** 4
 
@@ -159,15 +160,14 @@ def bspline_knots(grid: KanGrid, order: int) -> np.ndarray:
     extended by order-1 knots below and order knots above so the basis count
     comes out to exactly G + order while keeping uniform spacing.
     """
-    if order < 1:
-        raise ContractError(f"spline order must be >= 1, got {order}")
+    T.check_sizes({"bspline_knots order": order})
     j = np.arange(grid.G + 2 * order)
     return grid.range_lo + (j - (order - 1)) * grid.h
 
 
 def _cox_de_boor(x, t: np.ndarray, order: int) -> np.ndarray:
     """Basis of the given order on knots ``t``; shape ``x.shape + (len(t) - order,)``."""
-    xe = np.asarray(x, dtype=np.float64)[..., None]
+    xe = T.real_array(x, "bspline_basis: x")[..., None]
     # degree-0 indicators on half-open intervals [t_j, t_{j+1})
     b = ((xe >= t[:-1]) & (xe < t[1:])).astype(np.float64)
     for deg in range(1, order):
@@ -222,6 +222,7 @@ def _uniform(rng: np.random.Generator, bound: float, shape) -> np.ndarray:
 
 def named_parameters(parts) -> list[tuple[str, Tensor]]:
     """Each ``(name, part)``'s parameters, in order, with names prefixed by ``name.``."""
+    T.check_type("named_parameters", "parts", parts, Iterable)
     return [(f"{name}.{n}", p) for name, part in parts for n, p in part.parameters()]
 
 

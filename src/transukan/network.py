@@ -3,11 +3,11 @@
 A small CNN pyramid extracts features at 1/8 resolution, every spatial
 location becomes a token for the Kansformer encoder, and a cascaded
 upsampling decoder with skip connections restores full resolution before a
-1x1 segmentation head. Each decoder block's upsample, skip concat and 3x3
-conv run as one op that never forms the upsampled map. Every {conv, relu}
+1x1 segmentation head. Each decoder block's upsample, skip concat, 3x3 conv
+and relu run as one op that never forms the upsampled map. Every {conv, relu}
 pair, in the CNN and in the decoder, is one node: the conv op clamps its own
-output in place (``relu=True``), so no pre-activation map is kept. The head
-is a bare conv.
+output in place (the CNN's with ``relu=True``), so no pre-activation map is
+kept. The head is a bare conv.
 """
 
 from __future__ import annotations
@@ -206,8 +206,8 @@ class DecoderParams:
     repeated for each skip, then a 1x1 head to class logits.
 
     Three doublings take the 1/8-resolution encoder output back to full
-    resolution, consuming skips deep to shallow. The upsample, concat and
-    conv of a block are one ``T.upsample_concat_conv2d`` op on the block's
+    resolution, consuming skips deep to shallow. The upsample, concat, conv
+    and relu of a block are one ``T.upsample_concat_conv2d`` op on the block's
     ``Conv2dLayer`` parameters, which keep the shapes of a conv over the
     concat.
     """
@@ -230,7 +230,7 @@ class DecoderParams:
                                 f"{len(self.blocks)} skips, got {skips!r:.60}")
         for i, (conv, skip) in enumerate(zip(self.blocks, reversed(skips))):
             with T.scope(f"block{i}"):
-                x = T.upsample_concat_conv2d(x, skip, conv.weight, conv.bias, relu=True)
+                x = T.upsample_concat_conv2d(x, skip, conv.weight, conv.bias)
         with T.scope("head"):
             return self.head.forward(x)
 
@@ -291,6 +291,7 @@ def save_checkpoint(model: TransUKanModel, path: str) -> None:
     previous one or the whole new one, never a partial write. A failed read
     or write of the path raises a ``CheckpointIOError``."""
     T.check_type("save_checkpoint", "model", model, TransUKanModel)
+    T.check_type("save_checkpoint", "path", path, (str, os.PathLike))
     buf = io.BytesIO()
     buf.write(_MAGIC)
     buf.write(struct.pack("<B", _VERSION))
@@ -331,6 +332,7 @@ def load_checkpoint(path: str, expect_config: ModelConfig | None = None) -> Tran
     ``expect_config``, when given, must match the embedded config exactly. A
     path that cannot be read raises a ``CheckpointIOError``.
     """
+    T.check_type("load_checkpoint", "path", path, (str, os.PathLike))
     with _path_errors(path, "read"), open(path, "rb") as fh:
         if _read_exact(fh, 4) != _MAGIC:
             raise CheckpointFormatError(f"{path}: bad magic, not a checkpoint")

@@ -10,11 +10,11 @@ rest, so a graph retains its op outputs plus those statistics.
 
 Epilogues are fused where a layer's intermediate would be kept for no
 backward: ``affine`` adds its bias into the matmul's output in place, and the
-conv ops take ``relu=True`` to clamp their output in place (the in-place
-activation of Rota Bulò et al., arXiv 1712.02616); their backward masks g by
-it once, onto the phase grid, whose channel sums are the bias gradient. A
-public op first checks that its operands are Tensors and raises a
-``ContractError`` naming the op and the argument if one is not.
+conv ops clamp their output in place, ``conv2d`` when ``relu=True`` (the
+in-place activation of Rota Bulò et al., arXiv 1712.02616); their backward
+masks g by it once, onto the phase grid, whose channel sums are the bias
+gradient. A public op first checks that its operands are Tensors and raises
+a ``ContractError`` naming the op and the argument if one is not.
 """
 
 from __future__ import annotations
@@ -89,13 +89,13 @@ def _is_real(value) -> bool:
             and not isinstance(value, bool))
 
 
-def check_type(where: str, name: str, value, cls: type) -> None:
+def check_type(where: str, name: str, value, cls: type | tuple[type, ...]) -> None:
     """Raise a ``ContractError`` naming ``where`` and the argument ``name``
-    unless ``value`` is a ``cls``."""
+    unless ``value`` is a ``cls``, a class or a tuple of classes."""
     if not isinstance(value, cls):
-        article = "an" if cls.__name__[0] in "AEIOU" else "a"
-        raise ContractError(f"{where}: {name} must be {article} {cls.__name__}, "
-                            f"got {type(value).__name__}")
+        names = [c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,))]
+        wanted = " or ".join(f"{'an' if n[0] in 'AEIOU' else 'a'} {n}" for n in names)
+        raise ContractError(f"{where}: {name} must be {wanted}, got {type(value).__name__}")
 
 
 def check_sizes(sizes: dict[str, object], least: int = 1) -> None:
@@ -146,16 +146,17 @@ def scope(name: str):
         _scope = outer
 
 
-def _as_array(data) -> np.ndarray:
-    """``data`` as a float64 array; bool, int and float data only, so that
-    None does not become NaN nor a complex number lose its imaginary part."""
+def real_array(data, what: str) -> np.ndarray:
+    """``data`` as a float64 array; bool, int and float data only, so that None
+    does not become NaN nor a complex number lose its imaginary part: anything
+    else raises a ``ContractError`` naming ``what``."""
     if isinstance(data, np.ndarray) and data.dtype == np.float64:
         return data
     with contextlib.suppress(TypeError, ValueError):  # ragged or unconvertible data
         arr = np.asarray(data)
         if arr.dtype.kind in "biuf":
             return arr.astype(np.float64, copy=False)
-    raise ContractError(f"Tensor data must be real numbers, got {data!r:.60}")
+    raise ContractError(f"{what} must be real numbers, got {data!r:.60}")
 
 
 class Tensor:
@@ -175,7 +176,7 @@ class Tensor:
                  "_backward_ran", "op", "flops", "scope")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = real_array(data, "Tensor data")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -739,29 +740,31 @@ def _conv_backward(gfull: np.ndarray, x: np.ndarray, w: np.ndarray, s: int,
     return dx, dw, db
 
 
-def _put_grad(cells: np.ndarray, g: np.ndarray, relu_out: np.ndarray | None) -> None:
-    """Write the gradient ``g`` into ``cells``; through a fused relu whose
-    output is ``relu_out``, zero it where that output is 0."""
-    if relu_out is None:
-        cells[...] = g
-    else:
-        np.multiply(g, relu_out > 0.0, out=cells)
+def _phase_cells(grid: np.ndarray, f: int, h: int, w: int):
+    """Per channel group (r, q) of a conv's phase grid (f²·o, b, hq, wq), yield
+    ``(cells, at)``: its (b, o, h, w) view at cells (y + r, x + q), and where in
+    the output (b, o, f·h, f·w) those are, pixels ``[at]`` = (f·y + r, f·x + q)."""
+    groups = grid.reshape(f, f, -1, *grid.shape[1:])
+    for r in range(f):
+        for q in range(f):
+            yield (groups[r, q, :, :, r:r + h, q:q + w].transpose(1, 0, 2, 3),
+                   np.s_[:, :, r::f, q::f])
 
 
-def _grad_grid(g: np.ndarray, relu_out: np.ndarray | None, shape) -> np.ndarray:
-    """The output gradient g (b, o, h, w), put by :func:`_put_grad` in the
-    top-left cells of a zero phase grid of ``shape`` (o, b, hq, wq)."""
+def _grad_grid(g: np.ndarray, relu_out: np.ndarray | None, shape, f: int) -> np.ndarray:
+    """The output gradient g (b, o, f·h, f·w) on a zero phase grid of ``shape``
+    (f²·o, b, hq, wq), by :func:`_phase_cells`; zeroed where a fused relu's
+    output ``relu_out`` is 0, and unchanged when ``relu_out`` is None."""
     gfull = np.zeros(shape, dtype=np.float64)
-    _put_grad(gfull[:, :, :g.shape[2], :g.shape[3]].transpose(1, 0, 2, 3), g, relu_out)
+    for cells, at in _phase_cells(gfull, f, g.shape[2] // f, g.shape[3] // f):
+        np.multiply(g[at], relu_out is None or relu_out[at] > 0.0, out=cells)
     return gfull
 
 
-def _check_epilogue(op: str, bias, o: int, relu) -> None:
-    """Raise unless ``bias`` is a Tensor of shape (o,) and ``relu`` a bool."""
+def _check_bias(op: str, bias, o: int) -> None:
+    """Raise unless ``bias`` is a Tensor of shape (o,)."""
     if not isinstance(bias, Tensor) or bias.shape != (o,):
         raise DimensionError(f"{op} bias shape must be ({o},), got {getattr(bias, 'shape', bias)}")
-    if not isinstance(relu, bool):
-        raise ContractError(f"{op} relu must be a bool, got {relu!r}")
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0,
@@ -769,11 +772,12 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     """2-D cross-correlation over NCHW input with an OIHW kernel, then
     ``relu(·)`` in place if ``relu`` is set.
 
-    Computed on the flat phase grid of :func:`_conv_forward`. The backward
-    keeps no array of its own: it rebuilds the padded input from ``x.data``
-    (see :func:`_conv_backward`). With ``relu`` it also reads its own output,
-    masking g where that is 0; the pre-activation is never kept, and a -inf
-    in it clamps to 0 rather than raising.
+    Computed on the flat phase grid of :func:`_conv_forward`, whose stride is
+    at most max(h, w) + 2·padding: past that, all strides read one 1x1 output.
+    The backward keeps no array of its own: it rebuilds the padded input from
+    ``x.data`` (see :func:`_conv_backward`). With ``relu`` it also reads its own
+    output, masking g where that is 0; the pre-activation is never kept, and a
+    -inf in it clamps to 0 rather than raising.
     """
     _operands("conv2d", x=x, w=w)
     if x.ndim != 4 or w.ndim != 4:
@@ -792,20 +796,23 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     if h_out < 1 or w_out < 1:
         raise DimensionError(f"conv2d kernel {kh}x{kw} larger than padded input "
                              f"{h + 2 * padding}x{wd + 2 * padding}")
-    _check_epilogue("conv2d", bias, o, relu)
+    _check_bias("conv2d", bias, o)
+    if not isinstance(relu, bool):
+        raise ContractError(f"conv2d relu must be a bool, got {relu!r}")
 
-    full = _conv_forward(x.data, w.data, stride, padding)
+    s = min(stride, max(h, wd) + 2 * padding)
+    full = _conv_forward(x.data, w.data, s, padding)
     grid_shape = full.shape
-    valid = full[:, :, :h_out, :w_out].transpose(1, 0, 2, 3)
     data = np.empty((b, o, h_out, w_out), dtype=np.float64)
-    np.add(valid, bias.data[:, None, None], out=data)
-    del full, valid
+    for cells, at in _phase_cells(full, 1, h_out, w_out):
+        np.add(cells, bias.data[:, None, None], out=data[at])
+    del full, cells
     if relu:
         np.maximum(data, 0.0, out=data)
     relu_out = data if relu else None
 
     def backward_fn(g):
-        return _conv_backward(_grad_grid(g, relu_out, grid_shape), x.data, w.data, stride,
+        return _conv_backward(_grad_grid(g, relu_out, grid_shape, 1), x.data, w.data, s,
                               padding, x.requires_grad)
 
     # The bias add rides in the multiply-accumulates; the relu is 1 per output.
@@ -823,10 +830,9 @@ _FOLD = (_FOLD_AXIS[:, None, :, None, :, None]
          * _FOLD_AXIS[None, :, None, :, None, :]).reshape(16, 9)
 
 
-def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor,
-                           relu: bool = False) -> Tensor:
+def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """``conv2d(concat([upsample_nearest_2x(x), skip], 1), w, bias, padding=1,
-    relu=relu)`` for a 3x3 kernel, as one op that never forms the upsample or
+    relu=True)`` for a 3x3 kernel, as one op that never forms the upsample or
     the concat.
 
     The kernel splits by input channels: with c_up = x.shape[1], the skip half
@@ -835,14 +841,15 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor,
     output phase (a, b) (sub-pixel convolution; Shi et al., arXiv 1609.07009).
     Along one axis, phase 0 reads x rows (y-1, y) with taps (w0, w1 + w2) and
     phase 1 reads (y, y+1) with (w0 + w1, w2); both axes together are one GEMM
-    with the constant 16x9 ``_FOLD``. Group (a, b) of the folded output at cell
-    (y + a, x + b) is output pixel (2y + a, 2x + b). The bias is added once.
-    The backward keeps nothing of its own: it folds the kernel again, rebuilds
-    each padded input from ``skip.data`` and ``x.data`` in turn, and maps the
-    folded kernel's gradient back to ``w[:, :c_up]`` by ``_FOLD``.
-    FLOPs are the multiply-accumulates each output pixel needs: 9 per skip
-    channel and 4 per x channel, plus 1 for the relu. ``relu`` is applied and
-    differentiated as in :func:`conv2d`.
+    with the constant 16x9 ``_FOLD``. The halves' phase grids map onto the
+    output by :func:`_phase_cells`, the skip half's at f = 1 and the folded
+    half's at f = 2. The bias is added once, and the relu is applied and
+    differentiated as in :func:`conv2d`. The backward keeps only the output,
+    for the relu's mask: it folds the kernel again, rebuilds each padded input
+    from ``skip.data`` and ``x.data`` in turn, and maps the folded kernel's
+    gradient back to ``w[:, :c_up]`` by ``_FOLD``. FLOPs are the
+    multiply-accumulates each output pixel needs: 9 per skip channel and 4 per
+    x channel, plus 1 for the relu.
     """
     _operands("upsample_concat_conv2d", x=x, skip=skip, w=w)
     if x.ndim != 4 or skip.ndim != 4 or w.ndim != 4:
@@ -862,7 +869,7 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor,
     if w.shape[1] != c_up + c_s:
         raise DimensionError(f"upsample_concat_conv2d kernel expects {w.shape[1]} input "
                              f"channels, x and skip have {c_up} + {c_s}")
-    _check_epilogue("upsample_concat_conv2d", bias, o, relu)
+    _check_bias("upsample_concat_conv2d", bias, o)
 
     w_skip = w.data[:, c_up:]
 
@@ -872,36 +879,23 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor,
         return folded.reshape(4 * o, c_up, 2, 2)
 
     full = _conv_forward(skip.data, w_skip, 1, 1)
-    grid_shape = full.shape
+    skip_grid = full.shape
     data = np.empty((b, o, 2 * h, 2 * wd), dtype=np.float64)  # after the conv's scratch
-    np.add(full[:, :, :2 * h, :2 * wd].transpose(1, 0, 2, 3), bias.data[:, None, None],
-           out=data)
-    del full
+    for cells, at in _phase_cells(full, 1, 2 * h, 2 * wd):
+        np.add(cells, bias.data[:, None, None], out=data[at])
+    del full, cells
     full = _conv_forward(x.data, fold(), 1, 1)
-    phases = full.reshape(2, 2, o, b, h + 2, wd + 2)
-    for r in range(2):
-        for q in range(2):
-            cells = phases[r, q, :, :, r:r + h, q:q + wd]
-            data[:, :, r::2, q::2] += cells.transpose(1, 0, 2, 3)
-    del full, phases, cells
-    if relu:
-        np.maximum(data, 0.0, out=data)
-    relu_out = data if relu else None
+    x_grid = full.shape
+    for cells, at in _phase_cells(full, 2, h, wd):
+        data[at] += cells
+    del full, cells
+    np.maximum(data, 0.0, out=data)
 
     def backward_fn(g):
-        dskip, dw_skip, db = _conv_backward(_grad_grid(g, relu_out, grid_shape), skip.data,
+        dskip, dw_skip, db = _conv_backward(_grad_grid(g, data, skip_grid, 1), skip.data,
                                             w_skip, 1, 1, skip.requires_grad)
-
-        def phase_grid():
-            gfull = np.zeros((2, 2, o, b, h + 2, wd + 2), dtype=np.float64)
-            for r in range(2):
-                for q in range(2):
-                    _put_grad(gfull[r, q, :, :, r:r + h, q:q + wd].transpose(1, 0, 2, 3),
-                              g[:, :, r::2, q::2],
-                              None if relu_out is None else relu_out[:, :, r::2, q::2])
-            return gfull.reshape(4 * o, b, h + 2, wd + 2)
-
-        dx, dfolded, _ = _conv_backward(phase_grid(), x.data, fold(), 1, 1, x.requires_grad)
+        dx, dfolded, _ = _conv_backward(_grad_grid(g, data, x_grid, 2), x.data, fold(), 1, 1,
+                                        x.requires_grad)
         dw = np.empty(w.shape, dtype=np.float64)
         dw[:, c_up:] = dw_skip
         dfolded = dfolded.reshape(2, 2, o, c_up, 2, 2).transpose(2, 3, 0, 1, 4, 5)
@@ -909,7 +903,7 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor,
         return (dx, dskip, dw, db)
 
     return _node(data, "upsample_concat_conv2d", (x, skip, w, bias), backward_fn,
-                 flops=data.size * (2 * (9 * c_s + 4 * c_up) + relu))
+                 flops=data.size * (2 * (9 * c_s + 4 * c_up) + 1))
 
 
 def upsample_nearest_2x(x: Tensor) -> Tensor:
@@ -953,6 +947,8 @@ def basis_expand(x: Tensor, basis: Callable[[np.ndarray], np.ndarray],
     the forward.
     """
     _operands("basis_expand", x=x)
+    check_type("basis_expand", "basis", basis, Callable)
+    check_type("basis_expand", "slopes", slopes, Callable)
     with np.errstate(all="ignore"):  # a non-finite x raises in _node
         data = basis(x.data)
 

@@ -494,6 +494,26 @@ def test_unusable_path_raises_checkpoint_io_error(tmp_path, action, name, code):
     assert os.listdir(tmp_path) == []
 
 
+def test_a_file_descriptor_is_not_a_checkpoint_path(tmp_path):
+    """A path is a str or an ``os.PathLike``. ``open`` would take an int as a
+    file descriptor, and the loader's ``with`` block would then close the
+    caller's descriptor, so an int is refused before anything is opened."""
+    model = TransUKanModel(MICRO)
+    save_checkpoint(model, tmp_path / "model.tukn")  # a PathLike round trip
+    assert load_checkpoint(tmp_path / "model.tukn").config == MICRO
+    fd = os.open(tmp_path / "model.tukn", os.O_RDONLY)
+    try:
+        for call, name in ((lambda: load_checkpoint(fd), "load_checkpoint"),
+                           (lambda: save_checkpoint(model, fd), "save_checkpoint")):
+            with pytest.raises(ContractError, match=f"{name}: path must be a str or a "
+                                                    f"PathLike, got int"):
+                call()
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
+    assert os.listdir(tmp_path) == ["model.tukn"]
+
+
 def _rewrite_config(path, mutate):
     """Replace the JSON config block of a saved checkpoint by ``mutate(config)``."""
     blob = open(path, "rb").read()

@@ -48,7 +48,6 @@ KNOBS = {
     "tensor.check_sizes": ("least",),
     "tensor.log_softmax": ("axis",),
     "tensor.conv2d": ("stride", "padding", "relu"),
-    "tensor.upsample_concat_conv2d": ("relu",),
     "tensor.grad_check": ("h", "tol", "sample", "sample_largest"),
 }
 
@@ -92,7 +91,7 @@ def test_settable_option_names_are_pinned():
 
 
 def test_function_knob_count_is_pinned():
-    assert sum(len(knobs) for knobs in knobs_by_function().values()) == 11
+    assert sum(len(knobs) for knobs in knobs_by_function().values()) == 10
 
 
 def test_function_knob_names_are_pinned():

@@ -77,13 +77,13 @@ _COUNTED_OPS = ("conv2d", "upsample_concat_conv2d", "matmul", "affine", "attenti
 
 def _op_flops(op, out, args, kwargs):
     """FLOPs of one call of ``op``, from its arguments and its output."""
-    relu = out.size if kwargs.get("relu") else 0  # a fused relu: 1 per output
+    relu = out.size if kwargs.get("relu") else 0  # conv2d's fused relu: 1 per output
     if op == "conv2d":
         w = args[1]
         return 2 * out.size * (w.size // w.shape[0]) + relu
-    if op == "upsample_concat_conv2d":
+    if op == "upsample_concat_conv2d":  # its relu is always fused
         x, skip = args[:2]
-        return 2 * out.size * (9 * skip.shape[1] + 4 * x.shape[1]) + relu
+        return 2 * out.size * (9 * skip.shape[1] + 4 * x.shape[1]) + out.size
     if op == "matmul":
         return 2 * out.size * args[0].shape[-1]
     if op == "affine":  # matmul, then the bias add

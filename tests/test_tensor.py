@@ -2,12 +2,13 @@ import ast
 import contextlib
 import inspect
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from transukan import kansformer, network, profiler
+from transukan import kan, kansformer, network, profiler
 from transukan import tensor as T
 from transukan.kan import AffineLayer
 from transukan.tensor import (
@@ -421,6 +422,33 @@ class TestConv2d:
         for got, expected in zip(chunked, whole):
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
+    def test_stride_past_the_input_costs_no_memory_per_stride(self):
+        # At a stride past the padded input, every stride reads the same pixels
+        # into a 1x1 output, so the phase grid is the smallest such stride's: not
+        # stride² phases of c·b cells, 33.6 MB at stride 1024.
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        results = []
+        for stride in (3, 2 ** 40, 1024):
+            for t in (x, w, b):
+                t.zero_grad()
+            tracemalloc.start()
+            try:
+                out = T.conv2d(x, w, b, stride=stride, relu=True)
+                T.backward(T.sum_all(T.square(out)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, (stride, peak)
+            results.append([out.data] + [t.grad.copy() for t in (x, w, b)])
+        expected = np.maximum(_naive_conv2d(x.data, w.data, b.data, 3, 0), 0.0)
+        np.testing.assert_allclose(results[0][0], expected, rtol=0, atol=1e-12)
+        for result in results[1:]:
+            for got, expected in zip(result, results[0]):
+                assert np.array_equal(got, expected)
+
     def test_no_input_gradient_when_input_needs_none(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(1, 2, 5, 5)))
@@ -496,9 +524,12 @@ class TestUpsample:
         assert rep.ok
 
 
+def _upsample_concat(x, skip):
+    return T.concat([T.upsample_nearest_2x(x), skip], axis=1)
+
+
 def _upsample_concat_conv2d_oracle(x, skip, w, bias):
-    return T.conv2d(T.concat([T.upsample_nearest_2x(x), skip], axis=1), w, bias,
-                    padding=1)
+    return T.conv2d(_upsample_concat(x, skip), w, bias, padding=1, relu=True)
 
 
 def _decoder_inputs(rng, batch, c_up, h, wd, c_skip, c_out):
@@ -531,6 +562,7 @@ class TestUpsampleConcatConv2d:
             out = op(*args)
             T.backward(T.sum_all(T.mul(out, g)))
             results.append([out.data] + [t.grad.copy() for t in args])
+        assert 0 < np.count_nonzero(results[0][0]) < results[0][0].size  # the relu clamps
         for got, expected in zip(*results):
             np.testing.assert_allclose(got, expected, rtol=0,
                                        atol=1e-13 * max(1.0, np.abs(expected).max()))
@@ -545,21 +577,10 @@ class TestUpsampleConcatConv2d:
                 target, tol=1e-6)
             assert rep.ok, (target.shape, rep)
 
-    def test_backward_keeps_neither_the_upsample_nor_the_concat(self):
-        b, c_up, h, wd, c_skip, c_out = 2, 16, 32, 32, 16, 16
-        x, skip, w, bias = _decoder_inputs(np.random.default_rng(32), b, c_up, h, wd,
-                                           c_skip, c_out)
-        out = T.upsample_concat_conv2d(x, skip, w, bias)
-        held = [cell.cell_contents for cell in out._backward_fn.__closure__
-                if isinstance(cell.cell_contents, np.ndarray)]
-        # Nor the padded inputs, which the backward rebuilds from x and skip:
-        # no array larger than the kernel.
-        assert all(a.size <= w.size for a in held), [a.shape for a in held]
-
     def test_flops_count_what_each_output_needs(self):
         x, skip, w, bias = _decoder_inputs(np.random.default_rng(33), 2, 5, 3, 4, 7, 6)
         out = T.upsample_concat_conv2d(x, skip, w, bias)
-        assert out.flops == 2 * out.size * (9 * 7 + 4 * 5)
+        assert out.flops == out.size * (2 * (9 * 7 + 4 * 5) + 1)  # the relu: 1 per output
 
     @pytest.mark.parametrize("kernel", [(1, 1), (2, 2), (3, 1), (5, 5)])
     def test_kernel_other_than_3x3_raises_contract_error(self, kernel):
@@ -595,7 +616,8 @@ def _closure_arrays(out):
 
 
 class TestFusedRelu:
-    """``relu=True`` on a conv op is the bare op followed by ``T.relu``."""
+    """``conv2d``'s ``relu=True`` is the bare conv followed by ``T.relu``, and
+    ``upsample_concat_conv2d`` always clamps its output the same way."""
 
     # (x shape, kernel, stride, padding): the conv oracle grid's kernels and
     # strides, and the model's 3x3 convs at stride 1 and 2.
@@ -617,18 +639,6 @@ class TestFusedRelu:
         bare = T.conv2d(*args, **kw)
         assert T.conv2d(*args, **kw, relu=True).flops == bare.flops + bare.size
 
-    @pytest.mark.parametrize("shape", [(2, 3, 2, 5, 4, 2), (1, 16, 8, 8, 16, 16),
-                                       (3, 4, 4, 4, 3, 5)], ids=["2x5", "decoder2", "batch3"])
-    def test_upsample_concat_conv2d_equals_it_then_relu(self, shape):
-        args = _decoder_inputs(np.random.default_rng(73), *shape)
-        fused = _outputs_and_grads(
-            lambda *a: T.upsample_concat_conv2d(*a, relu=True), args, 74)
-        graph = _outputs_and_grads(
-            lambda *a: T.relu(T.upsample_concat_conv2d(*a)), args, 74)
-        assert 0 < np.count_nonzero(fused[0]) < fused[0].size
-        for got, expected in zip(fused, graph):
-            assert np.array_equal(got, expected)
-
     @staticmethod
     def _away_from_the_kink(op, args):
         # A finite-difference step of 1e-5 moves no pre-activation across 0.
@@ -649,20 +659,23 @@ class TestFusedRelu:
     def test_upsample_concat_conv2d_gradcheck(self, which):
         rng = np.random.default_rng(76)
         args = _decoder_inputs(rng, 2, 3, 3, 2, 2, 4)
-        self._away_from_the_kink(T.upsample_concat_conv2d, args)
+        self._away_from_the_kink(
+            lambda x, skip, w, b: T.conv2d(_upsample_concat(x, skip), w, b, padding=1), args)
         weights = Tensor(rng.normal(size=(2, 4, 6, 4)))
         rep = T.grad_check(lambda t: T.sum_all(T.mul(
-            T.upsample_concat_conv2d(*args, relu=True), weights)), args[which], tol=1e-6)
+            T.upsample_concat_conv2d(*args), weights)), args[which], tol=1e-6)
         assert rep.ok, rep
 
     def test_backward_keeps_only_its_own_output(self):
+        # Nor the padded inputs, which the backward rebuilds from its inputs,
+        # nor the decoder op's upsample or concat: no array larger than the kernel.
         rng = np.random.default_rng(77)
         x = Tensor(rng.normal(size=(2, 3, 8, 6)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
-        x2, skip, w2, bias2 = _decoder_inputs(rng, 2, 16, 8, 8, 16, 16)
+        x2, skip, w2, bias2 = _decoder_inputs(rng, 2, 16, 32, 32, 16, 16)
         for out, kernel in ((T.conv2d(x, w, Tensor(np.zeros(4)), stride=2, padding=1,
                                       relu=True), w),
-                            (T.upsample_concat_conv2d(x2, skip, w2, bias2, relu=True), w2)):
+                            (T.upsample_concat_conv2d(x2, skip, w2, bias2), w2)):
             held = [a for a in _closure_arrays(out) if a is not out.data]
             assert len(held) < len(_closure_arrays(out))
             assert all(a.size <= kernel.size for a in held), [a.shape for a in held]
@@ -670,10 +683,7 @@ class TestFusedRelu:
     @pytest.mark.parametrize("call, op", [
         (lambda: T.conv2d(_zeros(1, 1, 4, 4), _zeros(2, 1, 3, 3), _zeros(2), relu=1),
          "conv2d"),
-        (lambda: T.upsample_concat_conv2d(_zeros(1, 1, 2, 2), _zeros(1, 1, 4, 4),
-                                          _zeros(2, 2, 3, 3), _zeros(2), relu="yes"),
-         "upsample_concat_conv2d"),
-    ], ids=["conv2d", "upsample_concat_conv2d"])
+    ], ids=["conv2d"])
     def test_relu_must_be_a_bool(self, call, op):
         with pytest.raises(ContractError, match=f"{op} relu"):
             call()
@@ -859,6 +869,19 @@ class TestBackward:
     (lambda: network.DecoderParams(8, (4, 4, 4), (8, 8, 8), 2).forward(
         _zeros(1, 8, 2, 2), [_zeros(1, 4, 16, 16), _zeros(1, 4, 8, 8)]),
      ContractError, "DecoderParams.forward: skips must be a list of 3 skips"),
+    (lambda: network.load_checkpoint(123), ContractError,
+     "load_checkpoint: path must be a str or a PathLike, got int"),
+    (lambda: network.save_checkpoint(network.TransUKanModel(network.ModelConfig(
+        image_size=16, d_model=8, depth=1, n_heads=2)), 123), ContractError,
+     "save_checkpoint: path must be a str or a PathLike, got int"),
+    (lambda: kan.relukan_basis("a", kan.KanGrid()), ContractError,
+     "relukan_basis: x must be real numbers, got 'a'"),
+    (lambda: kan.bspline_knots(kan.KanGrid(), "a"), ContractError,
+     "bspline_knots order must be an int >= 1, got 'a'"),
+    (lambda: kan.named_parameters(None), ContractError,
+     "named_parameters: parts must be an Iterable, got NoneType"),
+    (lambda: T.basis_expand(_zeros(2), None, None, 0), ContractError,
+     "basis_expand: basis must be a Callable, got NoneType"),
 ], ids=["backward_of_float", "conv2d_no_bias", "upsample_concat_conv2d_no_bias",
         "softmax_empty_axis", "log_softmax_empty_axis", "layer_norm_empty_axis",
         "add_int", "sum_all_int", "relu_list", "affine_layer_ndarray", "conv2d_ndarray",
@@ -873,7 +896,9 @@ class TestBackward:
         "network_forward_str_model", "cnn_encode_none_params", "encoder_forward_none_stack",
         "msa_kan_none_params", "kansformer_block_none_params", "save_checkpoint_none_model",
         "variant_report_none_config", "tape_of_int", "check_sizes_int",
-        "decoder_forward_none_skips", "decoder_forward_two_skips"])
+        "decoder_forward_none_skips", "decoder_forward_two_skips",
+        "load_checkpoint_int_path", "save_checkpoint_int_path", "relukan_basis_str",
+        "bspline_knots_str_order", "named_parameters_none", "basis_expand_none"])
 def test_public_entry_points_raise_typed_errors(call, error, named):
     with pytest.raises(error, match=named):
         call()
