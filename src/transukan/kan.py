@@ -11,14 +11,16 @@ Three ways to build a learnable-activation layer on a shared uniform grid:
 * ``EfficientKanLayer``: an ``AffineLayer`` over a fixed activation. Each
   input channel's squared-hinge basis responses are averaged with fixed
   weights and squared, q = (mean_i R_i(x))^2. On the uniform grid the mean is
-  one piecewise quartic in x, so q is the single op
-  ``tensor.squared_piecewise_poly``; no basis block is kept. The layer adds
-  no parameters to the affine map it inherits: its weights, their
-  initialisation and its mixing map are the ``AffineLayer``'s.
+  one piecewise quartic in x, the table of ``tensor.squared_piecewise_poly``.
+  The layer is one ``tensor.affine`` node with that activation inside it: it
+  keeps x, and neither q nor a basis block. The layer adds no parameters to
+  the affine map it inherits: its weights, their initialisation and its
+  mixing map are the ``AffineLayer``'s.
 
-An ``AffineLayer``, and so an EfficientKAN layer's mix and the ReLU-KAN
-layer's integration, is one ``tensor.affine`` node that adds its bias in
-place: no bias-free product is kept.
+An ``AffineLayer``, and so an EfficientKAN layer and the ReLU-KAN layer's
+integration, is one ``tensor.affine`` node that adds its bias in place: no
+bias-free product is kept. Its ``forward`` takes a ``residual`` that the node
+adds in place too, so a block's residual add keeps no output of its own.
 
 The ReLU-KAN and B-spline layers expand their input with one
 ``tensor.basis_expand`` node each. Its forward is the numpy basis below
@@ -111,6 +113,7 @@ class KanGrid:
 
 def _hinges(x, grid: KanGrid):
     """relu(e_i - x), relu(x - s_i) and the bell norms 16/(e_i - s_i)^4."""
+    T.check_type("relukan_basis", "grid", grid, KanGrid)
     xe = T.real_array(x, "relukan_basis: x")[..., None]
     s, e = grid.support_lo(), grid.support_hi()
     return np.maximum(e - xe, 0.0), np.maximum(xe - s, 0.0), 16.0 / (e - s) ** 4
@@ -145,6 +148,8 @@ def relukan_basis_expand(x: Tensor, grid: KanGrid) -> Tensor:
     those of the elementwise graph it stands for: 2 subtractions, 2 hinges,
     the product, its square and the norm, 7 per basis element.
     """
+    T.check_type("relukan_basis_expand", "x", x, Tensor)
+    T.check_type("relukan_basis_expand", "grid", grid, KanGrid)
     return T.basis_expand(x, lambda v: relukan_basis(v, grid),
                           lambda v: _relukan_slopes(v, grid), 7 * x.size * grid.n_basis)
 
@@ -160,6 +165,7 @@ def bspline_knots(grid: KanGrid, order: int) -> np.ndarray:
     extended by order-1 knots below and order knots above so the basis count
     comes out to exactly G + order while keeping uniform spacing.
     """
+    T.check_type("bspline_knots", "grid", grid, KanGrid)
     T.check_sizes({"bspline_knots order": order})
     j = np.arange(grid.G + 2 * order)
     return grid.range_lo + (j - (order - 1)) * grid.h
@@ -206,6 +212,7 @@ def bspline_basis_expand(x: Tensor, grid: KanGrid, order: int) -> Tensor:
     element of each recursion level (2 offsets, 2 scalings, 2 products and a
     sum), with the degree-0 indicators free.
     """
+    T.check_type("bspline_basis_expand", "x", x, Tensor)
     n_knots = len(bspline_knots(grid, order))
     level_sizes = sum(n_knots - 1 - deg for deg in range(1, order))
     return T.basis_expand(x, lambda v: bspline_basis(v, grid, order),
@@ -223,7 +230,14 @@ def _uniform(rng: np.random.Generator, bound: float, shape) -> np.ndarray:
 def named_parameters(parts) -> list[tuple[str, Tensor]]:
     """Each ``(name, part)``'s parameters, in order, with names prefixed by ``name.``."""
     T.check_type("named_parameters", "parts", parts, Iterable)
-    return [(f"{name}.{n}", p) for name, part in parts for n, p in part.parameters()]
+    named = []
+    for pair in parts:
+        if not (isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str)
+                and callable(getattr(pair[1], "parameters", None))):
+            raise ContractError(f"named_parameters: each part must be a (name, layer) "
+                                f"pair, got {pair!r:.60}")
+        named += [(f"{pair[0]}.{n}", p) for n, p in pair[1].parameters()]
+    return named
 
 
 def _check_last_dim(x: Tensor, c_in: int, name: str) -> None:
@@ -243,9 +257,10 @@ class AffineLayer:
                              requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
+        """x W^T + b, plus ``residual`` if given, as one node."""
         _check_last_dim(x, self.c_in, "AffineLayer")
-        return T.affine(x, self.weight, self.bias)
+        return T.affine(x, self.weight, self.bias, residual)
 
     def parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -326,11 +341,13 @@ class EfficientKanLayer(AffineLayer):
     """An ``AffineLayer`` over a fixed activation: y = q W^T + b, where
     q = (mean_i R_i(x))^2 averages each channel's G+K squared-hinge bells.
 
-    ``activate`` computes q by one ``squared_piecewise_poly`` op on the grid's
-    ``pooled_bell_table``, and has no parameters; ``mix`` is the affine map.
-    Parameters, their initialisation and their names are the
-    ``AffineLayer``'s. ``activate`` depends on the grid alone, so layers on one
-    grid that read the same input can share its output.
+    ``forward`` is one ``tensor.affine`` node whose prologue is that
+    activation, on the grid's ``pooled_bell_table``: it keeps x, not q, and
+    takes a ``residual`` to add to its output in place. ``activate`` computes
+    q alone, by one ``squared_piecewise_poly`` op, and has no parameters;
+    ``mix`` is the affine map. Parameters, their initialisation and their
+    names are the ``AffineLayer``'s. ``activate`` depends on the grid alone,
+    so layers on one grid that read the same input can share its output.
     """
 
     def __init__(self, c_in: int, c_out: int, grid: KanGrid = KanGrid(),
@@ -338,16 +355,20 @@ class EfficientKanLayer(AffineLayer):
         super().__init__(c_in, c_out, rng=rng)
         self.grid = grid
 
+    def _act(self) -> tuple:
+        """The activation's ``(x0, h, coef)`` table on the layer's grid."""
+        return self.grid.support_lo()[0], self.grid.h, self.grid.pooled_bell_table
+
     def activate(self, x: Tensor) -> Tensor:
         """q = (mean_i R_i(x))^2, elementwise; the expanded basis is never kept."""
         _check_last_dim(x, self.c_in, "EfficientKanLayer")
-        grid = self.grid
-        return T.squared_piecewise_poly(x, grid.support_lo()[0], grid.h,
-                                        grid.pooled_bell_table)
+        return T.squared_piecewise_poly(x, *self._act())
 
     # Bound at class level, so a wrapper put on AffineLayer.forward later sees
     # only the plain affine layers.
     mix = AffineLayer.forward
 
-    def forward(self, x: Tensor) -> Tensor:
-        return self.mix(self.activate(x))
+    def forward(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
+        """mix(activate(x)), plus ``residual`` if given, as one node."""
+        _check_last_dim(x, self.c_in, "EfficientKanLayer")
+        return T.affine(x, self.weight, self.bias, residual, self._act())

@@ -6,6 +6,10 @@ layers (sharing one activation of their input), a residual add, then a
 second norm + EfficientKAN + residual. Attention is one ``tensor.attention``
 node on the (B, T, d_model) projections, which splits the heads as numpy views
 and keeps O(t) state per head, not t x t scores. Its output projection is affine.
+Both residual adds ride in the ``tensor.affine`` node before them, the output
+projection's and the second KAN map's, and kan1 and kan2 each keep their
+activation inside that node too: a block records no ``add`` node, and keeps
+no activation q nor pre-residual output.
 The KAN layers of a block or stack share its ``grid``, ``KanGrid()`` by default.
 """
 
@@ -53,9 +57,10 @@ class MsaKanParams:
                                  ("v_proj", self.v_proj), ("out_proj", self.out_proj)))
 
 
-def msa_kan(x: Tensor, p: MsaKanParams) -> Tensor:
+def msa_kan(x: Tensor, p: MsaKanParams, residual: Tensor | None = None) -> Tensor:
     """Multi-head scaled dot-product attention (one ``T.attention`` node,
-    which splits and merges the heads itself) over KAN-projected Q, K, V.
+    which splits and merges the heads itself) over KAN-projected Q, K, V,
+    plus ``residual`` if given, which the output projection adds in place.
 
     The three projections share one grid and one input, so the KAN
     activation is computed once and mixed by each projection's own weights.
@@ -71,7 +76,7 @@ def msa_kan(x: Tensor, p: MsaKanParams) -> Tensor:
             qkv.append(getattr(p, name).mix(phi))
     ctx = T.attention(*qkv, p.n_heads)
     with T.scope("out_proj"):
-        return p.out_proj.forward(ctx)
+        return p.out_proj.forward(ctx, residual)
 
 
 class KansformerBlockParams:
@@ -103,13 +108,11 @@ def kansformer_block(z_prev: Tensor, p: KansformerBlockParams) -> Tensor:
     with T.scope("kan1"):
         h = p.kan1.forward(h)
     with T.scope("msa"):
-        h = msa_kan(h, p.msa)
-    z_mid = T.add(h, z_prev)
+        z_mid = msa_kan(h, p.msa, z_prev)
     with T.scope("ln2"):
         h = p.ln2.forward(z_mid)
     with T.scope("kan2"):
-        h = p.kan2.forward(h)
-    return T.add(h, z_mid)
+        return p.kan2.forward(h, z_mid)
 
 
 class EncoderStack:

@@ -163,20 +163,35 @@ class _MlpFfn:
         return self.fc1.parameters() + self.fc2.parameters()
 
 
+class _PlusInput:
+    """``layer`` with its input added to its output: a block's second
+    sublayer and its residual add, which an EfficientKAN block fuses."""
+
+    def __init__(self, layer):
+        self.layer = layer
+
+    def forward(self, x: Tensor) -> Tensor:
+        return T.add(self.layer.forward(x), x)
+
+    def parameters(self):
+        return self.layer.parameters()
+
+
 def _swaps(variant: str, config: ModelConfig,
            shape: tuple[int, ...]) -> dict[str, dict[str, list[int]]]:
-    """Block-relative KAN scope -> the rows of the measured layer that stands in."""
+    """Block-relative KAN scope -> the rows of the measured layer that stands in.
+    The stand-in for kan2 carries the residual add that the kan2 node fuses."""
     if variant == "efficientkan":
         return {}
     d, grid = config.d_model, config.grid
     if variant == "mlp":
         proj = _walk(AffineLayer(d, d), shape)[""]
-        ffn = _walk(_MlpFfn(d, 4 * d), shape)[""]
+        ffn = _walk(_PlusInput(_MlpFfn(d, 4 * d)), shape)[""]
         swaps = {"kan1": {}, "kan2": {"ffn": ffn}}
     else:
         layer = (ReLUKanLayer if variant == "relukan" else BSplineKanLayer)(d, d, grid)
         proj = _walk(layer, shape)[""]
-        swaps = {"kan1": {"kan1": proj}, "kan2": {"kan2": proj}}
+        swaps = {"kan1": {"kan1": proj}, "kan2": {"kan2": _walk(_PlusInput(layer), shape)[""]}}
     return {**swaps, "msa.qkv": {},
             **{f"msa.{x}_proj": {f"msa.{x}_proj": proj} for x in "qkv"}}
 

@@ -9,12 +9,15 @@ its node's inputs, its own output and per-row statistics, and recomputes the
 rest, so a graph retains its op outputs plus those statistics.
 
 Epilogues are fused where a layer's intermediate would be kept for no
-backward: ``affine`` adds its bias into the matmul's output in place, and the
-conv ops clamp their output in place, ``conv2d`` when ``relu=True`` (the
-in-place activation of Rota Bulò et al., arXiv 1712.02616); their backward
-masks g by it once, onto the phase grid, whose channel sums are the bias
-gradient. A public op first checks that its operands are Tensors and raises
-a ``ContractError`` naming the op and the argument if one is not.
+backward: ``affine`` adds its bias, and a ``residual`` if given, into the
+matmul's output in place, and can take the ``squared_piecewise_poly``
+activation of its input as a prologue (``act``), keeping x rather than the
+activation, which its backward rebuilds. The conv ops clamp their output in
+place, ``conv2d`` when ``relu=True`` (the in-place activation of Rota Bulò et
+al., arXiv 1712.02616); their backward masks g by it once, onto the phase
+grid, whose channel sums are the bias gradient. A public op first checks
+that its operands are Tensors and raises a ``ContractError`` naming the op
+and the argument if one is not.
 """
 
 from __future__ import annotations
@@ -447,26 +450,78 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                  flops=2 * data.size * a.shape[-1])
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def affine(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
+           act: tuple | None = None) -> Tensor:
     """x wᵀ + b for x (..., c_in), w (c_out, c_in) and b (c_out,), as one node
     for ``add(matmul(x, transpose(w, (1, 0))), b)``: the bias goes into the
     matmul's output in place, so no bias-free product is kept. The backward
     runs those ops' numpy calls, and sums dw and db over the leading axes in
     their order, so the gradients are theirs bit for bit.
+
+    Two more stages of a layer can ride in the node, so that no output that
+    only the next op reads is kept:
+
+    * ``residual``, a Tensor of the output's shape, is added in place after
+      the bias, and gets g unchanged, as ``add(·, residual)`` would;
+    * ``act``, a table ``(x0, h, coef)`` of :func:`squared_piecewise_poly`,
+      makes the node ``affine(squared_piecewise_poly(x, x0, h, coef), w, b)``.
+      The node keeps x, not q = p(x)²: the backward locates x's cells and runs
+      Horner for p and p' once, as that op's backward does, then forms
+      q = p·p for dw and dx = 2·p·p'·(g w).
+
+    Either way the output and every gradient are those of the composed graph
+    bit for bit, and the FLOPs are its ops' summed.
     """
     _operands("affine", x=x, w=w, b=b)
+    if residual is not None:
+        _operands("affine", residual=residual)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1] or b.shape != w.shape[:1]:
         raise DimensionError(f"affine needs x (..., c_in) of rank >= 2, w (c_out, c_in) "
                              f"and b (c_out,), got {x.shape}, {w.shape} and {b.shape}")
-    data = np.matmul(x.data, w.data.T)
+    out_shape = x.shape[:-1] + w.shape[:1]
+    if residual is not None and residual.shape != out_shape:
+        raise DimensionError(f"affine residual must have the output's shape {out_shape}, "
+                             f"got {residual.shape}")
+    if act is not None and (not isinstance(act, tuple) or len(act) != 3):
+        raise ContractError(f"affine act must be a tuple (x0, h, coef), got {act!r:.60}")
+    table = None if act is None else _poly_table("affine", *act)
+
+    def activation():  # (row, t, p, q) of x's cells
+        x0, h, mid, cols, _ = table
+        row, t = _locate(x.data, x0, h, mid)
+        p = _horner(cols, row, t)
+        return row, t, p, p * p
+
+    if table is None:
+        data = np.matmul(x.data, w.data.T)
+    else:
+        with np.errstate(all="ignore"):  # a non-finite x raises in _node
+            data = np.matmul(activation()[3], w.data.T)
     data += b.data
+    if residual is not None:
+        with np.errstate(all="ignore"):
+            data += residual.data
 
     def backward_fn(g):
-        dw = _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape[::-1])
-        return (np.matmul(g, w.data), dw.T, _unbroadcast(g, b.shape))
+        dx = np.matmul(g, w.data)
+        if table is None:
+            q = x.data
+        else:
+            row, t, p, q = activation()
+        dw = _unbroadcast(np.matmul(np.swapaxes(q, -1, -2), g), w.shape[::-1])
+        del q
+        if table is not None:
+            dp = _horner(table[4], row, t)  # p'
+            dp *= p
+            dp *= 2.0
+            dp *= dx
+            dx = dp
+        return (dx, dw.T, _unbroadcast(g, b.shape), g)[:len(parents)]
 
-    return _node(data, "affine", (x, w, b), backward_fn,
-                 flops=data.size * (2 * w.shape[1] + 1))
+    parents = (x, w, b) if residual is None else (x, w, b, residual)
+    flops = (data.size * (2 * w.shape[1] + 1 + (residual is not None))
+             + (0 if table is None else _poly_flops(table[3]) * x.size))
+    return _node(data, "affine", parents, backward_fn, flops=flops)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -796,6 +851,11 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     if h_out < 1 or w_out < 1:
         raise DimensionError(f"conv2d kernel {kh}x{kw} larger than padded input "
                              f"{h + 2 * padding}x{wd + 2 * padding}")
+    # The padded input's phase grid and the output each hold at most this many
+    # elements; past what an array can index, numpy would raise its own error.
+    if max(c, o) * b * (h + 2 * padding) * (wd + 2 * padding) > np.iinfo(np.intp).max:
+        raise DimensionError(f"conv2d padded input {h + 2 * padding}x{wd + 2 * padding} "
+                             f"is larger than an array can be")
     _check_bias("conv2d", bias, o)
     if not isinstance(relu, bool):
         raise ContractError(f"conv2d relu must be a bool, got {relu!r}")
@@ -950,7 +1010,10 @@ def basis_expand(x: Tensor, basis: Callable[[np.ndarray], np.ndarray],
     check_type("basis_expand", "basis", basis, Callable)
     check_type("basis_expand", "slopes", slopes, Callable)
     with np.errstate(all="ignore"):  # a non-finite x raises in _node
-        data = basis(x.data)
+        data = real_array(basis(x.data), "basis_expand: basis output")
+    if data.shape[:-1] != x.shape or data.ndim != x.ndim + 1:
+        raise DimensionError(f"basis_expand: basis output must have shape {x.shape} + (n,), "
+                             f"got {data.shape}")
 
     def backward_fn(g):
         slope = slopes(x.data)
@@ -958,6 +1021,58 @@ def basis_expand(x: Tensor, basis: Callable[[np.ndarray], np.ndarray],
         return (slope.sum(axis=-1),)
 
     return _node(data, "basis_expand", (x,), backward_fn, flops=flops)
+
+
+def _poly_table(op: str, x0, h, coef):
+    """``(x0, h, mid, cols, slopes)`` of a ``squared_piecewise_poly`` table, checked:
+    the floats x0 and h, each row's cell midpoint ``mid`` (its offsets start
+    there), and the ascending coefficients of p and of p' as columns. A table
+    that is not one raises a ``ContractError`` naming ``op``."""
+    try:
+        coef = np.asarray(coef, dtype=np.float64)
+        x0, h = float(x0), float(h)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"{op} needs a numeric table, x0 and h: {exc}") from exc
+    if coef.ndim != 2 or coef.shape[0] < 3 or coef.shape[1] < 2:
+        raise ContractError(f"{op} needs a (cells + 2, degree + 1) table of degree >= 1, "
+                            f"got shape {coef.shape}")
+    if not np.all(np.isfinite(coef)) or np.any(coef[[0, -1]]):
+        raise ContractError(f"{op} needs a finite table whose first and last rows are zero")
+    if not (np.isfinite(x0) and np.isfinite(h) and h > 0):
+        raise ContractError(f"{op} needs a finite x0 and h > 0, got x0={x0!r}, h={h!r}")
+    mid = x0 + h * (np.arange(-1, coef.shape[0] - 1) + 0.5)
+    cols = np.ascontiguousarray(coef.T)
+    return x0, h, mid, cols, cols[1:] * np.arange(1, cols.shape[0])[:, None]
+
+
+# A NaN x casts to an arbitrary row, which mode="clip" keeps in range; its
+# offset t is NaN whatever the row, and so is p (degree >= 1): an infinite
+# x likewise gives 0 * inf. _node then raises on the output.
+def _locate(x: np.ndarray, x0: float, h: float, mid: np.ndarray):
+    """Each element's table row and its offset t from that cell's midpoint."""
+    with np.errstate(all="ignore"):
+        u = np.subtract(x, x0, out=np.empty(x.shape))
+        u /= h
+        np.clip(u, -1.0, mid.size - 2, out=u)
+        np.floor(u, out=u)
+        u += 1.0
+        row = u.astype(np.intp)
+    return row, x - mid.take(row, mode="clip")
+
+
+def _horner(c: np.ndarray, row: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Σ_k c[k, row] t^k by Horner's rule, into a new array."""
+    p = c[-1].take(row, mode="clip")
+    for ck in c[-2::-1]:
+        p *= t
+        p += ck.take(row, mode="clip")
+    return p
+
+
+def _poly_flops(cols: np.ndarray) -> int:
+    """FLOPs per element of ``squared_piecewise_poly``: the cell index (shift,
+    scale, floor), the offset, Horner (2 per degree) and the square."""
+    return 2 * (cols.shape[0] - 1) + 5
 
 
 def squared_piecewise_poly(x: Tensor, x0: float, h: float, coef) -> Tensor:
@@ -973,65 +1088,24 @@ def squared_piecewise_poly(x: Tensor, x0: float, h: float, coef) -> Tensor:
     backward recomputes both and returns 2 p p'. Its oracle, on a
     ``KanGrid``'s ``pooled_bell_table``, is the graph
     ``square(mean_last_axis(kan.relukan_basis_expand(x, grid)))``.
+    ``affine``'s ``act`` runs this op as its prologue.
     """
     _operands("squared_piecewise_poly", x=x)
-    try:
-        coef = np.asarray(coef, dtype=np.float64)
-        x0, h = float(x0), float(h)
-    except (TypeError, ValueError) as exc:
-        raise ContractError(f"squared_piecewise_poly needs a numeric table, x0 and h: "
-                            f"{exc}") from exc
-    if coef.ndim != 2 or coef.shape[0] < 3 or coef.shape[1] < 2:
-        raise ContractError(f"squared_piecewise_poly needs a (cells + 2, degree + 1) "
-                            f"table of degree >= 1, got shape {coef.shape}")
-    if not np.all(np.isfinite(coef)) or np.any(coef[[0, -1]]):
-        raise ContractError("squared_piecewise_poly needs a finite table whose "
-                            "first and last rows are zero")
-    if not (np.isfinite(x0) and np.isfinite(h) and h > 0):
-        raise ContractError(f"squared_piecewise_poly needs a finite x0 and h > 0, "
-                            f"got x0={x0!r}, h={h!r}")
-    n = coef.shape[0] - 2
-    mid = x0 + h * (np.arange(-1, n + 1) + 0.5)  # row r's offsets start here
-    cols = np.ascontiguousarray(coef.T)
-    slopes = cols[1:] * np.arange(1, cols.shape[0])[:, None]
-
-    # A NaN x casts to an arbitrary row, which mode="clip" keeps in range; its
-    # offset t is NaN whatever the row, and so is p (degree >= 1): an infinite
-    # x likewise gives 0 * inf. _node then raises on the output.
-    def locate():
-        with np.errstate(all="ignore"):
-            u = np.subtract(x.data, x0, out=np.empty(x.shape))
-            u /= h
-            np.clip(u, -1.0, n, out=u)
-            np.floor(u, out=u)
-            u += 1.0
-            row = u.astype(np.intp)
-        return row, x.data - mid.take(row, mode="clip")
-
-    def horner(c, row, t):
-        p = c[-1].take(row, mode="clip")
-        for ck in c[-2::-1]:
-            p *= t
-            p += ck.take(row, mode="clip")
-        return p
-
+    x0, h, mid, cols, slopes = _poly_table("squared_piecewise_poly", x0, h, coef)
     with np.errstate(all="ignore"):
-        data = horner(cols, *locate())
+        data = _horner(cols, *_locate(x.data, x0, h, mid))
         data *= data
 
     def backward_fn(g):
-        row, t = locate()
-        dp = horner(slopes, row, t)
-        dp *= horner(cols, row, t)
+        row, t = _locate(x.data, x0, h, mid)
+        dp = _horner(slopes, row, t)
+        dp *= _horner(cols, row, t)
         dp *= 2.0
         dp *= g
         return (dp,)
 
-    # Per element: cell index (shift, scale, floor), offset, Horner (2 per
-    # degree), square.
-    degree = cols.shape[0] - 1
     return _node(data, "squared_piecewise_poly", (x,), backward_fn,
-                 flops=(2 * degree + 5) * x.size)
+                 flops=_poly_flops(cols) * x.size)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -110,3 +110,40 @@ def test_fault_columns_show_in_rows_and_medians_with_no_verdict(tmp_path, monkey
     assert all(len(r) == len(lines[0]) for r in medians)
     verdicts = [r[2] for r in lines if r[:2] == ["w", "verdict"]]
     assert verdicts == ["step_ms_p50"]
+
+
+def test_json_holds_each_side_s_spread_and_the_verdicts(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "step_ms_p50", "better": "lower", "bound": 0.25},
+                       {"name": "peak_mb", "better": "lower", "bound": 0.1}]}))
+    steps = {str(parent): iter(PARENT), str(change): iter(v - 12.0 for v in PARENT)}
+
+    def made_up(tree, workload, pad):
+        assert workload == "w"
+        return {"step_ms_p50": next(steps[tree]),
+                "peak_mb": 23.38 if tree == str(parent) else 21.26,
+                "minflt": 7, "minflt_per_op": 1.75}
+
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(ab_pairs, "run", made_up)
+    monkeypatch.setattr(sys, "argv", ["ab_pairs.py", str(parent), str(change),
+                                      "--json", str(out)])
+    ab_pairs.main()
+    printed = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    saved = json.loads(out.read_text())
+    assert saved["pairs"] == 10 and list(saved["workloads"]) == ["w"]
+    w = saved["workloads"]["w"]
+    # Only end-to-end metrics: the fault columns get no spread.
+    assert w["parent"] == {"step_ms_p50": {"median": 179.0, "q1": 174.5, "q3": 183.5},
+                           "peak_mb": {"median": 23.38, "q1": 23.38, "q3": 23.38}}
+    assert w["change"]["step_ms_p50"] == {"median": 167.0, "q1": 162.5, "q3": 171.5}
+    assert w["change"]["peak_mb"]["median"] == 21.26
+    assert [(v["metric"], v["wins"], v["mark"]) for v in w["verdicts"]] == [
+        ("step_ms_p50", 10, "gain"), ("peak_mb", 10, "gain")]
+    # The JSON verdicts are the printed verdict rows.
+    rows = [r[2:] for r in printed if r[:2] == ["w", "verdict"]]
+    assert rows == [ab_pairs.fields(v) for v in w["verdicts"]]
+    assert rows[0][2:] == ["10", "10", "174.5", "183.5", "12", "gain"]

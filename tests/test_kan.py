@@ -671,7 +671,7 @@ class TestEfficientKanLayer:
                    requires_grad=True)
         nodes = [n for n in T.Tape(T.sum_all(layer.forward(x))).nodes
                  if n._backward_fn is not None]
-        assert [n.op for n in nodes] == ["squared_piecewise_poly", "affine", "sum_all"]
+        assert [n.op for n in nodes] == ["affine", "sum_all"]
         assert all(n.size != rows * c_in * grid.n_basis for n in nodes)
 
     def test_activate_records_one_node(self):

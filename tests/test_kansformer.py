@@ -120,6 +120,21 @@ def test_model_tape_holds_no_attention_score_buffer():
     assert held == []
 
 
+def test_encoder_blocks_record_no_add_and_one_activation_each():
+    """Each block's residual adds ride in the affine nodes before them, and
+    kan1 and kan2 keep their activation inside their affine node: only the
+    Q/K/V projections' shared activation is a node of its own, and the one
+    add left in the encoder is the positional embedding's."""
+    config = ModelConfig()
+    logits = forward(Tensor(np.zeros((1, 1, 64, 64))),
+                     TransUKanModel(config, rng=np.random.default_rng(0)))
+    ops = [(n.op, n.scope) for n in T.Tape(logits).nodes if n._backward_fn is not None]
+    in_blocks = [op for op, scope in ops if scope.startswith("encoder.block")]
+    assert "add" not in in_blocks
+    assert in_blocks.count("squared_piecewise_poly") == config.depth == 4
+    assert [scope for op, scope in ops if op == "add"] == ["encoder"]
+
+
 class TestKansformerBlock:
     def test_residual_identity_with_zero_parameters(self):
         p = KansformerBlockParams(8, 2, rng=np.random.default_rng(1))

@@ -1,5 +1,6 @@
 """``tools/peak_timeline.py`` on a tiny model, run as a user runs it."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -23,3 +24,15 @@ def test_each_adjoint_peaks_within_the_step_peak():
     assert rows[-1][:2] == ["conv2d", "cnn.stage0.conv_a"]
     assert all(0 < int(held) <= int(peak) for _, _, held, peak in rows)
     assert max(int(peak) for *_, peak in rows) <= int(step_peak)
+
+
+def test_default_train_step_peaks_below_the_fused_encoder_bound():
+    """One batch-4 training step at ``ModelConfig()`` peaks at ~21.15 MB now
+    that each encoder block keeps neither its residual sums' inputs nor the
+    activations of kan1 and kan2; keeping them, it peaked at ~23.27 MB."""
+    spec = importlib.util.spec_from_file_location(
+        "peak_timeline", ROOT / "tools" / "peak_timeline.py")
+    peak_timeline = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(peak_timeline)
+    _, _, peak = peak_timeline.step_timeline(peak_timeline.ModelConfig(), 4, 0)
+    assert peak <= 21.5e6

@@ -114,6 +114,112 @@ class TestAffine:
             T.affine(*(Tensor(np.zeros(s)) for s in shapes))
 
 
+def _poly_table(rng, cells=4, degree=3):
+    """A random ``(x0, h, coef)`` table of ``squared_piecewise_poly``."""
+    coef = rng.normal(size=(cells + 2, degree + 1))
+    coef[[0, -1]] = 0.0
+    return -1.0, 0.5, coef
+
+
+def _off_breakpoints(rng, shape, table):
+    """x spread over every row of ``table``, the zero rows included, and at
+    least h/10 from a breakpoint, where p may jump."""
+    x0, h, coef = table
+    cells = rng.integers(-1, coef.shape[0] - 1, size=shape)
+    return x0 + h * (cells + rng.uniform(0.1, 0.9, size=shape))
+
+
+# (residual, act) of each fused form of affine.
+EPILOGUES = [(True, False), (False, True), (True, True)]
+EPILOGUE_IDS = ["residual", "act", "act_and_residual"]
+
+
+class TestAffineEpilogues:
+    """``affine``'s residual and activation stages are the composed graph
+    ``add(affine(squared_piecewise_poly(x, *act), w, b), residual)``."""
+
+    @staticmethod
+    def _args(rng, x_shape, residual, table):
+        shapes = [x_shape, (4, x_shape[-1]), (4,)] + [x_shape[:-1] + (4,)] * residual
+        args = [Tensor(rng.normal(size=s)) for s in shapes]
+        if table:
+            args[0] = Tensor(_off_breakpoints(rng, x_shape, table))
+        return args
+
+    @staticmethod
+    def _fused(act):
+        return lambda x, w, b, *r: T.affine(x, w, b, *r, act=act)
+
+    @staticmethod
+    def _graph(act):
+        def run(x, w, b, *r):
+            out = T.affine(T.squared_piecewise_poly(x, *act) if act else x, w, b)
+            return T.add(out, *r) if r else out
+        return run
+
+    @pytest.mark.parametrize("x_shape", [(5, 3), (2, 7, 3)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("residual, act", EPILOGUES, ids=EPILOGUE_IDS)
+    def test_bit_equal_to_the_composed_graph(self, x_shape, residual, act):
+        rng = np.random.default_rng(81)
+        table = _poly_table(rng) if act else None
+        args = self._args(rng, x_shape, residual, table)
+        fused = _outputs_and_grads(self._fused(table), args, 82)
+        graph = _outputs_and_grads(self._graph(table), args, 82)
+        for got, expected in zip(fused, graph):
+            assert np.array_equal(got, expected)
+        out = self._fused(table)(*args)
+        assert out._parents == tuple(args)
+        nodes = [n for n in T.Tape(self._graph(table)(*args)).nodes if n._backward_fn]
+        assert out.flops == sum(n.flops for n in nodes)
+
+    @pytest.mark.parametrize("residual, act", EPILOGUES, ids=EPILOGUE_IDS)
+    def test_gradcheck(self, residual, act):
+        rng = np.random.default_rng(83)
+        table = _poly_table(rng) if act else None
+        args = self._args(rng, (2, 3, 5), residual, table)
+        weights = Tensor(rng.normal(size=(2, 3, 4)))
+        for which in range(len(args)):
+            def f(t):
+                operands = args[:which] + [t] + args[which + 1:]
+                return T.sum_all(T.mul(self._fused(table)(*operands), weights))
+
+            rep = T.grad_check(f, args[which], tol=1e-6)
+            assert rep.ok, (which, rep)
+
+    def test_residual_of_the_wrong_shape_raises(self):
+        x, w, b = (Tensor(np.zeros(s)) for s in ((2, 3), (4, 3), (4,)))
+        for shape in ((2, 3), (4,), (1, 2, 4)):
+            with pytest.raises(DimensionError, match="affine residual"):
+                T.affine(x, w, b, Tensor(np.zeros(shape)))
+        with pytest.raises(ContractError, match="affine: residual must be a Tensor"):
+            T.affine(x, w, b, np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("act, named", [
+        ((0.0, 1.0), "affine act must be a tuple"),
+        ([0.0, 1.0, np.zeros((3, 2))], "affine act must be a tuple"),
+        ((0.0, 1.0, np.ones((3, 2))), "affine needs a finite table"),
+        ((0.0, -1.0, np.zeros((3, 2))), "affine needs a finite x0 and h > 0"),
+    ], ids=["pair", "list", "nonzero_edge_rows", "negative_h"])
+    def test_act_must_be_a_table(self, act, named):
+        x, w, b = (Tensor(np.zeros(s)) for s in ((2, 3), (4, 3), (4,)))
+        with pytest.raises(ContractError, match=named):
+            T.affine(x, w, b, act=act)
+
+    def test_backward_keeps_no_activation_sized_array(self):
+        # The node keeps x, its parent, and rebuilds q = p(x)² in the backward.
+        rng = np.random.default_rng(84)
+        table = _poly_table(rng)
+        x, w, b, r = self._args(rng, (6, 5, 3), True, table)
+        for t in (x, w, b, r):
+            t.requires_grad = True
+        out = T.affine(x, w, b, r, act=table)
+        held = [a for c in out._backward_fn.__closure__
+                for a in (c.cell_contents if isinstance(c.cell_contents, tuple)
+                          else (c.cell_contents,))
+                if isinstance(a, np.ndarray)]
+        assert held and all(a.size <= table[2].size for a in held), [a.shape for a in held]
+
+
 class TestElementwise:
     def test_silu_zero(self):
         assert T.silu(Tensor(np.array([0.0]))).data[0] == 0.0
@@ -882,6 +988,20 @@ class TestBackward:
      "named_parameters: parts must be an Iterable, got NoneType"),
     (lambda: T.basis_expand(_zeros(2), None, None, 0), ContractError,
      "basis_expand: basis must be a Callable, got NoneType"),
+    (lambda: _huge_padding_conv2d(), DimensionError,
+     "conv2d padded input 2199023255555x2199023255555 is larger than an array can be"),
+    (lambda: kan.relukan_basis(np.zeros(2), None), ContractError,
+     "relukan_basis: grid must be a KanGrid, got NoneType"),
+    (lambda: kan.relukan_basis_expand(None, kan.KanGrid()), ContractError,
+     "relukan_basis_expand: x must be a Tensor, got NoneType"),
+    (lambda: kan.bspline_basis(np.zeros(2), None, 2), ContractError,
+     "bspline_knots: grid must be a KanGrid, got NoneType"),
+    (lambda: kan.bspline_basis_expand(None, kan.KanGrid(), 2), ContractError,
+     "bspline_basis_expand: x must be a Tensor, got NoneType"),
+    (lambda: kan.named_parameters([None]), ContractError,
+     r"named_parameters: each part must be a \(name, layer\) pair, got None"),
+    (lambda: T.basis_expand(_zeros(2), lambda v: "ab", lambda v: v, 0), ContractError,
+     "basis_expand: basis output must be real numbers, got 'ab'"),
 ], ids=["backward_of_float", "conv2d_no_bias", "upsample_concat_conv2d_no_bias",
         "softmax_empty_axis", "log_softmax_empty_axis", "layer_norm_empty_axis",
         "add_int", "sum_all_int", "relu_list", "affine_layer_ndarray", "conv2d_ndarray",
@@ -898,10 +1018,28 @@ class TestBackward:
         "variant_report_none_config", "tape_of_int", "check_sizes_int",
         "decoder_forward_none_skips", "decoder_forward_two_skips",
         "load_checkpoint_int_path", "save_checkpoint_int_path", "relukan_basis_str",
-        "bspline_knots_str_order", "named_parameters_none", "basis_expand_none"])
+        "bspline_knots_str_order", "named_parameters_none", "basis_expand_none",
+        "conv2d_huge_padding", "relukan_basis_none_grid", "relukan_basis_expand_none_x",
+        "bspline_basis_none_grid", "bspline_basis_expand_none_x",
+        "named_parameters_none_part", "basis_expand_str_basis"])
 def test_public_entry_points_raise_typed_errors(call, error, named):
     with pytest.raises(error, match=named):
         call()
+
+
+def _huge_padding_conv2d():
+    return T.conv2d(_zeros(1, 1, 3, 3), _zeros(1, 1, 3, 3), _zeros(1), padding=2 ** 40)
+
+
+def test_huge_padding_is_refused_before_any_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError, match="conv2d"):
+            _huge_padding_conv2d()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def _zeros(*shape):

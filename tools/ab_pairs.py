@@ -1,6 +1,6 @@
 """A/B timing of two source trees with perfbench, in alternating pairs.
 
-    python3 tools/ab_pairs.py PARENT_TREE CHANGE_TREE
+    python3 tools/ab_pairs.py PARENT_TREE CHANGE_TREE [--json PATH]
 
 For each workload that the parent tree's ``BENCHMARK.json`` declares, each
 pair runs ``perfbench/run.py --workload W`` once in each tree, at perfbench's
@@ -28,6 +28,12 @@ quartiles, the gap between the medians and a mark. The mark reads
 - ``unresolved`` when the parent's interquartile range is wider than that
   bound, so that no regression within it could show, unless every run of the
   change reads better than every run of the parent.
+
+With ``--json PATH`` it also writes, per workload, each side's median and
+quartiles of every end-to-end metric and the verdict rows to one JSON file:
+``{"pairs": N, "workloads": {W: {"parent": {metric: {"median", "q1", "q3"}},
+"change": {...}, "verdicts": [{"metric", "better", "wins", "pairs",
+"parent_q1", "parent_q3", "gap", "mark"}]}}}``.
 """
 
 import argparse
@@ -58,12 +64,15 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the medians, quartiles and verdicts here")
     args = parser.parse_args()
     with open(os.path.join(args.parent, "BENCHMARK.json")) as f:
         spec = json.load(f)
     workloads = [w["name"] for w in spec["workloads"]]
     end_to_end = {m["name"]: m for m in spec["end_to_end"]}
     names = None
+    summary = {}
     for workload in workloads:
         rows = {"parent": [], "change": []}
         for pair in range(PAIRS):
@@ -83,16 +92,32 @@ def main():
         print("\t".join([workload, "median", "change/parent", ""] + [f"{r:.4f}" for r in ratio]))
         print("\t".join(["workload", "verdict", "metric", "better", "wins", "pairs",
                          "parent_q1", "parent_q3", "gap", "mark"]))
+        judged = {"parent": {}, "change": {}, "verdicts": []}
         for k, name in enumerate(names):
             if name in end_to_end:
-                print("\t".join([workload, "verdict"]
-                                 + verdict(end_to_end[name], rows, k)), flush=True)
+                judged["verdicts"].append(judge(end_to_end[name], rows, k))
+                print("\t".join([workload, "verdict"] + fields(judged["verdicts"][-1])),
+                      flush=True)
+                for side in ("parent", "change"):
+                    judged[side][name] = spread([r[k] for r in rows[side]])
+        summary[workload] = judged
+    if args.json:
+        with open(args.json, "w") as f:
+            json.dump({"pairs": PAIRS, "workloads": summary}, f, indent=1)
+            f.write("\n")
 
 
-def verdict(metric, rows, k):
-    """Wins, the parent's quartiles, the gap between the medians (the change's
-    better by that much when positive) and the mark, for ``metric``, an
-    ``end_to_end`` entry of ``BENCHMARK.json``."""
+def spread(values):
+    """The median and quartiles of ``values``."""
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def judge(metric, rows, k):
+    """The verdict on ``metric``, an ``end_to_end`` entry of ``BENCHMARK.json``,
+    from column ``k`` of each side's ``rows``: the pairs the change won, the
+    parent's quartiles, the gap between the medians (the change's better by
+    that much when positive) and the mark."""
     parent = [r[k] for r in rows["parent"]]
     change = [r[k] for r in rows["change"]]
     sign = 1 if metric["better"] == "lower" else -1
@@ -109,8 +134,19 @@ def verdict(metric, rows, k):
         mark = "unresolved"
     else:
         mark = ""
-    return [metric["name"], metric["better"], str(wins), str(len(parent)), f"{q1:.6g}",
-            f"{q3:.6g}", f"{gap:.6g}", mark]
+    return {"metric": metric["name"], "better": metric["better"], "wins": wins,
+            "pairs": len(parent), "parent_q1": q1, "parent_q3": q3, "gap": gap, "mark": mark}
+
+
+def fields(v):
+    """The TSV fields of ``v``, a verdict of :func:`judge`."""
+    return [v["metric"], v["better"], str(v["wins"]), str(v["pairs"]), f"{v['parent_q1']:.6g}",
+            f"{v['parent_q3']:.6g}", f"{v['gap']:.6g}", v["mark"]]
+
+
+def verdict(metric, rows, k):
+    """:func:`judge`'s verdict on column ``k`` as the fields of its TSV row."""
+    return fields(judge(metric, rows, k))
 
 
 if __name__ == "__main__":
