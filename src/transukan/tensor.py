@@ -15,9 +15,12 @@ activation of its input as a prologue (``act``), keeping x rather than the
 activation, which its backward rebuilds. The conv ops clamp their output in
 place, ``conv2d`` when ``relu=True`` (the in-place activation of Rota Bulò et
 al., arXiv 1712.02616); their backward masks g by it once, onto the phase
-grid, whose channel sums are the bias gradient. A public op first checks
-that its operands are Tensors and raises a ``ContractError`` naming the op
-and the argument if one is not.
+grid, whose channel sums are the bias gradient. That backward runs on slices
+of the batch, one image at the model's 64x64 maps, and gathers the input
+gradient tile by tile, so its scratch is one slice's padded input and
+gradient grid plus two tile buffers: only dx is batch-sized. A public op
+first checks that its operands are Tensors and raises a ``ContractError``
+naming the op and the argument if one is not.
 """
 
 from __future__ import annotations
@@ -672,8 +675,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 _IM2COL_BUDGET = 2 ** 19
 
 
-def _phase_slices(h: int, w: int, stride: int, padding: int):
-    """Yield ``(r, q, grid, src)`` for each stride phase (r, q) of an h x w
+def _phase_slices(h: int, w: int, kh: int, kw: int, stride: int, padding: int):
+    """Yield ``(r, q, grid, src)`` for each stride phase (r, q) that a kh x kw
+    kernel reads, r < min(stride, kh) and q < min(stride, kw), of an h x w
     input padded by ``padding``: input pixels ``[src]`` land at ``[grid]`` of
     the phase grid, whose cell (y, x) is padded pixel (y s + r, x s + q)."""
     def axis(n, r):
@@ -681,15 +685,16 @@ def _phase_slices(h: int, w: int, stride: int, padding: int):
         src = slice(first * stride + r - padding, n, stride)
         return slice(first, first + len(range(n)[src])), src
 
-    for r in range(stride):
+    for r in range(min(stride, kh)):
         gy, sy = axis(h, r)
-        for q in range(stride):
+        for q in range(min(stride, kw)):
             gx, sx = axis(w, q)
             yield r, q, (gy, gx), (sy, sx)
 
 
 def _taps(kh: int, kw: int, s: int, wq: int):
-    """(i, j, phase row, phase column, flat offset) of each kernel tap."""
+    """(i, j, phase row, phase column, flat offset) of each kernel tap; the
+    last tap's offset is the largest."""
     return [(i, j, i % s, j % s, i // s * wq + j // s)
             for i in range(kh) for j in range(kw)]
 
@@ -698,21 +703,23 @@ def _phase_split(x: np.ndarray, kh: int, kw: int, s: int, padding: int):
     """The zero-padded x (b, c, h, w) on the flat phase grid of a kh x kw
     kernel at stride s: returns ``(xs, hq, wq)``.
 
-    The padded input is stored once per stride phase (r, q) as rows of
-    ``xs[r, q]`` (channels x flat b·hq·wq cells, plus a zero tail), so kernel
-    tap (i, j) reads one contiguous column slice of phase (i mod s, j mod s)
-    at offset (i div s)·wq + j div s. Cell m of that flat layout is output
-    pixel (n, y, x) for m = n·hq·wq + y·wq + x.
+    The padded input is stored once per stride phase (r, q) that some tap
+    reads, r < min(s, kh) and q < min(s, kw), as rows of ``xs[r, q]``
+    (channels x flat b·hq·wq cells, plus a zero tail), so kernel tap (i, j)
+    reads one contiguous column slice of phase (i mod s, j mod s) at offset
+    (i div s)·wq + j div s. Cell m of that flat layout is output pixel
+    (n, y, x) for m = n·hq·wq + y·wq + x. A stride past the kernel adds no
+    phase, so the grid holds about the padded input's pixels at any stride.
     """
     b, c, h, wd = x.shape
     hq = -(-(h + 2 * padding) // s)
     wq = -(-(wd + 2 * padding) // s)
     n = b * hq * wq
     tail = (kh - 1) // s * wq + (kw - 1) // s
-    xs = np.zeros((s, s, c, n + tail), dtype=np.float64)
-    grid = xs[..., :n].reshape(s, s, c, b, hq, wq)
+    xs = np.zeros((min(s, kh), min(s, kw), c, n + tail), dtype=np.float64)
+    grid = xs[..., :n].reshape(*xs.shape[:3], b, hq, wq)
     xt = x.transpose(1, 0, 2, 3)
-    for r, q, (gy, gx), (sy, sx) in _phase_slices(h, wd, s, padding):
+    for r, q, (gy, gx), (sy, sx) in _phase_slices(h, wd, kh, kw, s, padding):
         grid[r, q, :, :, gy, gx] = xt[:, :, sy, sx]
     return xs, hq, wq
 
@@ -749,49 +756,82 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, s: int, padding: int) -> np.ndar
     return full.reshape(o, b, hq, wq)
 
 
-def _conv_backward(gfull: np.ndarray, x: np.ndarray, w: np.ndarray, s: int,
-                   padding: int, need_dx: bool):
+def _conv_backward(x: np.ndarray, w: np.ndarray, s: int, padding: int, g: np.ndarray,
+                   relu_out: np.ndarray | None, f: int, need_dx: bool):
     """Adjoint of :func:`_conv_forward`: ``(dx or None, dw, db)`` from the
-    gradient on the flat phase grid, ``gfull`` (o, b, hq, wq), zero in the
-    dropped cells; db, the bias gradient, is its sum per channel.
+    output gradient g, masked by a fused relu's output ``relu_out`` (None for
+    none) and laid on the conv's phase grid by :func:`_grad_grid` with f as
+    there; db, the bias gradient, is that grid's sum per channel.
 
-    Rebuilds the phase-split input from x rather than keeping it from the
-    forward, and forms dw from it tap by tap. For dx it then zero-fills that
-    same buffer and accumulates the input's gradient in it, each tap's
-    ``w_tᵀ·g`` product going through a (c, chunk) scratch as wide as the
-    forward's im2col chunk. Its scratch is therefore one phase-split input
-    plus that chunk. It drops ``gfull`` and the chunk before it allocates dx,
-    so a caller hands ``gfull`` over as an expression, keeping no name for it.
+    It runs on slices of the batch, each as many images as keep the gradient
+    grid and each phase of the padded input within ``_IM2COL_BUDGET // 4``
+    elements: one image at the model's 64x64 maps, where a whole-batch pass
+    set the training step's peak. Nothing it allocates is batch-sized but
+    dx. Per slice it rebuilds the phase-split input from x, keeping nothing
+    from the forward, and the gradient grid behind a front of zero columns,
+    then
+
+    - adds each tap's ``g·xsᵀ`` into dw over column tiles that keep both
+      operands within ``_IM2COL_BUDGET // 4`` elements, to stay in cache
+      across the taps;
+    - gathers each phase's input gradient tile by tile, ``Σ_t w_tᵀ·g[tile −
+      off_t]`` over that phase's taps (the input gradient is a convolution of
+      g with the flipped kernel): one (c, tile) buffer sums the products that
+      a second one receives, the two within ``_IM2COL_BUDGET // 9`` elements,
+      and the sum is written over the tile's columns of the phase-split input,
+      which dw has done reading.
+
+    The slice's grid and buffers die before its input gradient, now in the
+    phase-split buffer, is copied into its slice of dx. So dx is allocated
+    after the first slice's grids die, as late as a whole-batch pass would
+    allocate it. Input pixels of phases no tap reads get 0.
     """
-    o, b, hq, wq = gfull.shape
-    c, kh, kw = w.shape[1:]
-    n = b * hq * wq
-    gfull = gfull.reshape(o, n)
-    db = gfull.sum(axis=1)
+    b, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    hq = -(-(h + 2 * padding) // s)
+    wq = -(-(wd + 2 * padding) // s)
     taps = _taps(kh, kw, s, wq)
-    xs = _phase_split(x, kh, kw, s, padding)[0]
-    dw = np.empty(w.shape, dtype=np.float64)
-    for i, j, r, q, off in taps:
-        dw[:, :, i, j] = gfull @ xs[r, q, :, off:off + n].T
-    if not need_dx:
-        return None, dw, db
-    dxs = xs
-    dxs.fill(0.0)
-    step = _chunk_columns(n, c * kh * kw)
-    scratch = np.empty(c * step, dtype=np.float64)
-    for m0 in range(0, n, step):
-        m = min(step, n - m0)
-        dtap = scratch[:c * m].reshape(c, m)
-        for i, j, r, q, off in taps:
-            np.matmul(w[:, :, i, j].T, gfull[:, m0:m0 + m], out=dtap)
-            dxs[r, q, :, off + m0:off + m0 + m] += dtap
-    del gfull, scratch, dtap
-    _, _, h, wd = x.shape
-    dgrid = dxs[..., :n].reshape(s, s, c, b, hq, wq)
-    dx = np.empty(x.shape, dtype=np.float64)
-    dxt = dx.transpose(1, 0, 2, 3)
-    for r, q, (gy, gx), (sy, sx) in _phase_slices(h, wd, s, padding):
-        dxt[:, :, sy, sx] = dgrid[r, q, :, :, gy, gx]
+    front = taps[-1][4] if need_dx else 0
+    phases = [(r, q, [(w[:, :, i, j].T, off) for i, j, rt, qt, off in taps
+                      if (rt, qt) == (r, q)])
+              for r in range(min(s, kh)) for q in range(min(s, kw))]
+    per = _chunk_columns(b, 4 * max(c, o) * hq * wq)
+    dw = np.zeros(w.shape, dtype=np.float64)
+    db = 0.0
+    dx = None
+    for k in range(0, b, per):
+        at = np.s_[k:k + per]
+        xs = _phase_split(x[at], kh, kw, s, padding)[0]
+        gpad = _grad_grid(g[at], None if relu_out is None else relu_out[at], f, hq, wq, front)
+        grid = gpad[:, front:]
+        n = grid.shape[1]
+        db = db + grid.sum(axis=1)
+        step = _chunk_columns(n, 4 * (o + c))
+        for m0 in range(0, n, step):
+            cols = np.s_[m0:m0 + step]
+            for i, j, r, q, off in taps:
+                dw[:, :, i, j] += grid[:, cols] @ xs[r, q, :, off:off + n][:, cols].T
+        if not need_dx:
+            continue
+        step = _chunk_columns(n, 18 * c)
+        scratch = np.empty((2, c, step), dtype=np.float64)
+        for m0 in range(0, n, step):
+            m = min(step, n - m0)
+            acc, prod = scratch[:, :, :m]
+            for r, q, phase in phases:
+                for t, (wt, off) in enumerate(phase):
+                    back = front - off + m0
+                    np.matmul(wt, gpad[:, back:back + m], out=prod if t else acc)
+                    if t:
+                        acc += prod
+                xs[r, q, :, m0:m0 + m] = acc
+        del gpad, grid, scratch, acc, prod
+        if dx is None:
+            dx = (np.zeros if s > min(kh, kw) else np.empty)(x.shape, dtype=np.float64)
+        dgrid = xs[..., :n].reshape(*xs.shape[:3], -1, hq, wq)
+        dxt = dx[at].transpose(1, 0, 2, 3)
+        for r, q, (gy, gx), (sy, sx) in _phase_slices(h, wd, kh, kw, s, padding):
+            dxt[:, :, sy, sx] = dgrid[r, q, :, :, gy, gx]
     return dx, dw, db
 
 
@@ -806,14 +846,20 @@ def _phase_cells(grid: np.ndarray, f: int, h: int, w: int):
                    np.s_[:, :, r::f, q::f])
 
 
-def _grad_grid(g: np.ndarray, relu_out: np.ndarray | None, shape, f: int) -> np.ndarray:
-    """The output gradient g (b, o, f·h, f·w) on a zero phase grid of ``shape``
-    (f²·o, b, hq, wq), by :func:`_phase_cells`; zeroed where a fused relu's
-    output ``relu_out`` is 0, and unchanged when ``relu_out`` is None."""
-    gfull = np.zeros(shape, dtype=np.float64)
-    for cells, at in _phase_cells(gfull, f, g.shape[2] // f, g.shape[3] // f):
+def _grad_grid(g: np.ndarray, relu_out: np.ndarray | None, f: int, hq: int, wq: int,
+               front: int) -> np.ndarray:
+    """The output gradient g (b, o, f·h, f·w) of a slice of b images on a flat
+    phase grid of f²·o rows: returns (f²·o, front + b·hq·wq), zero but for the
+    cells that :func:`_phase_cells` maps g onto, from column ``front`` on; the
+    zero front lets a tap's offset reach back from any cell. g is zeroed where
+    a fused relu's output ``relu_out`` (the slice's) is 0, and unchanged when
+    that is None."""
+    rows = f * f * g.shape[1]
+    gpad = np.zeros((rows, front + len(g) * hq * wq), dtype=np.float64)
+    grid = gpad[:, front:].reshape(rows, -1, hq, wq)
+    for cells, at in _phase_cells(grid, f, g.shape[2] // f, g.shape[3] // f):
         np.multiply(g[at], relu_out is None or relu_out[at] > 0.0, out=cells)
-    return gfull
+    return gpad
 
 
 def _check_bias(op: str, bias, o: int) -> None:
@@ -827,10 +873,11 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     """2-D cross-correlation over NCHW input with an OIHW kernel, then
     ``relu(·)`` in place if ``relu`` is set.
 
-    Computed on the flat phase grid of :func:`_conv_forward`, whose stride is
-    at most max(h, w) + 2·padding: past that, all strides read one 1x1 output.
-    The backward keeps no array of its own: it rebuilds the padded input from
-    ``x.data`` (see :func:`_conv_backward`). With ``relu`` it also reads its own
+    Computed on the flat phase grid of :func:`_conv_forward`, which stores only
+    the stride phases that some tap reads, so at any stride it is about the
+    size of the padded input. The backward keeps no array of its own: it
+    rebuilds the padded input from ``x.data``, a slice of the batch at a time
+    (see :func:`_conv_backward`). With ``relu`` it also reads its own
     output, masking g where that is 0; the pre-activation is never kept, and a
     -inf in it clamps to 0 rather than raising.
     """
@@ -860,9 +907,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     if not isinstance(relu, bool):
         raise ContractError(f"conv2d relu must be a bool, got {relu!r}")
 
-    s = min(stride, max(h, wd) + 2 * padding)
-    full = _conv_forward(x.data, w.data, s, padding)
-    grid_shape = full.shape
+    full = _conv_forward(x.data, w.data, stride, padding)
     data = np.empty((b, o, h_out, w_out), dtype=np.float64)
     for cells, at in _phase_cells(full, 1, h_out, w_out):
         np.add(cells, bias.data[:, None, None], out=data[at])
@@ -872,8 +917,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     relu_out = data if relu else None
 
     def backward_fn(g):
-        return _conv_backward(_grad_grid(g, relu_out, grid_shape, 1), x.data, w.data, s,
-                              padding, x.requires_grad)
+        return _conv_backward(x.data, w.data, stride, padding, g, relu_out, 1,
+                              x.requires_grad)
 
     # The bias add rides in the multiply-accumulates; the relu is 1 per output.
     return _node(data, "conv2d", (x, w, bias), backward_fn,
@@ -939,23 +984,20 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> 
         return folded.reshape(4 * o, c_up, 2, 2)
 
     full = _conv_forward(skip.data, w_skip, 1, 1)
-    skip_grid = full.shape
     data = np.empty((b, o, 2 * h, 2 * wd), dtype=np.float64)  # after the conv's scratch
     for cells, at in _phase_cells(full, 1, 2 * h, 2 * wd):
         np.add(cells, bias.data[:, None, None], out=data[at])
     del full, cells
     full = _conv_forward(x.data, fold(), 1, 1)
-    x_grid = full.shape
     for cells, at in _phase_cells(full, 2, h, wd):
         data[at] += cells
     del full, cells
     np.maximum(data, 0.0, out=data)
 
     def backward_fn(g):
-        dskip, dw_skip, db = _conv_backward(_grad_grid(g, data, skip_grid, 1), skip.data,
-                                            w_skip, 1, 1, skip.requires_grad)
-        dx, dfolded, _ = _conv_backward(_grad_grid(g, data, x_grid, 2), x.data, fold(), 1, 1,
-                                        x.requires_grad)
+        dskip, dw_skip, db = _conv_backward(skip.data, w_skip, 1, 1, g, data, 1,
+                                            skip.requires_grad)
+        dx, dfolded, _ = _conv_backward(x.data, fold(), 1, 1, g, data, 2, x.requires_grad)
         dw = np.empty(w.shape, dtype=np.float64)
         dw[:, c_up:] = dw_skip
         dfolded = dfolded.reshape(2, 2, o, c_up, 2, 2).transpose(2, 3, 0, 1, 4, 5)

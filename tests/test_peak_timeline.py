@@ -1,5 +1,6 @@
 """``tools/peak_timeline.py`` on a tiny model, run as a user runs it."""
 
+import functools
 import importlib.util
 import json
 import subprocess
@@ -11,13 +12,18 @@ TINY = {"image_size": 16, "d_model": 8, "depth": 1, "n_heads": 2,
         "decoder_channels": [8, 8, 8]}
 
 
-def test_each_adjoint_peaks_within_the_step_peak():
+@functools.cache
+def _rows(*args):
+    """The TSV lines of ``tools/peak_timeline.py`` on ``TINY`` at batch 2."""
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "peak_timeline.py"),
-         "--config", json.dumps(TINY), "--batch", "2"],
+         "--config", json.dumps(TINY), "--batch", "2", *args],
         capture_output=True, text=True, check=True)
-    header, *rows, (step, _, forward_held, step_peak) = (
-        line.split("\t") for line in out.stdout.splitlines())
+    return tuple(line.split("\t") for line in out.stdout.splitlines())
+
+
+def test_each_adjoint_peaks_within_the_step_peak():
+    header, *rows, (step, _, forward_held, step_peak) = _rows()
     assert header == ["op", "scope", "held_bytes", "peak_bytes"]
     assert step == "(step)" and 0 < int(forward_held) <= int(step_peak)
     # The backward runs the forward's first op last.
@@ -26,13 +32,26 @@ def test_each_adjoint_peaks_within_the_step_peak():
     assert max(int(peak) for *_, peak in rows) <= int(step_peak)
 
 
+def test_time_prints_a_median_per_adjoint_in_backward_order():
+    header, *rows = _rows("--time", "1")
+    assert header == ["op", "scope", "median_ms"]
+    traced = [row[:2] for row in _rows()[1:-1]]
+    assert [row[:2] for row in rows] == traced
+    assert all(float(ms) > 0 for *_, ms in rows)
+
+
 def test_default_train_step_peaks_below_the_fused_encoder_bound():
-    """One batch-4 training step at ``ModelConfig()`` peaks at ~21.15 MB now
-    that each encoder block keeps neither its residual sums' inputs nor the
-    activations of kan1 and kan2; keeping them, it peaked at ~23.27 MB."""
+    """One batch-4 training step at ``ModelConfig()`` peaks at ~20.08 MB, in
+    the forward, now that the conv backward runs image by image: the
+    ``decoder.block2`` adjoint, which set the peak at ~21.15 MB with
+    whole-batch scratch, peaks at ~19.63 MB below it."""
     spec = importlib.util.spec_from_file_location(
         "peak_timeline", ROOT / "tools" / "peak_timeline.py")
     peak_timeline = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(peak_timeline)
-    _, _, peak = peak_timeline.step_timeline(peak_timeline.ModelConfig(), 4, 0)
-    assert peak <= 21.5e6
+    rows, _, peak = peak_timeline.step_timeline(peak_timeline.ModelConfig(), 4, 0)
+    assert peak <= 20.3e6
+    block2, = [during for op, scope, _, during in rows
+               if (op, scope) == ("upsample_concat_conv2d", "decoder.block2")]
+    assert block2 < peak
+    assert max(during for *_, during in rows) < peak  # the forward sets the peak

@@ -5,8 +5,11 @@ import re
 import tracemalloc
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transukan import kan, kansformer, network, profiler
 from transukan import tensor as T
@@ -530,8 +533,8 @@ class TestConv2d:
 
     def test_stride_past_the_input_costs_no_memory_per_stride(self):
         # At a stride past the padded input, every stride reads the same pixels
-        # into a 1x1 output, so the phase grid is the smallest such stride's: not
-        # stride² phases of c·b cells, 33.6 MB at stride 1024.
+        # into a 1x1 output, and the phase grid stores only the kernel's 3x3
+        # phases of c·b cells: not stride² of them, 33.6 MB at stride 1024.
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
@@ -555,6 +558,32 @@ class TestConv2d:
             for got, expected in zip(result, results[0]):
                 assert np.array_equal(got, expected)
 
+    def test_a_stride_past_one_axis_costs_no_memory_per_stride(self):
+        # A 1x1 kernel at stride 1024 reads one pixel of a 1x1024 input. The
+        # phase grid stores only the phases some tap reads, one here, not
+        # 1024² phases of one cell each (8.39 MB in either pass); the pixels
+        # that no tap reads get a zero gradient.
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(1, 1, 1, 1024)), requires_grad=True)
+        w = Tensor(rng.normal(size=(1, 1, 1, 1)), requires_grad=True)
+        b = Tensor(rng.normal(size=1), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, w, b, stride=1024)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            T.backward(T.sum_all(out))
+            backward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forward_peak < 100_000 and backward_peak < 100_000, (forward_peak, backward_peak)
+        np.testing.assert_allclose(out.data, _naive_conv2d(x.data, w.data, b.data, 1024, 0),
+                                   rtol=0, atol=1e-12)
+        expected = np.zeros(x.shape)
+        expected[0, 0, 0, 0] = w.data.item()
+        assert np.array_equal(x.grad, expected)
+        assert w.grad.item() == x.data[0, 0, 0, 0] and b.grad.item() == 1.0
+
     def test_no_input_gradient_when_input_needs_none(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(1, 2, 5, 5)))
@@ -563,6 +592,21 @@ class TestConv2d:
         dx, dw, _ = out._backward_fn(np.ones(out.shape))
         assert dx is None
         assert dw.shape == w.shape
+
+
+def _naive_conv2d_grads(x, w, g, stride, padding):
+    """Loop oracle of the gradients (dx, dw, db) of sum(conv2d(x, w, b) * g)."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dxp, dw = np.zeros(xp.shape), np.zeros(w.shape)
+    kh, kw = w.shape[2:]
+    for n in range(g.shape[0]):
+        for i in range(g.shape[2]):
+            for j in range(g.shape[3]):
+                at = np.s_[n, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
+                dw += g[n, :, i, j, None, None, None] * xp[at]
+                dxp[at] += np.tensordot(g[n, :, i, j], w, axes=1)
+    h, wd = x.shape[2:]
+    return dxp[:, :, padding:padding + h, padding:padding + wd], dw, g.sum(axis=(0, 2, 3))
 
 
 def _naive_conv2d(x, w, b, stride, padding):
@@ -793,6 +837,65 @@ class TestFusedRelu:
     def test_relu_must_be_a_bool(self, call, op):
         with pytest.raises(ContractError, match=f"{op} relu"):
             call()
+
+
+@st.composite
+def _conv_cases(draw):
+    """(x, w, bias, stride, padding, budget) of a conv2d call: batch 1-3,
+    1-4 channels in and out, kernels and strides 1-3, padding 0-2 and maps of
+    1-9 pixels a side that the padded kernel fits. A budget of 64 elements
+    runs the backward image by image in tiles of a few columns."""
+    b, c, o = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    stride, padding = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    h = draw(st.integers(max(1, kh - 2 * padding), 9))
+    wd = draw(st.integers(max(1, kw - 2 * padding), 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x, w, bias = (Tensor(rng.normal(size=shape), requires_grad=True)
+                  for shape in ((b, c, h, wd), (o, c, kh, kw), (o,)))
+    return x, w, bias, stride, padding, draw(st.sampled_from([64, 2 ** 19]))
+
+
+class TestConvProperties:
+    """Both conv ops on drawn shapes, strides and paddings, their backward
+    run whole and image by image."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_conv_cases())
+    def test_conv2d_matches_the_loop_oracle(self, case):
+        x, w, bias, stride, padding, budget = case
+        with mock.patch.object(T, "_IM2COL_BUDGET", budget):
+            out = T.conv2d(x, w, bias, stride=stride, padding=padding)
+            np.testing.assert_allclose(
+                out.data, _naive_conv2d(x.data, w.data, bias.data, stride, padding),
+                rtol=0, atol=1e-12)
+            g = np.random.default_rng(x.size).normal(size=out.shape)
+            got = out._backward_fn(g)
+            for got_grad, expected in zip(got, _naive_conv2d_grads(x.data, w.data, g,
+                                                                   stride, padding)):
+                np.testing.assert_allclose(got_grad, expected, rtol=0, atol=1e-12)
+            weights = Tensor(g)
+            for target in (x, w, bias):
+                rep = T.grad_check(lambda t: T.sum_all(T.mul(
+                    T.conv2d(x, w, bias, stride=stride, padding=padding), weights)),
+                    target, tol=1e-6, sample=6)
+                assert rep.ok, rep
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+           st.integers(1, 4), st.integers(1, 4), st.sampled_from([64, 2 ** 19]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_upsample_concat_conv2d_matches_the_composed_graph(
+            self, batch, c_up, h, wd, c_skip, c_out, budget, seed):
+        rng = np.random.default_rng(seed)
+        args = _decoder_inputs(rng, batch, c_up, h, wd, c_skip, c_out)
+        with mock.patch.object(T, "_IM2COL_BUDGET", budget):
+            fused = _outputs_and_grads(T.upsample_concat_conv2d, args, seed)
+            fused = [a.copy() for a in fused]
+            graph = _outputs_and_grads(_upsample_concat_conv2d_oracle, args, seed)
+        for got, expected in zip(fused, graph):
+            np.testing.assert_allclose(got, expected, rtol=0,
+                                       atol=1e-13 * max(1.0, np.abs(expected).max()))
 
 
 class TestBackward:

@@ -1,6 +1,6 @@
 """Memory timeline of one training step, one row per adjoint of the backward.
 
-    python3 tools/peak_timeline.py [--config JSON] [--batch B] [--seed S]
+    python3 tools/peak_timeline.py [--config JSON] [--batch B] [--seed S] [--time N]
 
 Builds ``TransUKanModel`` at ``ModelConfig()`` with the fields of ``--config``
 (a JSON object, e.g. ``'{"image_size": 128}'``) put over it, and runs one
@@ -14,11 +14,18 @@ its scope, the bytes held when the adjoint starts and the peak while it runs
 (tracemalloc's peak, reset as it starts). The peak covers the adjoint's own
 call only; adding its gradients to the parents' ones comes after. The last row,
 op ``(step)``, gives the bytes the forward left held and the whole step's peak.
+
+With ``--time N`` it traces no memory and instead times the adjoints: after
+one warm-up step, it runs N training steps and prints one TSV row per
+adjoint, in the same order, with its op, its scope and its median wall time
+over the N steps (``median_ms``).
 """
 
 import argparse
 import json
+import statistics
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -69,11 +76,12 @@ def pixel_loss(model: TransUKanModel, batch: int, seed: int) -> Tensor:
     return T.scale(T.sum_all(picked), -1.0 / (batch * size * size))
 
 
-def instrument(loss: Tensor, timeline: Timeline) -> None:
-    """Wrap the adjoint of every op node below ``loss``; the tape dies here."""
+def instrument(loss: Tensor, wrap) -> None:
+    """Replace the adjoint ``fn`` of every op node below ``loss`` by
+    ``wrap(op, scope, fn)``; the tape dies here."""
     for node in T.Tape(loss).nodes:
         if node._backward_fn is not None:
-            node._backward_fn = timeline.wrap(node.op, node.scope, node._backward_fn)
+            node._backward_fn = wrap(node.op, node.scope, node._backward_fn)
 
 
 def step_timeline(cfg: ModelConfig, batch: int, seed: int):
@@ -84,11 +92,43 @@ def step_timeline(cfg: ModelConfig, batch: int, seed: int):
         timeline = Timeline()
         loss = pixel_loss(model, batch, seed + 1)
         held = tracemalloc.get_traced_memory()[0] - timeline.base
-        instrument(loss, timeline)
+        instrument(loss, timeline.wrap)
         T.backward(loss)
         return timeline.rows, held, timeline.step_peak()
     finally:
         tracemalloc.stop()
+
+
+def timed(rows: list):
+    """A ``wrap`` for :func:`instrument` that appends ``(op, scope, seconds)``
+    to ``rows`` for each adjoint it runs."""
+    def wrap(op: str, scope: str, fn):
+        def run(g):
+            start = time.perf_counter()
+            try:
+                return fn(g)
+            finally:
+                rows.append((op, scope, time.perf_counter() - start))
+        return run
+    return wrap
+
+
+def step_times(cfg: ModelConfig, batch: int, seed: int, steps: int):
+    """``(op, scope, median ms)`` of each adjoint of a training step at
+    ``cfg``, in the order the backward runs them: the median over ``steps``
+    steps that follow one warm-up step, untraced."""
+    model = TransUKanModel(cfg, rng=np.random.default_rng(seed))
+    runs = []
+    for _ in range(steps + 1):
+        rows = []
+        loss = pixel_loss(model, batch, seed + 1)
+        instrument(loss, timed(rows))
+        T.backward(loss)
+        for _, p in model.parameters():
+            p.zero_grad()
+        runs.append(rows)
+    return [(*calls[0][:2], 1e3 * statistics.median(t for *_, t in calls))
+            for calls in zip(*runs[1:])]
 
 
 def main():
@@ -96,8 +136,17 @@ def main():
     parser.add_argument("--config", default="{}", help="ModelConfig fields as a JSON object")
     parser.add_argument("--batch", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--time", type=int, metavar="N",
+                        help="print each adjoint's median wall time over N steps instead")
     args = parser.parse_args()
+    if args.time is not None and args.time < 1:
+        parser.error(f"--time needs at least 1 step, got {args.time}")
     cfg = ModelConfig.from_dict({**ModelConfig().to_dict(), **json.loads(args.config)})
+    if args.time is not None:
+        print("op\tscope\tmedian_ms")
+        for op, scope, ms in step_times(cfg, args.batch, args.seed, args.time):
+            print(f"{op}\t{scope}\t{ms:.3f}")
+        return
     rows, held, peak = step_timeline(cfg, args.batch, args.seed)
     print("op\tscope\theld_bytes\tpeak_bytes")
     for op, scope, held_on_entry, peak_during in rows:
