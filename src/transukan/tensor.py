@@ -15,10 +15,12 @@ activation of its input as a prologue (``act``), keeping x rather than the
 activation, which its backward rebuilds. The conv ops clamp their output in
 place, ``conv2d`` when ``relu=True`` (the in-place activation of Rota Bulò et
 al., arXiv 1712.02616); their backward masks g by it once, onto the phase
-grid, whose channel sums are the bias gradient. That backward runs on slices
-of the batch, one image at the model's 64x64 maps, and gathers the input
-gradient tile by tile, so its scratch is one slice's padded input and
-gradient grid plus two tile buffers: only dx is batch-sized. A public op
+grid, whose channel sums are the bias gradient. Both conv passes run on the
+same slices of the batch, one image at the model's 64x64 maps, and only one
+slice's scratch is alive at a time: the forward's is a slice's padded input,
+im2col chunk and output grid; the backward's a slice's padded input and
+gradient grid plus two tile buffers, as it gathers the input gradient tile by
+tile. Only the output and dx are batch-sized. A public op
 first checks that its operands are Tensors and raises a ``ContractError``
 naming the op and the argument if one is not.
 """
@@ -666,10 +668,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 # Convolution and spatial ops
 # ---------------------------------------------------------------------------
 
-# Most elements of im2col scratch that one conv2d forward chunk fills (4 MiB).
-# The chunk sets the peak of an inference forward, and of a training forward
-# now that the backward frees activations as it goes. For the default model's
-# batch-1 64x64 forward (2 vCPUs, 16 alternating rounds), 2**20 peaked at
+# Most elements of im2col scratch that one conv forward chunk fills (4 MiB).
+# It also sizes the batch slices both conv passes run on (a quarter of it per
+# phase of a slice's padded input and output grid) and the backward's tiles.
+# The chunk sets the peak of an inference forward. The default model's
+# batch-4 training step peaks in the backward instead, in the decoder.block2
+# adjoint, whose one slice of scratch sits on activations not yet freed. For
+# the batch-1 64x64 forward (2 vCPUs, 16 alternating rounds), 2**20 peaked at
 # 7.31 MB, 2**19 peaks at 4.80 MB and takes ~1% longer, and 2**18 peaked at
 # 3.97 MB but took ~3% longer; a training step times the same at 2**19 and 2**20.
 _IM2COL_BUDGET = 2 ** 19
@@ -712,8 +717,7 @@ def _phase_split(x: np.ndarray, kh: int, kw: int, s: int, padding: int):
     phase, so the grid holds about the padded input's pixels at any stride.
     """
     b, c, h, wd = x.shape
-    hq = -(-(h + 2 * padding) // s)
-    wq = -(-(wd + 2 * padding) // s)
+    hq, wq = _phase_shape(h, wd, s, padding)
     n = b * hq * wq
     tail = (kh - 1) // s * wq + (kw - 1) // s
     xs = np.zeros((min(s, kh), min(s, kw), c, n + tail), dtype=np.float64)
@@ -724,11 +728,28 @@ def _phase_split(x: np.ndarray, kh: int, kw: int, s: int, padding: int):
     return xs, hq, wq
 
 
+def _phase_shape(h: int, w: int, s: int, padding: int) -> tuple[int, int]:
+    """(hq, wq): the cells per image of a conv's phase grid at stride s."""
+    return -(-(h + 2 * padding) // s), -(-(w + 2 * padding) // s)
+
+
 def _chunk_columns(n: int, k: int) -> int:
     """Width of the equal column chunks that split n columns of k rows each
     into pieces of at most ``_IM2COL_BUDGET`` elements: no wider than needed."""
     chunks = -(-n // max(1, _IM2COL_BUDGET // k))
     return -(-n // chunks)
+
+
+def _batch_slices(x_shape: tuple[int, ...], o: int, s: int, padding: int) -> list[slice]:
+    """The slices of the batch that a conv of x (b, c, h, w) to o channels runs
+    on, forward and backward: equal runs of as many images as keep each phase
+    of the padded input and the output (or gradient) grid within
+    ``_IM2COL_BUDGET // 4`` elements. One image at the model's 64x64 maps, the
+    whole batch at its 8x8 ones."""
+    b, c, h, wd = x_shape
+    hq, wq = _phase_shape(h, wd, s, padding)
+    per = _chunk_columns(b, 4 * max(c, o) * hq * wq)
+    return [np.s_[k:k + per] for k in range(0, b, per)]
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, s: int, padding: int) -> np.ndarray:
@@ -737,7 +758,9 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, s: int, padding: int) -> np.ndar
 
     Returns ``full`` of shape (o, b, hq, wq); its cells with y >= h_out or
     x >= w_out read wrapped pixels and are to be dropped. The phase-split
-    input dies with the call.
+    input and the chunk die with the call. The conv ops call it on one slice
+    of the batch at a time (see :func:`_biased_conv`), so its scratch is one
+    slice's.
     """
     b, c = x.shape[:2]
     o, _, kh, kw = w.shape
@@ -756,6 +779,25 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, s: int, padding: int) -> np.ndar
     return full.reshape(o, b, hq, wq)
 
 
+def _biased_conv(x: np.ndarray, w: np.ndarray, s: int, padding: int, bias: np.ndarray,
+                 h_out: int, w_out: int) -> np.ndarray:
+    """bias + the cross-correlation of x (b, c, h, w) with w (o, c, kh, kw), as
+    (b, o, h_out, w_out): :func:`_conv_forward` of each slice of
+    :func:`_batch_slices` written into its images of the output. The output is
+    allocated once the first slice's scratch has died, and each slice's grid
+    dies before the next is built, so a call of one slice allocates as a
+    whole-batch pass would."""
+    data = None
+    for at in _batch_slices(x.shape, w.shape[0], s, padding):
+        full = _conv_forward(x[at], w, s, padding)
+        if data is None:
+            data = np.empty((len(x), w.shape[0], h_out, w_out), dtype=np.float64)
+        for cells, dst in _phase_cells(full, 1, h_out, w_out):
+            np.add(cells, bias[:, None, None], out=data[at][dst])
+        del full, cells
+    return data
+
+
 def _conv_backward(x: np.ndarray, w: np.ndarray, s: int, padding: int, g: np.ndarray,
                    relu_out: np.ndarray | None, f: int, need_dx: bool):
     """Adjoint of :func:`_conv_forward`: ``(dx or None, dw, db)`` from the
@@ -763,13 +805,10 @@ def _conv_backward(x: np.ndarray, w: np.ndarray, s: int, padding: int, g: np.nda
     none) and laid on the conv's phase grid by :func:`_grad_grid` with f as
     there; db, the bias gradient, is that grid's sum per channel.
 
-    It runs on slices of the batch, each as many images as keep the gradient
-    grid and each phase of the padded input within ``_IM2COL_BUDGET // 4``
-    elements: one image at the model's 64x64 maps, where a whole-batch pass
-    set the training step's peak. Nothing it allocates is batch-sized but
-    dx. Per slice it rebuilds the phase-split input from x, keeping nothing
-    from the forward, and the gradient grid behind a front of zero columns,
-    then
+    It runs on the slices of :func:`_batch_slices`, as the forward does, so
+    that nothing it allocates is batch-sized but dx. Per slice it rebuilds the
+    phase-split input from x, keeping nothing from the forward, and the
+    gradient grid behind a front of zero columns, then
 
     - adds each tap's ``g·xsᵀ`` into dw over column tiles that keep both
       operands within ``_IM2COL_BUDGET // 4`` elements, to stay in cache
@@ -782,25 +821,24 @@ def _conv_backward(x: np.ndarray, w: np.ndarray, s: int, padding: int, g: np.nda
       which dw has done reading.
 
     The slice's grid and buffers die before its input gradient, now in the
-    phase-split buffer, is copied into its slice of dx. So dx is allocated
-    after the first slice's grids die, as late as a whole-batch pass would
-    allocate it. Input pixels of phases no tap reads get 0.
+    phase-split buffer, is copied into its slice of dx, and that buffer dies
+    before the next slice is built: one slice's scratch is alive at a time.
+    dx is allocated after the first slice's grids die, as late as a
+    whole-batch pass would allocate it. Input pixels of phases no tap reads
+    get 0.
     """
     b, c, h, wd = x.shape
     o, _, kh, kw = w.shape
-    hq = -(-(h + 2 * padding) // s)
-    wq = -(-(wd + 2 * padding) // s)
+    hq, wq = _phase_shape(h, wd, s, padding)
     taps = _taps(kh, kw, s, wq)
     front = taps[-1][4] if need_dx else 0
     phases = [(r, q, [(w[:, :, i, j].T, off) for i, j, rt, qt, off in taps
                       if (rt, qt) == (r, q)])
               for r in range(min(s, kh)) for q in range(min(s, kw))]
-    per = _chunk_columns(b, 4 * max(c, o) * hq * wq)
     dw = np.zeros(w.shape, dtype=np.float64)
     db = 0.0
     dx = None
-    for k in range(0, b, per):
-        at = np.s_[k:k + per]
+    for at in _batch_slices(x.shape, o, s, padding):
         xs = _phase_split(x[at], kh, kw, s, padding)[0]
         gpad = _grad_grid(g[at], None if relu_out is None else relu_out[at], f, hq, wq, front)
         grid = gpad[:, front:]
@@ -812,6 +850,7 @@ def _conv_backward(x: np.ndarray, w: np.ndarray, s: int, padding: int, g: np.nda
             for i, j, r, q, off in taps:
                 dw[:, :, i, j] += grid[:, cols] @ xs[r, q, :, off:off + n][:, cols].T
         if not need_dx:
+            del xs, gpad, grid
             continue
         step = _chunk_columns(n, 18 * c)
         scratch = np.empty((2, c, step), dtype=np.float64)
@@ -832,6 +871,7 @@ def _conv_backward(x: np.ndarray, w: np.ndarray, s: int, padding: int, g: np.nda
         dxt = dx[at].transpose(1, 0, 2, 3)
         for r, q, (gy, gx), (sy, sx) in _phase_slices(h, wd, kh, kw, s, padding):
             dxt[:, :, sy, sx] = dgrid[r, q, :, :, gy, gx]
+        del xs, dgrid, dxt
     return dx, dw, db
 
 
@@ -856,7 +896,7 @@ def _grad_grid(g: np.ndarray, relu_out: np.ndarray | None, f: int, hq: int, wq: 
     that is None."""
     rows = f * f * g.shape[1]
     gpad = np.zeros((rows, front + len(g) * hq * wq), dtype=np.float64)
-    grid = gpad[:, front:].reshape(rows, -1, hq, wq)
+    grid = gpad[:, front:].reshape(rows, len(g), hq, wq)
     for cells, at in _phase_cells(grid, f, g.shape[2] // f, g.shape[3] // f):
         np.multiply(g[at], relu_out is None or relu_out[at] > 0.0, out=cells)
     return gpad
@@ -875,11 +915,15 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 
     Computed on the flat phase grid of :func:`_conv_forward`, which stores only
     the stride phases that some tap reads, so at any stride it is about the
-    size of the padded input. The backward keeps no array of its own: it
-    rebuilds the padded input from ``x.data``, a slice of the batch at a time
-    (see :func:`_conv_backward`). With ``relu`` it also reads its own
-    output, masking g where that is 0; the pre-activation is never kept, and a
-    -inf in it clamps to 0 rather than raising.
+    size of the padded input. Forward and backward both run on the slices of
+    the batch of :func:`_batch_slices`, one image at the model's 64x64 maps,
+    so only the output and dx are batch-sized (see :func:`_biased_conv`). The
+    backward keeps no array of its own: it rebuilds each slice's padded input
+    from ``x.data`` (see :func:`_conv_backward`). With ``relu`` it also reads
+    its own output, masking g where that is 0; the pre-activation is never
+    kept, and a -inf in it clamps to 0 rather than raising. A kernel with an
+    empty spatial axis raises a ``DimensionError``; o = 0 output channels is
+    allowed.
     """
     _operands("conv2d", x=x, w=w)
     if x.ndim != 4 or w.ndim != 4:
@@ -891,6 +935,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     if 0 in (b, c):
         raise DimensionError(f"conv2d got an empty axis: batch {b}, input channels {c}")
     o, ci, kh, kw = w.shape
+    if 0 in (kh, kw):  # an empty output axis (o = 0) is fine
+        raise DimensionError(f"conv2d got an empty kernel axis: kernel {w.shape}")
     if ci != c:
         raise DimensionError(f"conv2d channel mismatch: input {c}, kernel expects {ci}")
     h_out = (h + 2 * padding - kh) // stride + 1
@@ -907,11 +953,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     if not isinstance(relu, bool):
         raise ContractError(f"conv2d relu must be a bool, got {relu!r}")
 
-    full = _conv_forward(x.data, w.data, stride, padding)
-    data = np.empty((b, o, h_out, w_out), dtype=np.float64)
-    for cells, at in _phase_cells(full, 1, h_out, w_out):
-        np.add(cells, bias.data[:, None, None], out=data[at])
-    del full, cells
+    data = _biased_conv(x.data, w.data, stride, padding, bias.data, h_out, w_out)
     if relu:
         np.maximum(data, 0.0, out=data)
     relu_out = data if relu else None
@@ -948,8 +990,11 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> 
     phase 1 reads (y, y+1) with (w0 + w1, w2); both axes together are one GEMM
     with the constant 16x9 ``_FOLD``. The halves' phase grids map onto the
     output by :func:`_phase_cells`, the skip half's at f = 1 and the folded
-    half's at f = 2. The bias is added once, and the relu is applied and
-    differentiated as in :func:`conv2d`. The backward keeps only the output,
+    half's at f = 2. Each half runs slice by slice over the batch, as
+    :func:`conv2d` does: the skip half writes ``bias +`` its conv into the
+    output, allocated after its first slice's scratch dies, and then the
+    folded half adds its own. The relu is applied and differentiated as in
+    :func:`conv2d`. The backward keeps only the output,
     for the relu's mask: it folds the kernel again, rebuilds each padded input
     from ``skip.data`` and ``x.data`` in turn, and maps the folded kernel's
     gradient back to ``w[:, :c_up]`` by ``_FOLD``. FLOPs are the
@@ -983,15 +1028,14 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> 
         folded = folded.reshape(o, c_up, 2, 2, 2, 2).transpose(2, 3, 0, 1, 4, 5)
         return folded.reshape(4 * o, c_up, 2, 2)
 
-    full = _conv_forward(skip.data, w_skip, 1, 1)
-    data = np.empty((b, o, 2 * h, 2 * wd), dtype=np.float64)  # after the conv's scratch
-    for cells, at in _phase_cells(full, 1, 2 * h, 2 * wd):
-        np.add(cells, bias.data[:, None, None], out=data[at])
-    del full, cells
-    full = _conv_forward(x.data, fold(), 1, 1)
-    for cells, at in _phase_cells(full, 2, h, wd):
-        data[at] += cells
-    del full, cells
+    data = _biased_conv(skip.data, w_skip, 1, 1, bias.data, 2 * h, 2 * wd)
+    folded = fold()
+    for at in _batch_slices(x.shape, 4 * o, 1, 1):
+        full = _conv_forward(x.data[at], folded, 1, 1)
+        for cells, dst in _phase_cells(full, 2, h, wd):
+            data[at][dst] += cells
+        del full, cells
+    del folded
     np.maximum(data, 0.0, out=data)
 
     def backward_fn(g):

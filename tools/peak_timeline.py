@@ -1,6 +1,6 @@
 """Memory timeline of one training step, one row per adjoint of the backward.
 
-    python3 tools/peak_timeline.py [--config JSON] [--batch B] [--seed S] [--time N]
+    python3 tools/peak_timeline.py [--config JSON] [--batch B] [--seed S] [--time N | --forward]
 
 Builds ``TransUKanModel`` at ``ModelConfig()`` with the fields of ``--config``
 (a JSON object, e.g. ``'{"image_size": 128}'``) put over it, and runs one
@@ -19,6 +19,15 @@ With ``--time N`` it traces no memory and instead times the adjoints: after
 one warm-up step, it runs N training steps and prints one TSV row per
 adjoint, in the same order, with its op, its scope and its median wall time
 over the N steps (``median_ms``).
+
+With ``--forward`` it runs only the step's forward, loss included, and prints
+one TSV row per op, in the order the forward runs them, with the same columns
+as the default: the bytes held when the op starts (when the previous op's
+output was made) and its peak, which counts anything made between the two
+ops. The rows come from wrapping ``T._node``, which each op calls last, and
+resetting tracemalloc's peak there. The rows' own bytes are left out, but
+they take objects from the interpreter's free lists that later ops then
+allocate anew, so a row can read ~35 bytes per earlier op high.
 """
 
 import argparse
@@ -99,6 +108,35 @@ def step_timeline(cfg: ModelConfig, batch: int, seed: int):
         tracemalloc.stop()
 
 
+def forward_timeline(cfg: ModelConfig, batch: int, seed: int):
+    """Rows ``(op, scope, held, peak)`` of each op of the forward of a
+    training step at ``cfg``, in the order it runs them, in bytes above the
+    trace's start; ``T._node`` is restored on return."""
+    model = TransUKanModel(cfg, rng=np.random.default_rng(seed))
+    make_node = T._node
+    rows = []
+
+    def node(data, op, parents, backward_fn, flops):
+        nonlocal base, held
+        out = make_node(data, op, parents, backward_fn, flops)
+        now, peak = tracemalloc.get_traced_memory()
+        rows.append((out.op, out.scope, held - base, peak - base))
+        held = tracemalloc.get_traced_memory()[0]
+        base += held - now  # the row's own bytes are not the step's
+        tracemalloc.reset_peak()
+        return out
+
+    tracemalloc.start()
+    T._node = node
+    try:
+        base = held = tracemalloc.get_traced_memory()[0]
+        pixel_loss(model, batch, seed + 1)
+        return rows
+    finally:
+        T._node = make_node
+        tracemalloc.stop()
+
+
 def timed(rows: list):
     """A ``wrap`` for :func:`instrument` that appends ``(op, scope, seconds)``
     to ``rows`` for each adjoint it runs."""
@@ -136,8 +174,11 @@ def main():
     parser.add_argument("--config", default="{}", help="ModelConfig fields as a JSON object")
     parser.add_argument("--batch", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--time", type=int, metavar="N",
-                        help="print each adjoint's median wall time over N steps instead")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--time", type=int, metavar="N",
+                      help="print each adjoint's median wall time over N steps instead")
+    mode.add_argument("--forward", action="store_true",
+                      help="print each forward op's held bytes and peak instead")
     args = parser.parse_args()
     if args.time is not None and args.time < 1:
         parser.error(f"--time needs at least 1 step, got {args.time}")
@@ -147,11 +188,14 @@ def main():
         for op, scope, ms in step_times(cfg, args.batch, args.seed, args.time):
             print(f"{op}\t{scope}\t{ms:.3f}")
         return
-    rows, held, peak = step_timeline(cfg, args.batch, args.seed)
+    if args.forward:
+        rows = forward_timeline(cfg, args.batch, args.seed)
+    else:
+        rows, held, peak = step_timeline(cfg, args.batch, args.seed)
+        rows.append(("(step)", "", held, peak))
     print("op\tscope\theld_bytes\tpeak_bytes")
     for op, scope, held_on_entry, peak_during in rows:
         print(f"{op}\t{scope}\t{held_on_entry}\t{peak_during}")
-    print(f"(step)\t\t{held}\t{peak}")
 
 
 if __name__ == "__main__":
