@@ -11,7 +11,7 @@ Three ways to build a learnable-activation layer on a shared uniform grid:
 * ``EfficientKanLayer``: an ``AffineLayer`` over a fixed activation. Each
   input channel's squared-hinge basis responses are averaged with fixed
   weights and squared, q = (mean_i R_i(x))^2. On the uniform grid the mean is
-  one piecewise quartic in x, the table of ``tensor.squared_piecewise_poly``.
+  one piecewise quartic in x, whose table is the ``act`` of ``tensor.affine``.
   The layer is one ``tensor.affine`` node with that activation inside it: it
   keeps x, and neither q nor a basis block. The layer adds no parameters to
   the affine map it inherits: its weights, their initialisation and its
@@ -87,8 +87,8 @@ class KanGrid:
 
     @cached_property
     def pooled_bell_table(self) -> np.ndarray:
-        """Coefficients of p(x) = mean_i R_i(x) as a piecewise quartic, in the
-        layout of ``tensor.squared_piecewise_poly`` with x0 = s_0 and step h.
+        """Coefficients of p(x) = mean_i R_i(x) as a piecewise quartic: the
+        ``coef`` of a ``tensor.affine`` ``act`` table with x0 = s_0 and step h.
 
         The G + 2K cells between s_0 and e_{G+K-1} are one h wide. On cell j,
         at x = s_0 + (j + 1/2 + t) h, bell i = j - d (0 <= d <= K) reads
@@ -343,11 +343,12 @@ class EfficientKanLayer(AffineLayer):
 
     ``forward`` is one ``tensor.affine`` node whose prologue is that
     activation, on the grid's ``pooled_bell_table``: it keeps x, not q, and
-    takes a ``residual`` to add to its output in place. ``activate`` computes
-    q alone, by one ``squared_piecewise_poly`` op, and has no parameters;
-    ``mix`` is the affine map. Parameters, their initialisation and their
-    names are the ``AffineLayer``'s. ``activate`` depends on the grid alone,
-    so layers on one grid that read the same input can share its output.
+    takes a ``residual`` to add to its output in place. Parameters, their
+    initialisation and their names are the ``AffineLayer``'s. The activation
+    depends on the grid alone, so one layer of width c_out = n·c stands for n
+    layers of width c that read the same input: their weights are its row
+    blocks, drawn in order from the same rng, and their outputs its column
+    blocks.
     """
 
     def __init__(self, c_in: int, c_out: int, grid: KanGrid = KanGrid(),
@@ -355,20 +356,8 @@ class EfficientKanLayer(AffineLayer):
         super().__init__(c_in, c_out, rng=rng)
         self.grid = grid
 
-    def _act(self) -> tuple:
-        """The activation's ``(x0, h, coef)`` table on the layer's grid."""
-        return self.grid.support_lo()[0], self.grid.h, self.grid.pooled_bell_table
-
-    def activate(self, x: Tensor) -> Tensor:
-        """q = (mean_i R_i(x))^2, elementwise; the expanded basis is never kept."""
-        _check_last_dim(x, self.c_in, "EfficientKanLayer")
-        return T.squared_piecewise_poly(x, *self._act())
-
-    # Bound at class level, so a wrapper put on AffineLayer.forward later sees
-    # only the plain affine layers.
-    mix = AffineLayer.forward
-
     def forward(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
-        """mix(activate(x)), plus ``residual`` if given, as one node."""
+        """x W^T + b on the activation of x, plus ``residual`` if given, as one node."""
         _check_last_dim(x, self.c_in, "EfficientKanLayer")
-        return T.affine(x, self.weight, self.bias, residual, self._act())
+        act = (self.grid.support_lo()[0], self.grid.h, self.grid.pooled_bell_table)
+        return T.affine(x, self.weight, self.bias, residual, act)

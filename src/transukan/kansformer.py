@@ -1,11 +1,13 @@
 """Transformer encoder blocks with EfficientKAN sublayers.
 
 The block applies, in order: layer norm, an EfficientKAN map, multi-head
-self-attention whose Q/K/V projections are themselves single EfficientKAN
-layers (sharing one activation of their input), a residual add, then a
-second norm + EfficientKAN + residual. Attention is one ``tensor.attention``
-node on the (B, T, d_model) projections, which splits the heads as numpy views
-and keeps O(t) state per head, not t x t scores. Its output projection is affine.
+self-attention whose Q/K/V projections are EfficientKAN layers, a residual
+add, then a second norm + EfficientKAN + residual. The three projections read
+one input through one parameter-free activation, so they are one d -> 3d
+EfficientKAN layer, ``qkv``: one ``tensor.affine`` node. Attention is one
+``tensor.attention`` node on its (B, T, 3 d_model) output, which reads q, k,
+v and the heads as numpy views and keeps O(t) state per head, not t x t
+scores. Its output projection is affine.
 Both residual adds ride in the ``tensor.affine`` node before them, the output
 projection's and the second KAN map's, and kan1 and kan2 each keep their
 activation inside that node too: a block records no ``add`` node, and keeps
@@ -37,7 +39,9 @@ class LayerNormParams:
 
 
 class MsaKanParams:
-    """Multi-head self-attention with EfficientKAN Q/K/V projections."""
+    """Multi-head self-attention with EfficientKAN Q/K/V projections, packed
+    into one d_model -> 3 d_model layer: its rows and output columns are q's,
+    then k's, then v's."""
 
     def __init__(self, d_model: int, n_heads: int, grid: KanGrid = KanGrid(),
                  rng: np.random.Generator | None = None):
@@ -47,14 +51,11 @@ class MsaKanParams:
         self.d_model = d_model
         self.n_heads = n_heads
         rng = rng or np.random.default_rng(0)
-        self.q_proj = EfficientKanLayer(d_model, d_model, grid, rng=rng)
-        self.k_proj = EfficientKanLayer(d_model, d_model, grid, rng=rng)
-        self.v_proj = EfficientKanLayer(d_model, d_model, grid, rng=rng)
+        self.qkv = EfficientKanLayer(d_model, 3 * d_model, grid, rng=rng)
         self.out_proj = AffineLayer(d_model, d_model, rng=rng)
 
     def parameters(self):
-        return named_parameters((("q_proj", self.q_proj), ("k_proj", self.k_proj),
-                                 ("v_proj", self.v_proj), ("out_proj", self.out_proj)))
+        return named_parameters((("qkv", self.qkv), ("out_proj", self.out_proj)))
 
 
 def msa_kan(x: Tensor, p: MsaKanParams, residual: Tensor | None = None) -> Tensor:
@@ -62,19 +63,15 @@ def msa_kan(x: Tensor, p: MsaKanParams, residual: Tensor | None = None) -> Tenso
     which splits and merges the heads itself) over KAN-projected Q, K, V,
     plus ``residual`` if given, which the output projection adds in place.
 
-    The three projections share one grid and one input, so the KAN
-    activation is computed once and mixed by each projection's own weights.
+    Q, K and V come from one ``affine`` node, whose output attention reads as
+    three column blocks.
     """
     T.check_type("msa_kan", "p", p, MsaKanParams)
     if x.ndim != 3 or x.shape[-1] != p.d_model:
         raise DimensionError(f"msa_kan expects (B, T, {p.d_model}), got {x.shape}")
     with T.scope("qkv"):
-        phi = p.q_proj.activate(x)
-    qkv = []
-    for name in ("q_proj", "k_proj", "v_proj"):
-        with T.scope(name):
-            qkv.append(getattr(p, name).mix(phi))
-    ctx = T.attention(*qkv, p.n_heads)
+        qkv = p.qkv.forward(x)
+    ctx = T.attention(qkv, p.n_heads)
     with T.scope("out_proj"):
         return p.out_proj.forward(ctx, residual)
 

@@ -179,8 +179,9 @@ class _PlusInput:
 
 def _swaps(variant: str, config: ModelConfig,
            shape: tuple[int, ...]) -> dict[str, dict[str, list[int]]]:
-    """Block-relative KAN scope -> the rows of the measured layer that stands in.
-    The stand-in for kan2 carries the residual add that the kan2 node fuses."""
+    """Block-relative KAN scope -> the rows of the measured layers that stand in.
+    The stand-in for kan2 carries the residual add that the kan2 node fuses, and
+    the packed ``msa.qkv`` projection becomes three d -> d projections."""
     if variant == "efficientkan":
         return {}
     d, grid = config.d_model, config.grid
@@ -192,8 +193,7 @@ def _swaps(variant: str, config: ModelConfig,
         layer = (ReLUKanLayer if variant == "relukan" else BSplineKanLayer)(d, d, grid)
         proj = _walk(layer, shape)[""]
         swaps = {"kan1": {"kan1": proj}, "kan2": {"kan2": _walk(_PlusInput(layer), shape)[""]}}
-    return {**swaps, "msa.qkv": {},
-            **{f"msa.{x}_proj": {f"msa.{x}_proj": proj} for x in "qkv"}}
+    return {**swaps, "msa.qkv": {f"msa.{x}_proj": proj for x in "qkv"}}
 
 
 def variant_report(variant: str, config: ModelConfig) -> CostReport:

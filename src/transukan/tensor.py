@@ -10,7 +10,7 @@ rest, so a graph retains its op outputs plus those statistics.
 
 Epilogues are fused where a layer's intermediate would be kept for no
 backward: ``affine`` adds its bias, and a ``residual`` if given, into the
-matmul's output in place, and can take the ``squared_piecewise_poly``
+matmul's output in place, and can take a squared piecewise-polynomial
 activation of its input as a prologue (``act``), keeping x rather than the
 activation, which its backward rebuilds. The conv ops clamp their output in
 place, ``conv2d`` when ``relu=True`` (the in-place activation of Rota Bulò et
@@ -468,14 +468,25 @@ def affine(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
 
     * ``residual``, a Tensor of the output's shape, is added in place after
       the bias, and gets g unchanged, as ``add(·, residual)`` would;
-    * ``act``, a table ``(x0, h, coef)`` of :func:`squared_piecewise_poly`,
-      makes the node ``affine(squared_piecewise_poly(x, x0, h, coef), w, b)``.
-      The node keeps x, not q = p(x)²: the backward locates x's cells and runs
-      Horner for p and p' once, as that op's backward does, then forms
-      q = p·p for dw and dx = 2·p·p'·(g w).
+    * ``act``, a table ``(x0, h, coef)``, first maps x elementwise to
+      q = p(x)², for p a piecewise polynomial on the uniform grid of cells
+      j = 0..n-1, [x0 + j h, x0 + (j+1) h). Row j + 1 of ``coef`` (shape
+      ``(n + 2, degree + 1)``, degree >= 1) holds the ascending coefficients
+      of p on cell j, in powers of the offset x - (x0 + (j + 1/2) h) from the
+      cell's midpoint, which keeps the terms small. Rows 0 and n + 1 must be
+      zero, so that p = 0 below x0 and from x0 + n h on. Each element finds
+      its cell with one index computation, clipped before the integer cast so
+      that a huge x lands in a zero row, and evaluates p by Horner's rule.
+      The node keeps x, not q: the backward locates x's cells and runs Horner
+      for p and p' once, then forms q = p·p for dw and dx = 2·p·p'·(g w). On
+      a ``KanGrid``'s ``pooled_bell_table``, q's oracle is the graph
+      ``square(mean_last_axis(kan.relukan_basis_expand(x, grid)))``.
 
-    Either way the output and every gradient are those of the composed graph
-    bit for bit, and the FLOPs are its ops' summed.
+    The output and every gradient of the residual form are those of the
+    composed graph ``add(affine(x, w, b), residual)`` bit for bit, and of the
+    ``act`` form those of ``affine(affine(x, I, 0, act), w, b)``, whose inner
+    node, with an identity weight and a zero bias, gives q exactly. The FLOPs
+    are the composed graph's, less the identity mix.
     """
     _operands("affine", x=x, w=w, b=b)
     if residual is not None:
@@ -489,7 +500,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
                              f"got {residual.shape}")
     if act is not None and (not isinstance(act, tuple) or len(act) != 3):
         raise ContractError(f"affine act must be a tuple (x0, h, coef), got {act!r:.60}")
-    table = None if act is None else _poly_table("affine", *act)
+    table = None if act is None else _poly_table(*act)
 
     def activation():  # (row, t, p, q) of x's cells
         x0, h, mid, cols, _ = table
@@ -545,37 +556,35 @@ def softmax(x: Tensor) -> Tensor:
     return _node(data, "softmax", (x,), backward_fn, flops=7 * data.size)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention: q (..., t, d), k (..., n, d)
-    and v (..., n, dv) with equal batch dims give (..., t, dv).
+def attention(qkv: Tensor, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product self-attention on packed projections:
+    qkv (..., t, 3d) gives (..., t, d).
 
-    Head j is columns j·e to (j + 1)·e of the last axis (e = d / n_heads, or
-    dv / n_heads for v and the output), read and written as numpy views. Per
-    head it runs the numpy calls of ``matmul(softmax(scale(matmul(q,
-    transpose(k)), s)), v)``, s = 1/√e, in order: the output is that graph's,
-    bit for bit. It keeps each score row's max and sum, never the t x n scores
-    or probabilities P: the backward recomputes P (the recompute of
-    FlashAttention, Dao et al., arXiv 2205.14135, without its tiling), then
-    forms dv = Pᵀg, dP = g vᵀ, dS = s·P∘(dP − rowsum(dP∘P)), dq = dS k and
-    dk = (qᵀ dS)ᵀ. FLOPs are the graph's: batch·n_heads·t·n·(2e + 8 + 2dv/n_heads).
+    q, k and v are the column blocks [0, d), [d, 2d) and [2d, 3d) of the last
+    axis, and head j is columns j·e to (j + 1)·e of a block (e = d / n_heads),
+    all read and written as numpy views. Per head it runs the numpy calls of
+    ``matmul(softmax(scale(matmul(q, transpose(k)), s)), v)``, s = 1/√e, in
+    order: the output is that graph's, bit for bit. It keeps each score row's
+    max and sum, never the t x t scores or probabilities P: the backward
+    recomputes P (the recompute of FlashAttention, Dao et al., arXiv
+    2205.14135, without its tiling), then forms dv = Pᵀg, dP = g vᵀ,
+    dS = s·P∘(dP − rowsum(dP∘P)), dq = dS k and dk = dSᵀ q, each written
+    through a view into its block of one (..., t, 3d) gradient. FLOPs are the
+    graph's: batch·n_heads·t²·(4e + 8).
     """
-    _operands("attention", q=q, k=k, v=v)
-    if min(q.ndim, k.ndim, v.ndim) < 2 or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
-        raise DimensionError(f"attention needs rank >= 2 q, k, v with equal batch dims, "
-                             f"got {q.shape}, {k.shape}, {v.shape}")
-    t, d = q.shape[-2:]
-    n, dv = v.shape[-2:]
-    if (q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2] or 0 in (t, n, d)
-            or not _is_int(n_heads) or n_heads < 1 or d % n_heads or dv % n_heads):
-        raise DimensionError(f"attention needs q (..., t, d), k (..., n, d) and v (..., n, dv), "
-                             f"t, n, d > 0 and n_heads dividing d and dv, got {q.shape}, "
-                             f"{k.shape}, {v.shape} and n_heads {n_heads!r}")
+    _operands("attention", qkv=qkv)
+    t, d = (qkv.shape[-2], qkv.shape[-1] // 3) if qkv.ndim >= 2 else (0, 0)
+    if (0 in (t, d) or qkv.shape[-1] != 3 * d or not _is_int(n_heads) or n_heads < 1
+            or d % n_heads):
+        raise DimensionError(f"attention needs qkv (..., t, 3d) of rank >= 2 with t, d > 0 "
+                             f"and n_heads dividing d, got {qkv.shape} and n_heads {n_heads!r}")
     s = 1.0 / np.sqrt(d // n_heads)
 
-    def heads(a):  # (..., t, n_heads·e) -> the view (..., n_heads, t, e)
-        return np.swapaxes(a.reshape(*a.shape[:-1], n_heads, a.shape[-1] // n_heads), -2, -3)
+    def heads(a, i=0):  # columns [i·d, (i + 1)·d) of a -> the view (..., n_heads, t, e)
+        a = a[..., i * d:(i + 1) * d]
+        return np.swapaxes(a.reshape(*a.shape[:-1], n_heads, d // n_heads), -2, -3)
 
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    qh, kh, vh = (heads(qkv.data, i) for i in range(3))
 
     def scores():
         out = np.matmul(qh, np.swapaxes(kh, -1, -2))
@@ -589,7 +598,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     np.exp(probs, out=probs)
     row_sum = np.sum(probs, axis=-1, keepdims=True)
     probs /= row_sum
-    data = np.empty(q.shape[:-1] + (dv,), dtype=np.float64)
+    data = np.empty(qkv.shape[:-1] + (d,), dtype=np.float64)
     np.matmul(probs, vh, out=heads(data))
     del probs
 
@@ -599,23 +608,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         p -= row_max
         np.exp(p, out=p)
         p /= row_sum
-        gv = np.empty(v.shape, dtype=np.float64)
-        np.matmul(np.swapaxes(p, -1, -2), gh, out=heads(gv))
+        grad = np.empty(qkv.shape, dtype=np.float64)
+        np.matmul(np.swapaxes(p, -1, -2), gh, out=heads(grad, 2))
         ds = np.matmul(gh, np.swapaxes(vh, -1, -2))
         ds -= np.sum(ds * p, axis=-1, keepdims=True)
         ds *= p
         del p
         ds *= s
-        gq = np.empty(q.shape, dtype=np.float64)
-        np.matmul(ds, kh, out=heads(gq))
-        # The graph's (qᵀ dS)ᵀ, handed on as the same strided view, so that sums
-        # over it (k_proj's bias gradient) add in the same order.
-        gk = np.matmul(np.swapaxes(qh, -1, -2), ds)
-        return (gq, np.moveaxis(gk, -1, -3).reshape(k.shape), gv)
+        np.matmul(ds, kh, out=heads(grad, 0))
+        np.matmul(np.swapaxes(ds, -1, -2), qh, out=heads(grad, 1))
+        return (grad,)
 
-    # q kᵀ, scale, softmax (7), P v, over batch·t = q.size // d query rows
-    return _node(data, "attention", (q, k, v), backward_fn,
-                 flops=q.size // d * n * (2 * d + 8 * n_heads + 2 * dv))
+    # q kᵀ, scale, softmax (7), P v, over batch·t query rows
+    return _node(data, "attention", (qkv,), backward_fn,
+                 flops=qkv.size // (3 * d) * t * (4 * d + 8 * n_heads))
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -1109,23 +1115,23 @@ def basis_expand(x: Tensor, basis: Callable[[np.ndarray], np.ndarray],
     return _node(data, "basis_expand", (x,), backward_fn, flops=flops)
 
 
-def _poly_table(op: str, x0, h, coef):
-    """``(x0, h, mid, cols, slopes)`` of a ``squared_piecewise_poly`` table, checked:
+def _poly_table(x0, h, coef):
+    """``(x0, h, mid, cols, slopes)`` of an ``affine`` ``act`` table, checked:
     the floats x0 and h, each row's cell midpoint ``mid`` (its offsets start
     there), and the ascending coefficients of p and of p' as columns. A table
-    that is not one raises a ``ContractError`` naming ``op``."""
+    that is not one raises a ``ContractError`` naming ``affine``."""
     try:
         coef = np.asarray(coef, dtype=np.float64)
         x0, h = float(x0), float(h)
     except (TypeError, ValueError) as exc:
-        raise ContractError(f"{op} needs a numeric table, x0 and h: {exc}") from exc
+        raise ContractError(f"affine needs a numeric table, x0 and h: {exc}") from exc
     if coef.ndim != 2 or coef.shape[0] < 3 or coef.shape[1] < 2:
-        raise ContractError(f"{op} needs a (cells + 2, degree + 1) table of degree >= 1, "
+        raise ContractError(f"affine needs a (cells + 2, degree + 1) table of degree >= 1, "
                             f"got shape {coef.shape}")
     if not np.all(np.isfinite(coef)) or np.any(coef[[0, -1]]):
-        raise ContractError(f"{op} needs a finite table whose first and last rows are zero")
+        raise ContractError("affine needs a finite table whose first and last rows are zero")
     if not (np.isfinite(x0) and np.isfinite(h) and h > 0):
-        raise ContractError(f"{op} needs a finite x0 and h > 0, got x0={x0!r}, h={h!r}")
+        raise ContractError(f"affine needs a finite x0 and h > 0, got x0={x0!r}, h={h!r}")
     mid = x0 + h * (np.arange(-1, coef.shape[0] - 1) + 0.5)
     cols = np.ascontiguousarray(coef.T)
     return x0, h, mid, cols, cols[1:] * np.arange(1, cols.shape[0])[:, None]
@@ -1156,42 +1162,9 @@ def _horner(c: np.ndarray, row: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _poly_flops(cols: np.ndarray) -> int:
-    """FLOPs per element of ``squared_piecewise_poly``: the cell index (shift,
+    """FLOPs per element of an ``act`` prologue: the cell index (shift,
     scale, floor), the offset, Horner (2 per degree) and the square."""
     return 2 * (cols.shape[0] - 1) + 5
-
-
-def squared_piecewise_poly(x: Tensor, x0: float, h: float, coef) -> Tensor:
-    """q = p(x)^2, elementwise, for p a piecewise polynomial on a uniform grid.
-
-    Row j + 1 of ``coef`` (shape ``(n + 2, degree + 1)``, degree >= 1) holds
-    the ascending coefficients of p on cell j = 0..n-1, [x0 + j h, x0 + (j+1) h),
-    in powers of x - (x0 + (j + 1/2) h): an offset from the cell's midpoint
-    keeps the terms small. Rows 0 and n + 1 must be zero, so that p = 0 below
-    x0 and from x0 + n h on. Each element finds its cell with one index
-    computation, clipped before the integer cast so that a huge x lands in a
-    zero row, and evaluates p by Horner's rule. Only x is retained: the
-    backward recomputes both and returns 2 p p'. Its oracle, on a
-    ``KanGrid``'s ``pooled_bell_table``, is the graph
-    ``square(mean_last_axis(kan.relukan_basis_expand(x, grid)))``.
-    ``affine``'s ``act`` runs this op as its prologue.
-    """
-    _operands("squared_piecewise_poly", x=x)
-    x0, h, mid, cols, slopes = _poly_table("squared_piecewise_poly", x0, h, coef)
-    with np.errstate(all="ignore"):
-        data = _horner(cols, *_locate(x.data, x0, h, mid))
-        data *= data
-
-    def backward_fn(g):
-        row, t = _locate(x.data, x0, h, mid)
-        dp = _horner(slopes, row, t)
-        dp *= _horner(cols, row, t)
-        dp *= 2.0
-        dp *= g
-        return (dp,)
-
-    return _node(data, "squared_piecewise_poly", (x,), backward_fn,
-                 flops=_poly_flops(cols) * x.size)
 
 
 def sum_all(x: Tensor) -> Tensor:

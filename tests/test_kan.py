@@ -153,9 +153,20 @@ def _pooled_bells(x, grid):
     return T.mean_last_axis(relukan_basis_expand(x, grid))
 
 
+def _act(grid):
+    """The ``act`` table of ``T.affine`` on ``grid``'s pooled bells."""
+    return grid.support_lo()[0], grid.h, grid.pooled_bell_table
+
+
+def _activate(x, act):
+    """``T.affine``'s ``act`` prologue alone, elementwise on x of any shape:
+    x as one column, an identity weight and a zero bias, which give q exactly."""
+    q = T.affine(T.reshape(x, (x.size, 1)), Tensor(np.eye(1)), Tensor(np.zeros(1)), act=act)
+    return T.reshape(q, x.shape)
+
+
 def _quartic(x, grid):
-    return T.squared_piecewise_poly(x, grid.support_lo()[0], grid.h,
-                                    grid.pooled_bell_table)
+    return _activate(x, _act(grid))
 
 
 def _special_points(grid):
@@ -168,6 +179,10 @@ def _special_points(grid):
 
 
 class TestSquaredPiecewisePoly:
+    """The squared piecewise-polynomial ``act`` prologue of ``T.affine``, on
+    its own: on a grid's ``pooled_bell_table`` it is the EfficientKAN
+    activation q = (mean_i R_i(x))²."""
+
     GRIDS = [KanGrid(), KanGrid(G=3, K=0), KanGrid(G=4, K=1, range_lo=-0.5, range_hi=2.0),
              KanGrid(G=1, K=0)]
 
@@ -258,8 +273,9 @@ class TestSquaredPiecewisePoly:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_raises(self, bad):
-        with pytest.raises(T.NumericsError, match="squared_piecewise_poly"):
-            _quartic(Tensor(np.array([0.1, bad])), KanGrid())
+        x = Tensor(np.array([[0.1], [bad]]))
+        with pytest.raises(T.NumericsError, match="affine"):
+            T.affine(x, Tensor(np.eye(1)), Tensor(np.zeros(1)), act=_act(KanGrid()))
 
     @pytest.mark.parametrize("x0,h,coef", [
         (0.0, 1.0, np.zeros((3, 5, 1))),
@@ -275,13 +291,14 @@ class TestSquaredPiecewisePoly:
     ], ids=["not_2d", "no_cell", "degree_0", "first_row", "last_row", "nan_entry",
             "zero_step", "negative_step", "inf_x0", "nan_step"])
     def test_malformed_table_raises_contract_error(self, x0, h, coef):
-        with pytest.raises(ContractError, match="squared_piecewise_poly"):
-            T.squared_piecewise_poly(Tensor(np.zeros(3)), x0, h, coef)
+        with pytest.raises(ContractError, match="affine"):
+            _activate(Tensor(np.zeros(3)), (x0, h, coef))
 
     def test_backward_keeps_no_array_of_input_size(self):
         grid = KanGrid()
-        x = Tensor(np.random.default_rng(97).uniform(-2, 2, (6, 50)), requires_grad=True)
-        fn = _quartic(x, grid)._backward_fn
+        x = Tensor(np.random.default_rng(97).uniform(-2, 2, (300, 1)), requires_grad=True)
+        w, b = Tensor(np.eye(1)), Tensor(np.zeros(1))
+        fn = T.affine(x, w, b, act=_act(grid))._backward_fn
         stack, seen, arrays = [fn], set(), []
         while stack:  # every array the closure can reach through nested closures
             f = stack.pop()
@@ -289,13 +306,14 @@ class TestSquaredPiecewisePoly:
                 continue
             seen.add(id(f))
             for cell in f.__closure__ or ():
-                v = cell.cell_contents
-                if isinstance(v, np.ndarray):
-                    arrays.append(v)
-                elif callable(v) and hasattr(v, "__closure__"):
-                    stack.append(v)
-                elif isinstance(v, Tensor):
-                    assert v is x
+                held = cell.cell_contents
+                for v in held if isinstance(held, tuple) else (held,):  # table, parents
+                    if isinstance(v, np.ndarray):
+                        arrays.append(v)
+                    elif callable(v) and hasattr(v, "__closure__"):
+                        stack.append(v)
+                    elif isinstance(v, Tensor):
+                        assert v is x or v is w or v is b
         assert arrays and all(a.size <= grid.pooled_bell_table.size for a in arrays)
 
 
@@ -646,9 +664,9 @@ class TestEfficientKanLayer:
         assert [n for n, _ in eff.parameters()] == [n for n, _ in aff.parameters()]
         for (_, pe), (_, pa) in zip(eff.parameters(), aff.parameters()):
             assert np.array_equal(pe.data, pa.data)
-        q = eff.activate(Tensor(np.random.default_rng(4).uniform(-1, 1, (2, 3, c_in))))
-        assert np.array_equal(eff.mix(q).data, AffineLayer.forward(eff, q).data)
-        assert np.array_equal(eff.mix(q).data, aff.forward(q).data)
+        x = Tensor(np.random.default_rng(4).uniform(-1, 1, (2, 3, c_in)))
+        q = _quartic(x, eff.grid)
+        assert np.array_equal(eff.forward(x).data, aff.forward(q).data)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(67)
@@ -673,14 +691,6 @@ class TestEfficientKanLayer:
                  if n._backward_fn is not None]
         assert [n.op for n in nodes] == ["affine", "sum_all"]
         assert all(n.size != rows * c_in * grid.n_basis for n in nodes)
-
-    def test_activate_records_one_node(self):
-        layer = EfficientKanLayer(3, 4, KanGrid())
-        x = Tensor(np.random.default_rng(101).uniform(-1, 1, (5, 3)), requires_grad=True)
-        q = layer.activate(x)
-        assert [n.op for n in T.Tape(q).nodes if n._backward_fn is not None] == [
-            "squared_piecewise_poly"]
-        assert q._parents == (x,)
 
 
 def n_params(layer):

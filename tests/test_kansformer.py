@@ -3,7 +3,7 @@ import pytest
 
 from transukan import tensor as T
 from transukan.tensor import ContractError, DimensionError, Tensor
-from transukan.kan import KanGrid
+from transukan.kan import EfficientKanLayer
 from transukan.kansformer import (
     EncoderStack,
     KansformerBlockParams,
@@ -18,11 +18,9 @@ from transukan.network import ModelConfig, TransUKanModel, forward
 
 def naive_msa(x, p):
     """Per-head loop oracle using plain numpy on the layer outputs."""
-    with T.no_grad():
-        q = p.q_proj.forward(Tensor(x)).data
-        k = p.k_proj.forward(Tensor(x)).data
-        v = p.v_proj.forward(Tensor(x)).data
     b, t, d = x.shape
+    with T.no_grad():
+        q, k, v = np.split(p.qkv.forward(Tensor(x)).data, 3, axis=-1)
     hd = d // p.n_heads
     ctx = np.zeros((b, t, d))
     for bi in range(b):
@@ -38,20 +36,20 @@ def naive_msa(x, p):
     return ctx @ p.out_proj.weight.data.T + p.out_proj.bias.data
 
 
-def split_heads(x, n_heads):
-    """(b, t, d) -> (b, n_heads, t, d / n_heads), as graph ops."""
-    b, t, d = x.shape
-    return T.transpose(T.reshape(x, (b, t, n_heads, d // n_heads)), (0, 2, 1, 3))
-
-
 def attention_probs(x, p):
     """The attention probabilities of ``msa_kan(x, p)``, (b, heads, t, t):
-    ``T.attention`` of its projections with each head's v the identity, so
-    that head h's output columns are P itself."""
-    q, k = (proj.forward(x) for proj in (p.q_proj, p.k_proj))
-    b, t, _ = x.shape
-    v = Tensor(np.broadcast_to(np.tile(np.eye(t), (1, p.n_heads)), (b, t, p.n_heads * t)))
-    return split_heads(T.attention(q, k, v, p.n_heads), p.n_heads)
+    ``T.attention`` of its projections with v swapped for columns of the
+    identity, one head width of tokens at a time, so that head h's output
+    columns are columns of P itself."""
+    b, t, d = x.shape
+    e = d // p.n_heads
+    qkv = p.qkv.forward(x).data.copy()
+    cols = []
+    for first in range(0, t, e):
+        qkv[..., 2 * d:] = np.tile(np.eye(t, e, -first), (1, p.n_heads))
+        out = T.attention(Tensor(qkv), p.n_heads).data
+        cols.append(out.reshape(b, t, p.n_heads, e).transpose(0, 2, 1, 3))
+    return np.concatenate(cols, axis=-1)[..., :t]
 
 
 class TestMsaKan:
@@ -60,9 +58,9 @@ class TestMsaKan:
         p = MsaKanParams(8, 2, rng=rng)
         x = Tensor(rng.uniform(-1, 1, size=(2, 1, 8)))
         attn = attention_probs(x, p)
-        np.testing.assert_array_equal(attn.data, np.ones((2, 2, 1, 1)))
+        np.testing.assert_array_equal(attn, np.ones((2, 2, 1, 1)))
         out = msa_kan(x, p)
-        v = p.v_proj.forward(x)
+        v = Tensor(p.qkv.forward(x).data[..., 2 * p.d_model:])
         expected = p.out_proj.forward(v)
         np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
 
@@ -71,8 +69,9 @@ class TestMsaKan:
         p = MsaKanParams(8, 4, rng=rng)
         x = Tensor(rng.uniform(-1, 1, size=(2, 6, 8)))
         attn = attention_probs(x, p)
-        np.testing.assert_allclose(attn.data.sum(axis=-1), 1.0, atol=1e-12)
-        assert np.all(attn.data >= 0)
+        assert attn.shape == (2, 4, 6, 6)
+        np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
+        assert np.all(attn >= 0)
 
     def test_matches_per_head_loop_oracle(self):
         rng = np.random.default_rng(7)
@@ -81,19 +80,17 @@ class TestMsaKan:
         out = msa_kan(Tensor(x), p)
         np.testing.assert_allclose(out.data, naive_msa(x, p), atol=1e-12)
 
-    def test_shared_activation_bit_equal_to_separate_projections(self):
+    def test_packed_projection_equals_the_three_projections(self):
+        d = 16
+        p = MsaKanParams(d, 4, rng=np.random.default_rng(11))
         rng = np.random.default_rng(11)
-        p = MsaKanParams(8, 2, KanGrid(G=4, K=2), rng=rng)
-        x = Tensor(rng.uniform(-1.3, 1.3, size=(2, 5, 8)))
-        heads = [split_heads(proj.forward(x), p.n_heads)
-                 for proj in (p.q_proj, p.k_proj, p.v_proj)]
-        q, k, v = heads
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
-                         1.0 / np.sqrt(q.shape[-1]))
-        ctx = T.matmul(T.softmax(scores), v)
-        merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), x.shape)
-        expected = p.out_proj.forward(merged)
-        assert np.array_equal(msa_kan(x, p).data, expected.data)
+        projections = [EfficientKanLayer(d, d, rng=rng) for _ in "qkv"]
+        assert np.array_equal(p.qkv.weight.data,
+                              np.concatenate([proj.weight.data for proj in projections]))
+        x = Tensor(np.random.default_rng(12).uniform(-1.3, 1.3, size=(2, 5, d)))
+        packed = p.qkv.forward(x).data
+        for i, proj in enumerate(projections):
+            assert np.array_equal(packed[..., i * d:(i + 1) * d], proj.forward(x).data)
 
     def test_dimension_checks(self):
         p = MsaKanParams(8, 2)
@@ -122,16 +119,21 @@ def test_model_tape_holds_no_attention_score_buffer():
 
 def test_encoder_blocks_record_no_add_and_one_activation_each():
     """Each block's residual adds ride in the affine nodes before them, and
-    kan1 and kan2 keep their activation inside their affine node: only the
-    Q/K/V projections' shared activation is a node of its own, and the one
-    add left in the encoder is the positional embedding's."""
+    each of its KAN maps, kan1, the packed Q/K/V projection and kan2, keeps
+    its activation inside its one affine node: a block records seven op
+    nodes, and the one add left in the encoder is the positional embedding's."""
     config = ModelConfig()
     logits = forward(Tensor(np.zeros((1, 1, 64, 64))),
                      TransUKanModel(config, rng=np.random.default_rng(0)))
     ops = [(n.op, n.scope) for n in T.Tape(logits).nodes if n._backward_fn is not None]
+    assert len(ops) == 44
+    assert [op for op, scope in ops if scope.startswith("encoder.block0")] == [
+        "layer_norm", "affine", "affine", "attention", "affine", "layer_norm", "affine"]
+    assert [scope for op, scope in ops if scope.startswith("encoder.block3")] == [
+        f"encoder.block3.{s}" for s in ("ln1", "kan1", "msa.qkv", "msa", "msa.out_proj",
+                                        "ln2", "kan2")]
     in_blocks = [op for op, scope in ops if scope.startswith("encoder.block")]
-    assert "add" not in in_blocks
-    assert in_blocks.count("squared_piecewise_poly") == config.depth == 4
+    assert len(in_blocks) == 7 * config.depth
     assert [scope for op, scope in ops if op == "add"] == ["encoder"]
 
 

@@ -159,7 +159,7 @@ class TestForward:
         assert rep.ok, rep
         params = dict(model.parameters())
         for name in ("cnn.stage0.conv_a.weight", "embed.proj.weight",
-                     "encoder.block0.msa.q_proj.weight", "decoder.head.weight",
+                     "encoder.block0.msa.qkv.weight", "decoder.head.weight",
                      "decoder.block2.bias"):
             rep = T.grad_check(objective, params[name], tol=1e-4, sample=6,
                                sample_largest=True)
@@ -382,6 +382,27 @@ class TestHeapReuse:
         assert statistics.median(faults[2:]) <= 100, faults
 
 
+def _v1_bytes(model, split_qkv):
+    """A TUKN v1 file of ``model``'s parameters. With ``split_qkv``, each packed
+    ``msa.qkv`` (weight, bias) pair is written as the three (weight, bias)
+    pairs of the q, k and v projections it stacks, in their order."""
+    arrays = []
+    for name, p in model.parameters():
+        if not (split_qkv and ".msa.qkv." in name):
+            arrays.append(p.data)
+        elif name.endswith(".weight"):
+            weights = np.split(p.data, 3)
+        else:
+            for w, b in zip(weights, np.split(p.data, 3)):
+                arrays += [w, b]
+    config = json.dumps(model.config.to_dict()).encode("utf-8")
+    blob = b"TUKN" + struct.pack("<BI", 1, len(config)) + config
+    blob += struct.pack("<I", len(arrays))
+    for a in arrays:
+        blob += struct.pack(f"<I{a.ndim}I", a.ndim, *a.shape) + a.astype("<f8").tobytes()
+    return blob
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -403,16 +424,27 @@ class TestCheckpoint:
         save_checkpoint(TransUKanModel(ModelConfig()), path)
         with open(path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-        assert digest == "58f39fedc4a881bef68cdb9e66bbb71f926a80053b1b094b672256096cfca797"
+        assert digest == "d30fa80f15e455fbda19d5d864b81ee549c76396f28d69e656f3824dc8036d26"
 
     def test_default_model_parameter_names_are_pinned(self):
         """The ordered names a future checkpoint version writes; the v1 bytes
         above carry shapes and values but no names."""
         names = [name for name, _ in TransUKanModel(ModelConfig()).parameters()]
-        assert len(names) == 87
+        assert len(names) == 71
         assert (names[0], names[-1]) == ("cnn.stage0.conv_a.weight", "decoder.head.bias")
         digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
-        assert digest == "c641b493652cb8720b67ed4d7baaed51f2f86c4c162428730bd1c57506e75528"
+        assert digest == "be142b849ecd7747c8652041a64dcc8cdba0615f8670c72f8d148301778edbb3"
+
+    def test_per_projection_layout_refused(self, tmp_path):
+        """A v1 file written before Q, K and V were packed into one layer has
+        87 tensors at ``ModelConfig()``, not 71, and is refused unread."""
+        model = TransUKanModel(ModelConfig())
+        path = tmp_path / "model.tukn"
+        save_checkpoint(model, path)
+        assert _v1_bytes(model, split_qkv=False) == path.read_bytes()
+        path.write_bytes(_v1_bytes(model, split_qkv=True))
+        with pytest.raises(CheckpointCorruptError, match="has 87 tensors, model declares 71"):
+            load_checkpoint(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.tukn"

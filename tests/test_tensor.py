@@ -117,7 +117,7 @@ class TestAffine:
 
 
 def _poly_table(rng, cells=4, degree=3):
-    """A random ``(x0, h, coef)`` table of ``squared_piecewise_poly``."""
+    """A random ``(x0, h, coef)`` table of ``affine``'s ``act``."""
     coef = rng.normal(size=(cells + 2, degree + 1))
     coef[[0, -1]] = 0.0
     return -1.0, 0.5, coef
@@ -138,7 +138,9 @@ EPILOGUE_IDS = ["residual", "act", "act_and_residual"]
 
 class TestAffineEpilogues:
     """``affine``'s residual and activation stages are the composed graph
-    ``add(affine(squared_piecewise_poly(x, *act), w, b), residual)``."""
+    ``add(affine(activate(x), w, b), residual)``, where ``activate`` is the
+    ``act`` prologue alone: an affine node with an identity weight and a zero
+    bias, which gives q exactly."""
 
     @staticmethod
     def _args(rng, x_shape, residual, table):
@@ -153,9 +155,14 @@ class TestAffineEpilogues:
         return lambda x, w, b, *r: T.affine(x, w, b, *r, act=act)
 
     @staticmethod
-    def _graph(act):
+    def _activate(x, act):
+        c = x.shape[-1]
+        return T.affine(x, Tensor(np.eye(c)), Tensor(np.zeros(c)), act=act)
+
+    @classmethod
+    def _graph(cls, act):
         def run(x, w, b, *r):
-            out = T.affine(T.squared_piecewise_poly(x, *act) if act else x, w, b)
+            out = T.affine(cls._activate(x, act) if act else x, w, b)
             return T.add(out, *r) if r else out
         return run
 
@@ -172,7 +179,9 @@ class TestAffineEpilogues:
         out = self._fused(table)(*args)
         assert out._parents == tuple(args)
         nodes = [n for n in T.Tape(self._graph(table)(*args)).nodes if n._backward_fn]
-        assert out.flops == sum(n.flops for n in nodes)
+        c = x_shape[-1]
+        identity_mix = 0 if table is None else out.size // 4 * c * (2 * c + 1)
+        assert out.flops == sum(n.flops for n in nodes) - identity_mix
 
     @pytest.mark.parametrize("residual, act", EPILOGUES, ids=EPILOGUE_IDS)
     def test_gradcheck(self, residual, act):
@@ -308,66 +317,68 @@ def _attention_graph(q, k, v, n_heads):
     return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, -1))
 
 
-def _attention_inputs(seed, b, h, t, n, d, dv):
-    """q, k and v in the token layout, for h heads of widths d, d and dv."""
+def _attention_blocks(seed, b, h, t, e):
+    """q, k and v in the token layout, (b, t, h·e) each, for h heads of width e."""
     rng = np.random.default_rng(seed)
-    return [Tensor(rng.normal(size=shape), requires_grad=True)
-            for shape in ((b, t, h * d), (b, n, h * d), (b, n, h * dv))]
+    return [rng.normal(size=(b, t, h * e)) for _ in "qkv"]
+
+
+def _packed(blocks):
+    """The (..., t, 3d) input of ``T.attention``: q, k and v as column blocks."""
+    return Tensor(np.concatenate(blocks, axis=-1), requires_grad=True)
 
 
 class TestAttention:
-    @pytest.mark.parametrize("shape", [(2, 3, 5, 5, 4, 4), (2, 3, 1, 1, 4, 4),
-                                       (2, 3, 5, 7, 4, 6)], ids=["t5", "t1", "n7_dv6"])
+    # (batch, heads, tokens, head width); "model" is ModelConfig()'s at batch 4.
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 4), (2, 3, 1, 4), (4, 4, 64, 16)],
+                             ids=["t5", "t1", "model"])
     def test_bit_equal_to_the_graph_and_its_gradients(self, shape):
-        b, h, t, _, _, dv = shape
-        w = np.random.default_rng(1).normal(size=(b, t, h * dv))
-        grads = []
-        for op in (T.attention, _attention_graph):
-            q, k, v = _attention_inputs(0, *shape)
-            out = op(q, k, v, h)
-            T.backward(T.sum_all(T.mul(out, Tensor(w))))
-            grads.append((out.data, q.grad, k.grad, v.grad))
-        (out, *mine), (expected, *theirs) = grads
-        assert np.array_equal(out, expected)
-        for g, oracle in zip(mine, theirs):
-            np.testing.assert_allclose(g, oracle, rtol=1e-15, atol=0)
+        b, h, t, e = shape
+        w = Tensor(np.random.default_rng(1).normal(size=(b, t, h * e)))
+        blocks = _attention_blocks(0, *shape)
+        qkv = _packed(blocks)
+        out = T.attention(qkv, h)
+        T.backward(T.sum_all(T.mul(out, w)))
+        q, k, v = (Tensor(x, requires_grad=True) for x in blocks)
+        expected = _attention_graph(q, k, v, h)
+        T.backward(T.sum_all(T.mul(expected, w)))
+        assert np.array_equal(out.data, expected.data)
+        for got, oracle in zip(np.split(qkv.grad, 3, axis=-1), (q.grad, k.grad, v.grad)):
+            assert np.array_equal(got, oracle)
 
     def test_leading_dims_are_batch_dims(self):
-        q, k, v = _attention_inputs(2, 6, 2, 5, 3, 4, 2)
-        flat = T.attention(q, k, v, 2)
-        split = T.attention(*(Tensor(x.data.reshape((2, 3) + x.shape[1:])) for x in (q, k, v)),
-                            2)
+        qkv = _packed(_attention_blocks(2, 6, 2, 5, 3))
+        flat = T.attention(qkv, 2)
+        split = T.attention(Tensor(qkv.data.reshape((2, 3) + qkv.shape[1:])), 2)
         assert np.array_equal(split.data.reshape(flat.shape), flat.data)
 
     @pytest.mark.parametrize("which", [0, 1, 2], ids=["q", "k", "v"])
-    @pytest.mark.parametrize("shape", [(1, 2, 4, 4, 3, 3), (2, 1, 3, 5, 4, 2)],
-                             ids=["self", "n5_dv2"])
+    @pytest.mark.parametrize("shape", [(1, 2, 4, 3), (2, 1, 3, 4)], ids=["self", "b2_h1"])
     def test_gradcheck(self, which, shape):
-        args = _attention_inputs(3, *shape)
-        b, h, t, _, _, dv = shape
-        w = Tensor(np.random.default_rng(4).normal(size=(b, t, h * dv)))
+        blocks = [Tensor(x) for x in _attention_blocks(3, *shape)]
+        b, h, t, e = shape
+        w = Tensor(np.random.default_rng(4).normal(size=(b, t, h * e)))
 
         def objective(x):
-            return T.sum_all(T.mul(T.attention(*args[:which], x, *args[which + 1:], h), w))
+            qkv = T.concat(blocks[:which] + [x] + blocks[which + 1:], axis=-1)
+            return T.sum_all(T.mul(T.attention(qkv, h), w))
 
-        rep = T.grad_check(objective, args[which], tol=1e-6)
+        rep = T.grad_check(objective, blocks[which], tol=1e-6)
         assert rep.ok, rep
 
-    @pytest.mark.parametrize("shapes, heads, named", [
-        (((4,), (4, 3), (4, 3)), 1, "rank >= 2"),
-        (((2, 5, 3), (3, 5, 3), (2, 5, 3)), 1, "equal batch dims"),
-        (((5, 3), (5, 4), (5, 3)), 1, r"got \(5, 3\), \(5, 4\)"),
-        (((5, 3), (5, 3), (6, 3)), 1, r"\(5, 3\), \(6, 3\)"),
-        (((0, 3), (0, 3), (0, 3)), 1, r"t, n, d > 0 .*got \(0, 3\)"),
-        (((5, 6), (5, 6), (5, 4)), 4, "dividing d and dv.* n_heads 4"),
-        (((5, 4), (5, 4), (5, 6)), 4, "dividing d and dv.* n_heads 4"),
-        (((5, 4), (5, 4), (5, 4)), 0, "n_heads 0"),
-        (((5, 4), (5, 4), (5, 4)), 2.0, "n_heads 2.0"),
-    ], ids=["rank_1", "batch_dims", "feature_dims", "key_lengths", "empty_t", "heads_split_d",
-            "heads_split_dv", "zero_heads", "float_heads"])
-    def test_bad_shapes_raise_dimension_error(self, shapes, heads, named):
+    @pytest.mark.parametrize("shape, heads, named", [
+        ((12,), 1, "rank >= 2"),
+        ((5, 10), 1, r"got \(5, 10\)"),
+        ((0, 12), 1, r"t, d > 0 .*got \(0, 12\)"),
+        ((5, 0), 1, r"t, d > 0 .*got \(5, 0\)"),
+        ((5, 18), 4, "dividing d.* n_heads 4"),
+        ((5, 12), 0, "n_heads 0"),
+        ((5, 12), 2.0, "n_heads 2.0"),
+    ], ids=["rank_1", "feature_dims", "empty_t", "empty_d", "heads_split_d", "zero_heads",
+            "float_heads"])
+    def test_bad_shapes_raise_dimension_error(self, shape, heads, named):
         with pytest.raises(DimensionError, match=f"attention .*{named}"):
-            T.attention(*(_zeros(*shape) for shape in shapes), heads)
+            T.attention(_zeros(*shape), heads)
 
 
 class TestLayerNorm:
@@ -1077,8 +1088,8 @@ class TestBackward:
      "matmul: b must be a Tensor, got ndarray"),
     (lambda: Tensor("a"), ContractError, "Tensor data must be real numbers, got 'a'"),
     (lambda: Tensor(object()), ContractError, "Tensor data must be real numbers"),
-    (lambda: T.squared_piecewise_poly(_zeros(2), 0, 1, "ab"), ContractError,
-     "squared_piecewise_poly needs a numeric table"),
+    (lambda: T.affine(_zeros(2, 2), _zeros(2, 2), _zeros(2), act=(0, 1, "ab")),
+     ContractError, "affine needs a numeric table"),
     (lambda: Tensor(None), ContractError, "Tensor data must be real numbers, got None"),
     (lambda: Tensor([None]), ContractError, r"Tensor data must be real numbers, got \[None\]"),
     (lambda: Tensor(np.array([1 + 2j])), ContractError, "Tensor data must be real numbers"),
