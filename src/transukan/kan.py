@@ -29,6 +29,9 @@ slopes from x, so each basis is written once and only x is kept. The pooled
 ReLU-KAN expansion, ``mean_last_axis(relukan_basis_expand(x, grid))``, is the
 oracle that the EfficientKAN quartic is checked against. Layers built without a
 ``grid`` share the frozen default ``KanGrid()`` and its cached ``pooled_bell_table``.
+
+The layers draw float64 parameters; a ``TransUKanModel`` stores its own as
+float32. The bases and their slopes compute in the dtype of x.
 """
 
 from __future__ import annotations
@@ -112,10 +115,10 @@ class KanGrid:
 # ---------------------------------------------------------------------------
 
 def _hinges(x, grid: KanGrid):
-    """relu(e_i - x), relu(x - s_i) and the bell norms 16/(e_i - s_i)^4."""
+    """relu(e_i - x), relu(x - s_i) and the bell norms 16/(e_i - s_i)^4, in x's dtype."""
     T.check_type("relukan_basis", "grid", grid, KanGrid)
     xe = T.real_array(x, "relukan_basis: x")[..., None]
-    s, e = grid.support_lo(), grid.support_hi()
+    s, e = grid.support_lo().astype(xe.dtype), grid.support_hi().astype(xe.dtype)
     return np.maximum(e - xe, 0.0), np.maximum(xe - s, 0.0), 16.0 / (e - s) ** 4
 
 
@@ -172,10 +175,12 @@ def bspline_knots(grid: KanGrid, order: int) -> np.ndarray:
 
 
 def _cox_de_boor(x, t: np.ndarray, order: int) -> np.ndarray:
-    """Basis of the given order on knots ``t``; shape ``x.shape + (len(t) - order,)``."""
+    """Basis of the given order on knots ``t``, in x's dtype; shape
+    ``x.shape + (len(t) - order,)``."""
     xe = T.real_array(x, "bspline_basis: x")[..., None]
+    t = t.astype(xe.dtype)
     # degree-0 indicators on half-open intervals [t_j, t_{j+1})
-    b = ((xe >= t[:-1]) & (xe < t[1:])).astype(np.float64)
+    b = ((xe >= t[:-1]) & (xe < t[1:])).astype(xe.dtype)
     for deg in range(1, order):
         nb = len(t) - 1 - deg
         left = (xe - t[:nb]) / (t[deg:deg + nb] - t[:nb])
@@ -197,7 +202,8 @@ def _bspline_slopes(x, grid: KanGrid, order: int) -> np.ndarray:
     uniform knots; 0 at order 1. The half-open indicators make it the
     right-hand derivative at a knot."""
     if order == 1:
-        return np.zeros(np.shape(x) + (grid.G + 1,))
+        xe = T.real_array(x, "bspline_basis: x")
+        return np.zeros(xe.shape + (grid.G + 1,), dtype=xe.dtype)
     lower = _cox_de_boor(x, bspline_knots(grid, order), order - 1)
     slope = lower[..., :-1] - lower[..., 1:]
     slope /= grid.h

@@ -240,6 +240,10 @@ class DecoderParams:
 
 
 class TransUKanModel:
+    """The whole network. Its parameters are float32: the layers draw their
+    initial values in float64 from ``rng``, and the model stores them rounded
+    to float32. ``astype`` gives a copy in float64, the oracles' dtype."""
+
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
         self.config = config
@@ -250,6 +254,25 @@ class TransUKanModel:
         self.decoder = DecoderParams(config.d_model, config.cnn_channels,
                                      config.decoder_channels, config.n_classes,
                                      rng=rng)
+        for _, p in self.parameters():
+            p.data = p.data.astype(np.float32)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, read off the first layer's weight: the dtype
+        ``forward`` casts the image to."""
+        return self.cnn.stages[0][0].weight.data.dtype
+
+    def astype(self, dtype) -> TransUKanModel:
+        """A new model of this config whose parameters hold this one's values
+        as ``dtype``, float32 or float64; anything else raises a
+        ``ContractError``. The float64 copy of a float32 model computes in
+        float64 from the float32 values."""
+        dtype = T.float_dtype("TransUKanModel.astype", dtype)
+        model = TransUKanModel(self.config)
+        for (_, mine), (_, theirs) in zip(self.parameters(), model.parameters()):
+            theirs.data = mine.data.astype(dtype)
+        return model
 
     def parameters(self):
         return named_parameters((("cnn", self.cnn), ("embed", self.embed),
@@ -257,12 +280,15 @@ class TransUKanModel:
 
 
 def forward(image: Tensor, model: TransUKanModel) -> Tensor:
-    """Full pipeline to per-pixel class logits of the input's spatial size."""
+    """Full pipeline to per-pixel class logits of the input's spatial size,
+    in the model's dtype: the image is cast to it first."""
+    T.check_type("forward", "image", image, Tensor)
     T.check_type("forward", "model", model, TransUKanModel)
     cfg = model.config
     if image.ndim != 4 or image.shape[1] != cfg.in_channels:
         raise DimensionError(f"expected (B, {cfg.in_channels}, H, W), got {image.shape}")
     b, _, h, w = image.shape
+    image = T.astype(image, model.dtype)
     with T.scope("cnn"):
         features, skips = cnn_encode(image, model.cnn)
     with T.scope("embed"):
@@ -280,6 +306,9 @@ def forward(image: Tensor, model: TransUKanModel) -> Tensor:
 # Checkpoint format: magic "TUKN", version byte, length-prefixed JSON config,
 # then each parameter tensor in declaration order as
 # (rank: u32) (dims: u32 * rank) (data: little-endian float64).
+# A model of either dtype writes float64, which holds every float32 value
+# exactly; the loader gives back a float32 model when every stored value is a
+# float32, and a float64 model otherwise.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"TUKN"
@@ -329,8 +358,11 @@ def _read_exact(fh, n: int) -> bytes:
 def load_checkpoint(path: str, expect_config: ModelConfig | None = None) -> TransUKanModel:
     """Rebuild a model from a checkpoint; bit-exact round trip with save.
 
-    ``expect_config``, when given, must match the embedded config exactly. A
-    path that cannot be read raises a ``CheckpointIOError``.
+    The model is float32 when every stored value is exactly a float32, as a
+    float32 model's are, and float64 otherwise, so each dtype round-trips to
+    itself with no dtype field in the file. ``expect_config``, when given,
+    must match the embedded config exactly. A path that cannot be read raises
+    a ``CheckpointIOError``.
     """
     T.check_type("load_checkpoint", "path", path, (str, os.PathLike))
     with _path_errors(path, "read"), open(path, "rb") as fh:
@@ -354,6 +386,7 @@ def load_checkpoint(path: str, expect_config: ModelConfig | None = None) -> Tran
         if n_params != len(params):
             raise CheckpointCorruptError(f"{path}: has {n_params} tensors, model "
                                          f"declares {len(params)}")
+        stored = []
         for name, p in params:
             (rank,) = struct.unpack("<I", _read_exact(fh, 4))
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
@@ -361,7 +394,13 @@ def load_checkpoint(path: str, expect_config: ModelConfig | None = None) -> Tran
                 raise CheckpointCorruptError(f"{path}: tensor {name} has shape "
                                              f"{dims}, model expects {p.shape}")
             raw = _read_exact(fh, 8 * int(np.prod(dims)))
-            p.data[...] = np.frombuffer(raw, dtype="<f8").reshape(dims)
+            stored.append(np.frombuffer(raw, dtype="<f8").reshape(dims))
         if fh.read(1):
             raise CheckpointCorruptError(f"{path}: trailing bytes after parameters")
+    with np.errstate(over="ignore"):  # a value past float32's range casts to inf
+        values = [a.astype(np.float32) for a in stored]
+    if not all(np.array_equal(v, a, equal_nan=True) for v, a in zip(values, stored)):
+        values = [a.astype(np.float64) for a in stored]
+    for (_, p), v in zip(params, values):
+        p.data = v
     return model

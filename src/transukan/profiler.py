@@ -2,7 +2,8 @@
 
 Parameters come from ``parameters()``, one entry per owner (the dotted name
 prefix; ``ROOT`` for none). FLOPs and bytes come from one walk over the tape of
-one forward on a zero input, one entry per ``tensor.scope`` path, which the
+one forward on a zero input of the parameters' dtype (float32 for a
+``TransUKanModel``), one entry per ``tensor.scope`` path, which the
 model names after the owners whose parameters it reads. The forward is the
 package's own: ``network.forward``, an encoder part's module function or a
 layer's ``forward()``. ``tensor.Tape`` lists the nodes in forward order, and
@@ -13,7 +14,8 @@ once, at the first op in forward order that outputs it; views of it or of a
 parameter count zero. By the retention rule of ``tensor._node``, that count is
 the bytes one forward retains less the row statistics that attention and
 layer_norm keep. The variant comparison measures
-``TransUKanModel(config).encoder`` and swaps its KAN scopes for real layers.
+``TransUKanModel(config).encoder`` and swaps its KAN scopes for real layers,
+cast to the encoder's dtype.
 """
 
 from dataclasses import dataclass, field
@@ -103,9 +105,22 @@ def _add_params(obj, rows: dict[str, list[int]]) -> dict[str, list[int]]:
     return rows
 
 
+def _dtype(obj) -> np.dtype:
+    """The dtype of ``obj``'s parameters, in which its forward runs."""
+    return np.result_type(*(p.data.dtype for _, p in obj.parameters()))
+
+
+def _cast(layer, dtype):
+    """``layer``, its parameters cast to ``dtype`` in place."""
+    for _, p in layer.parameters():
+        p.data = p.data.astype(dtype)
+    return layer
+
+
 def _walk(obj, input_shape) -> dict[str, list[int]]:
-    """Rows of one forward of ``obj``: its scopes in forward order, then owners."""
-    x = Tensor(np.zeros(input_shape), requires_grad=True)
+    """Rows of one forward of ``obj`` on an input of its parameters' dtype:
+    its scopes in forward order, then owners."""
+    x = Tensor(np.zeros(input_shape, dtype=_dtype(obj)), requires_grad=True)
     run = _RUN_BY.get(type(obj))
     out = run(x, obj) if run else obj.forward(x)
     if out._backward_fn is None:
@@ -177,21 +192,22 @@ class _PlusInput:
         return self.layer.parameters()
 
 
-def _swaps(variant: str, config: ModelConfig,
-           shape: tuple[int, ...]) -> dict[str, dict[str, list[int]]]:
-    """Block-relative KAN scope -> the rows of the measured layers that stand in.
-    The stand-in for kan2 carries the residual add that the kan2 node fuses, and
-    the packed ``msa.qkv`` projection becomes three d -> d projections."""
+def _swaps(variant: str, config: ModelConfig, shape: tuple[int, ...],
+           dtype: np.dtype) -> dict[str, dict[str, list[int]]]:
+    """Block-relative KAN scope -> the rows of the measured layers that stand in,
+    their parameters in ``dtype``, the encoder's. The stand-in for kan2 carries
+    the residual add that the kan2 node fuses, and the packed ``msa.qkv``
+    projection becomes three d -> d projections."""
     if variant == "efficientkan":
         return {}
     d, grid = config.d_model, config.grid
     if variant == "mlp":
-        proj = _walk(AffineLayer(d, d), shape)[""]
-        ffn = _walk(_PlusInput(_MlpFfn(d, 4 * d)), shape)[""]
+        proj = _walk(_cast(AffineLayer(d, d), dtype), shape)[""]
+        ffn = _walk(_PlusInput(_cast(_MlpFfn(d, 4 * d), dtype)), shape)[""]
         swaps = {"kan1": {}, "kan2": {"ffn": ffn}}
     else:
         layer = (ReLUKanLayer if variant == "relukan" else BSplineKanLayer)(d, d, grid)
-        proj = _walk(layer, shape)[""]
+        proj = _walk(_cast(layer, dtype), shape)[""]
         swaps = {"kan1": {"kan1": proj}, "kan2": {"kan2": _walk(_PlusInput(layer), shape)[""]}}
     return {**swaps, "msa.qkv": {f"msa.{x}_proj": proj for x in "qkv"}}
 
@@ -206,9 +222,10 @@ def variant_report(variant: str, config: ModelConfig) -> CostReport:
         raise ContractError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     T.check_type("variant_report", "config", config, ModelConfig)
     shape = (1, config.n_tokens, config.d_model)
-    swaps = _swaps(variant, config, shape)
+    encoder = TransUKanModel(config).encoder
+    swaps = _swaps(variant, config, shape, _dtype(encoder))
     rows = {}
-    for name, row in _walk(TransUKanModel(config).encoder, shape).items():
+    for name, row in _walk(encoder, shape).items():
         block, _, inner = name.partition(".")
         rows.update({f"{block}.{n}": r for n, r in swaps[inner].items()}
                     if inner in swaps else {name: row})

@@ -1,8 +1,16 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 and float64 tensors with reverse-mode automatic differentiation.
 
-Everything is 64-bit so finite-difference checks are decisive. Any operation
-that produces a NaN/Inf raises immediately instead of letting it propagate,
-and the error names the ``scope`` path of the layer it ran in.
+One dtype rule holds for every op. A Tensor keeps float32 or float64 data as
+given; any other real data becomes float64. An op allocates and computes in
+``np.result_type`` of its Tensor operands, so float32 operands give a float32
+output, and a float32 operand meeting a float64 one computes in float64.
+Constant tables (an ``affine`` ``act`` table, the decoder's ``_FOLD``) follow
+the dtype of the data they act on, so nothing upcasts silently. The backward
+hands each tensor its gradient in that tensor's own dtype. float64 is the
+oracles' dtype: ``grad_check`` refuses anything else, because finite
+differences at float32's epsilon are noise. Any operation that produces a
+NaN/Inf raises immediately instead of letting it propagate, and the error
+names the ``scope`` path of the layer it ran in.
 
 One retention rule holds for every op (see ``_node``): a backward reads only
 its node's inputs, its own output and per-row statistics, and recomputes the
@@ -29,21 +37,24 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-# Allocator policy. A training step frees tens of MB of activations and
-# scratch. By default glibc returns the top of its heap to the system once
-# more than its trim threshold lies free there, and that threshold follows
-# twice the largest freed mmapped block (~16 MiB for the 8 MiB im2col chunks),
-# so the next step faults the same memory in again: thousands of minor faults
-# per step. Pinning both thresholds at the ceilings of glibc's own dynamic
-# rule on 64-bit (mmap 32 MiB, trim 64 MiB) keeps a step's freed heap mapped
-# for the next one. The cost is resident memory: up to 64 MiB of freed heap
-# stays mapped, and blocks below 32 MiB come from the heap, not from mappings
-# of their own. Where mallopt is missing (not glibc), nothing changes.
+# Allocator policy. A training step frees MBs of activations and scratch.
+# By default glibc returns the top of its heap to the system once more than
+# its trim threshold lies free there, and that threshold follows twice the
+# largest freed mmapped block (~4 MiB for the 2 MiB float32 im2col chunks, 8
+# MiB for the 4 MiB float64 ones), so the next step faults the same memory in
+# again: ~1,900 minor faults per batch-4 step of the default float32 model,
+# ~4,800 of its float64 copy. Pinning both thresholds at the ceilings of
+# glibc's own dynamic rule on 64-bit (mmap 32 MiB, trim 64 MiB) keeps a step's
+# freed heap mapped for the next one. The cost is resident memory: up to 64
+# MiB of freed heap stays mapped, and blocks below 32 MiB come from the heap,
+# not from mappings of their own. Where mallopt is missing (not glibc),
+# nothing changes.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # the codes of glibc's <malloc.h>
 
 
@@ -154,21 +165,37 @@ def scope(name: str):
         _scope = outer
 
 
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 def real_array(data, what: str) -> np.ndarray:
-    """``data`` as a float64 array; bool, int and float data only, so that None
-    does not become NaN nor a complex number lose its imaginary part: anything
-    else raises a ``ContractError`` naming ``what``."""
-    if isinstance(data, np.ndarray) and data.dtype == np.float64:
+    """``data`` as a float32 or float64 array: float32 and float64 data as
+    they are, other bool, int and float data as float64. Only those kinds, so
+    that None does not become NaN nor a complex number lose its imaginary
+    part: anything else raises a ``ContractError`` naming ``what``."""
+    if isinstance(data, np.ndarray) and data.dtype in _FLOAT_DTYPES:
         return data
     with contextlib.suppress(TypeError, ValueError):  # ragged or unconvertible data
         arr = np.asarray(data)
+        if arr.dtype in _FLOAT_DTYPES:
+            return arr
         if arr.dtype.kind in "biuf":
-            return arr.astype(np.float64, copy=False)
+            return arr.astype(np.float64)
     raise ContractError(f"{what} must be real numbers, got {data!r:.60}")
 
 
+def float_dtype(where: str, dtype) -> np.dtype:
+    """``dtype`` as a numpy dtype if it is float32 or float64; anything else
+    raises a ``ContractError`` naming ``where``."""
+    with contextlib.suppress(TypeError, ValueError):
+        if dtype is not None and np.dtype(dtype) in _FLOAT_DTYPES:
+            return np.dtype(dtype)
+    raise ContractError(f"{where}: dtype must be float32 or float64, got {dtype!r}")
+
+
 class Tensor:
-    """n-dimensional float64 array with an optional gradient buffer.
+    """n-dimensional float32 or float64 array with an optional gradient buffer
+    of the same dtype (see ``real_array`` for how other data converts).
 
     Gradients of leaves (tensors no op made) accumulate additively across
     backward passes; ``zero_grad`` resets. Tensors produced by operations
@@ -255,6 +282,11 @@ def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
     return out
 
 
+def _result_type(tensors: Sequence[Tensor]) -> np.dtype:
+    """The dtype an op on ``tensors`` allocates and computes in."""
+    return np.result_type(*(t.data.dtype for t in tensors))
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to ``shape``."""
     if grad.shape == shape:
@@ -331,8 +363,9 @@ def backward(loss: Tensor) -> None:
 
 
 def _run_adjoint(node: Tensor) -> None:
-    """Release ``node`` and pass its gradient on to its parents; the closure,
-    the gradient and the parents' gradients die with the call."""
+    """Release ``node`` and pass its gradient on to its parents, each in that
+    parent's dtype; the closure, the gradient and the parents' gradients die
+    with the call."""
     fn, parents, grad = node._backward_fn, node._parents, node.grad
     if fn is None:
         return
@@ -345,10 +378,10 @@ def _run_adjoint(node: Tensor) -> None:
             continue
         if parent._backward_fn is not None:  # op output: never written in place
             # asarray: an adjoint on a 0-d gradient may return a numpy scalar.
-            parent.grad = np.asarray(pgrad if parent.grad is None
-                                     else parent.grad + pgrad)
+            pgrad = np.asarray(pgrad).astype(parent.data.dtype, copy=False)
+            parent.grad = np.asarray(pgrad if parent.grad is None else parent.grad + pgrad)
         elif parent.grad is None:
-            parent.grad = np.array(pgrad, dtype=np.float64, copy=True)
+            parent.grad = np.array(pgrad, dtype=parent.data.dtype, copy=True)
         else:
             parent.grad += pgrad
 
@@ -386,6 +419,16 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _broadcast_op(a, b, "mul", np.multiply,
                          (lambda g, x, y: g * y, lambda g, x, y: g * x))
+
+
+def astype(x: Tensor, dtype) -> Tensor:
+    """x's data as ``dtype``, float32 or float64, or x itself if it has that
+    dtype already. Its gradient reaches x in x's dtype, as every gradient does."""
+    _operands("astype", x=x)
+    dtype = float_dtype("astype", dtype)
+    if x.data.dtype == dtype:
+        return x
+    return _node(x.data.astype(dtype), "astype", (x,), lambda g: (g,), flops=0)
 
 
 def scale(x: Tensor, s: float) -> Tensor:
@@ -500,7 +543,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
                              f"got {residual.shape}")
     if act is not None and (not isinstance(act, tuple) or len(act) != 3):
         raise ContractError(f"affine act must be a tuple (x0, h, coef), got {act!r:.60}")
-    table = None if act is None else _poly_table(*act)
+    table = None if act is None else _poly_table(*act, x.data.dtype)
 
     def activation():  # (row, t, p, q) of x's cells
         x0, h, mid, cols, _ = table
@@ -508,11 +551,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
         p = _horner(cols, row, t)
         return row, t, p, p * p
 
+    parents = (x, w, b) if residual is None else (x, w, b, residual)
+    dtype = _result_type(parents)
     if table is None:
-        data = np.matmul(x.data, w.data.T)
+        data = np.matmul(x.data, w.data.T, dtype=dtype)
     else:
         with np.errstate(all="ignore"):  # a non-finite x raises in _node
-            data = np.matmul(activation()[3], w.data.T)
+            data = np.matmul(activation()[3], w.data.T, dtype=dtype)
     data += b.data
     if residual is not None:
         with np.errstate(all="ignore"):
@@ -534,7 +579,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
             dx = dp
         return (dx, dw.T, _unbroadcast(g, b.shape), g)[:len(parents)]
 
-    parents = (x, w, b) if residual is None else (x, w, b, residual)
     flops = (data.size * (2 * w.shape[1] + 1 + (residual is not None))
              + (0 if table is None else _poly_flops(table[3]) * x.size))
     return _node(data, "affine", parents, backward_fn, flops=flops)
@@ -578,7 +622,7 @@ def attention(qkv: Tensor, n_heads: int) -> Tensor:
             or d % n_heads):
         raise DimensionError(f"attention needs qkv (..., t, 3d) of rank >= 2 with t, d > 0 "
                              f"and n_heads dividing d, got {qkv.shape} and n_heads {n_heads!r}")
-    s = 1.0 / np.sqrt(d // n_heads)
+    s = 1.0 / math.sqrt(d // n_heads)  # a Python float keeps float32 scores float32
 
     def heads(a, i=0):  # columns [i·d, (i + 1)·d) of a -> the view (..., n_heads, t, e)
         a = a[..., i * d:(i + 1) * d]
@@ -598,7 +642,7 @@ def attention(qkv: Tensor, n_heads: int) -> Tensor:
     np.exp(probs, out=probs)
     row_sum = np.sum(probs, axis=-1, keepdims=True)
     probs /= row_sum
-    data = np.empty(qkv.shape[:-1] + (d,), dtype=np.float64)
+    data = np.empty(qkv.shape[:-1] + (d,), dtype=qkv.data.dtype)
     np.matmul(probs, vh, out=heads(data))
     del probs
 
@@ -608,7 +652,7 @@ def attention(qkv: Tensor, n_heads: int) -> Tensor:
         p -= row_max
         np.exp(p, out=p)
         p /= row_sum
-        grad = np.empty(qkv.shape, dtype=np.float64)
+        grad = np.empty(qkv.shape, dtype=qkv.data.dtype)
         np.matmul(np.swapaxes(p, -1, -2), gh, out=heads(grad, 2))
         ds = np.matmul(gh, np.swapaxes(vh, -1, -2))
         ds -= np.sum(ds * p, axis=-1, keepdims=True)
@@ -674,15 +718,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 # Convolution and spatial ops
 # ---------------------------------------------------------------------------
 
-# Most elements of im2col scratch that one conv forward chunk fills (4 MiB).
-# It also sizes the batch slices both conv passes run on (a quarter of it per
-# phase of a slice's padded input and output grid) and the backward's tiles.
+# Most elements of im2col scratch that one conv forward chunk fills (2 MiB in
+# float32, 4 MiB in float64): a count of elements, so both dtypes run the same
+# slices. It also sizes the batch slices both conv passes run on (a quarter of
+# it per phase of a slice's padded input and output grid) and the backward's
+# tiles.
 # The chunk sets the peak of an inference forward. The default model's
 # batch-4 training step peaks in the backward instead, in the decoder.block2
 # adjoint, whose one slice of scratch sits on activations not yet freed. For
-# the batch-1 64x64 forward (2 vCPUs, 16 alternating rounds), 2**20 peaked at
-# 7.31 MB, 2**19 peaks at 4.80 MB and takes ~1% longer, and 2**18 peaked at
-# 3.97 MB but took ~3% longer; a training step times the same at 2**19 and 2**20.
+# the batch-1 64x64 forward in float64 (2 vCPUs, 16 alternating rounds), 2**20
+# peaked at 7.31 MB, 2**19 at 4.80 MB, taking ~1% longer, and 2**18 at 3.97 MB,
+# taking ~3% longer; a training step timed the same at 2**19 and 2**20.
 _IM2COL_BUDGET = 2 ** 19
 
 
@@ -726,7 +772,7 @@ def _phase_split(x: np.ndarray, kh: int, kw: int, s: int, padding: int):
     hq, wq = _phase_shape(h, wd, s, padding)
     n = b * hq * wq
     tail = (kh - 1) // s * wq + (kw - 1) // s
-    xs = np.zeros((min(s, kh), min(s, kw), c, n + tail), dtype=np.float64)
+    xs = np.zeros((min(s, kh), min(s, kw), c, n + tail), dtype=x.dtype)
     grid = xs[..., :n].reshape(*xs.shape[:3], b, hq, wq)
     xt = x.transpose(1, 0, 2, 3)
     for r, q, (gy, gx), (sy, sx) in _phase_slices(h, wd, kh, kw, s, padding):
@@ -774,9 +820,10 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, s: int, padding: int) -> np.ndar
     n = b * hq * wq
     k = c * kh * kw
     w2 = w.reshape(o, k)
-    full = np.empty((o, n), dtype=np.float64)
+    dtype = np.result_type(x, w)
+    full = np.empty((o, n), dtype=dtype)
     step = _chunk_columns(n, k)
-    cols = np.empty((c, kh, kw, step), dtype=np.float64)
+    cols = np.empty((c, kh, kw, step), dtype=dtype)
     for m0 in range(0, n, step):
         m = min(step, n - m0)
         for i, j, r, q, off in _taps(kh, kw, s, wq):
@@ -786,9 +833,9 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, s: int, padding: int) -> np.ndar
 
 
 def _biased_conv(x: np.ndarray, w: np.ndarray, s: int, padding: int, bias: np.ndarray,
-                 h_out: int, w_out: int) -> np.ndarray:
+                 h_out: int, w_out: int, dtype: np.dtype) -> np.ndarray:
     """bias + the cross-correlation of x (b, c, h, w) with w (o, c, kh, kw), as
-    (b, o, h_out, w_out): :func:`_conv_forward` of each slice of
+    (b, o, h_out, w_out) of ``dtype``: :func:`_conv_forward` of each slice of
     :func:`_batch_slices` written into its images of the output. The output is
     allocated once the first slice's scratch has died, and each slice's grid
     dies before the next is built, so a call of one slice allocates as a
@@ -797,7 +844,7 @@ def _biased_conv(x: np.ndarray, w: np.ndarray, s: int, padding: int, bias: np.nd
     for at in _batch_slices(x.shape, w.shape[0], s, padding):
         full = _conv_forward(x[at], w, s, padding)
         if data is None:
-            data = np.empty((len(x), w.shape[0], h_out, w_out), dtype=np.float64)
+            data = np.empty((len(x), w.shape[0], h_out, w_out), dtype=dtype)
         for cells, dst in _phase_cells(full, 1, h_out, w_out):
             np.add(cells, bias[:, None, None], out=data[at][dst])
         del full, cells
@@ -841,7 +888,7 @@ def _conv_backward(x: np.ndarray, w: np.ndarray, s: int, padding: int, g: np.nda
     phases = [(r, q, [(w[:, :, i, j].T, off) for i, j, rt, qt, off in taps
                       if (rt, qt) == (r, q)])
               for r in range(min(s, kh)) for q in range(min(s, kw))]
-    dw = np.zeros(w.shape, dtype=np.float64)
+    dw = np.zeros(w.shape, dtype=g.dtype)
     db = 0.0
     dx = None
     for at in _batch_slices(x.shape, o, s, padding):
@@ -859,7 +906,7 @@ def _conv_backward(x: np.ndarray, w: np.ndarray, s: int, padding: int, g: np.nda
             del xs, gpad, grid
             continue
         step = _chunk_columns(n, 18 * c)
-        scratch = np.empty((2, c, step), dtype=np.float64)
+        scratch = np.empty((2, c, step), dtype=g.dtype)
         for m0 in range(0, n, step):
             m = min(step, n - m0)
             acc, prod = scratch[:, :, :m]
@@ -872,7 +919,7 @@ def _conv_backward(x: np.ndarray, w: np.ndarray, s: int, padding: int, g: np.nda
                 xs[r, q, :, m0:m0 + m] = acc
         del gpad, grid, scratch, acc, prod
         if dx is None:
-            dx = (np.zeros if s > min(kh, kw) else np.empty)(x.shape, dtype=np.float64)
+            dx = (np.zeros if s > min(kh, kw) else np.empty)(x.shape, dtype=x.dtype)
         dgrid = xs[..., :n].reshape(*xs.shape[:3], -1, hq, wq)
         dxt = dx[at].transpose(1, 0, 2, 3)
         for r, q, (gy, gx), (sy, sx) in _phase_slices(h, wd, kh, kw, s, padding):
@@ -901,7 +948,7 @@ def _grad_grid(g: np.ndarray, relu_out: np.ndarray | None, f: int, hq: int, wq: 
     a fused relu's output ``relu_out`` (the slice's) is 0, and unchanged when
     that is None."""
     rows = f * f * g.shape[1]
-    gpad = np.zeros((rows, front + len(g) * hq * wq), dtype=np.float64)
+    gpad = np.zeros((rows, front + len(g) * hq * wq), dtype=g.dtype)
     grid = gpad[:, front:].reshape(rows, len(g), hq, wq)
     for cells, at in _phase_cells(grid, f, g.shape[2] // f, g.shape[3] // f):
         np.multiply(g[at], relu_out is None or relu_out[at] > 0.0, out=cells)
@@ -959,7 +1006,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     if not isinstance(relu, bool):
         raise ContractError(f"conv2d relu must be a bool, got {relu!r}")
 
-    data = _biased_conv(x.data, w.data, stride, padding, bias.data, h_out, w_out)
+    data = _biased_conv(x.data, w.data, stride, padding, bias.data, h_out, w_out,
+                        _result_type((x, w, bias)))
     if relu:
         np.maximum(data, 0.0, out=data)
     relu_out = data if relu else None
@@ -1030,11 +1078,13 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> 
     w_skip = w.data[:, c_up:]
 
     def fold():
-        folded = w.data.reshape(o, c_up + c_s, 9)[:, :c_up] @ _FOLD.T  # (o, c_up, 16)
+        folded = np.matmul(w.data.reshape(o, c_up + c_s, 9)[:, :c_up], _FOLD.T,
+                           dtype=w.data.dtype)  # (o, c_up, 16)
         folded = folded.reshape(o, c_up, 2, 2, 2, 2).transpose(2, 3, 0, 1, 4, 5)
         return folded.reshape(4 * o, c_up, 2, 2)
 
-    data = _biased_conv(skip.data, w_skip, 1, 1, bias.data, 2 * h, 2 * wd)
+    data = _biased_conv(skip.data, w_skip, 1, 1, bias.data, 2 * h, 2 * wd,
+                        _result_type((x, skip, w, bias)))
     folded = fold()
     for at in _batch_slices(x.shape, 4 * o, 1, 1):
         full = _conv_forward(x.data[at], folded, 1, 1)
@@ -1048,10 +1098,11 @@ def upsample_concat_conv2d(x: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> 
         dskip, dw_skip, db = _conv_backward(skip.data, w_skip, 1, 1, g, data, 1,
                                             skip.requires_grad)
         dx, dfolded, _ = _conv_backward(x.data, fold(), 1, 1, g, data, 2, x.requires_grad)
-        dw = np.empty(w.shape, dtype=np.float64)
+        dw = np.empty(w.shape, dtype=g.dtype)
         dw[:, c_up:] = dw_skip
         dfolded = dfolded.reshape(2, 2, o, c_up, 2, 2).transpose(2, 3, 0, 1, 4, 5)
-        dw[:, :c_up] = (dfolded.reshape(o, c_up, 16) @ _FOLD).reshape(o, c_up, 3, 3)
+        dw[:, :c_up] = np.matmul(dfolded.reshape(o, c_up, 16), _FOLD,
+                                 dtype=g.dtype).reshape(o, c_up, 3, 3)
         return (dx, dskip, dw, db)
 
     return _node(data, "upsample_concat_conv2d", (x, skip, w, bias), backward_fn,
@@ -1115,11 +1166,12 @@ def basis_expand(x: Tensor, basis: Callable[[np.ndarray], np.ndarray],
     return _node(data, "basis_expand", (x,), backward_fn, flops=flops)
 
 
-def _poly_table(x0, h, coef):
+def _poly_table(x0, h, coef, dtype: np.dtype):
     """``(x0, h, mid, cols, slopes)`` of an ``affine`` ``act`` table, checked:
     the floats x0 and h, each row's cell midpoint ``mid`` (its offsets start
-    there), and the ascending coefficients of p and of p' as columns. A table
-    that is not one raises a ``ContractError`` naming ``affine``."""
+    there), and the ascending coefficients of p and of p' as columns, the
+    arrays in ``dtype``, the input's. A table that is not one raises a
+    ``ContractError`` naming ``affine``."""
     try:
         coef = np.asarray(coef, dtype=np.float64)
         x0, h = float(x0), float(h)
@@ -1134,7 +1186,8 @@ def _poly_table(x0, h, coef):
         raise ContractError(f"affine needs a finite x0 and h > 0, got x0={x0!r}, h={h!r}")
     mid = x0 + h * (np.arange(-1, coef.shape[0] - 1) + 0.5)
     cols = np.ascontiguousarray(coef.T)
-    return x0, h, mid, cols, cols[1:] * np.arange(1, cols.shape[0])[:, None]
+    slopes = cols[1:] * np.arange(1, cols.shape[0])[:, None]
+    return x0, h, mid.astype(dtype), cols.astype(dtype), slopes.astype(dtype)
 
 
 # A NaN x casts to an arbitrary row, which mode="clip" keeps in range; its
@@ -1143,7 +1196,7 @@ def _poly_table(x0, h, coef):
 def _locate(x: np.ndarray, x0: float, h: float, mid: np.ndarray):
     """Each element's table row and its offset t from that cell's midpoint."""
     with np.errstate(all="ignore"):
-        u = np.subtract(x, x0, out=np.empty(x.shape))
+        u = np.subtract(x, x0, out=np.empty(x.shape, dtype=x.dtype))
         u /= h
         np.clip(u, -1.0, mid.size - 2, out=u)
         np.floor(u, out=u)
@@ -1248,8 +1301,14 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
     whose gradient sits at the float64 cancellation floor of the objective
     carry no finite-difference signal at small h, so deep composites are
     checked where the comparison is actually informative.
+
+    ``x`` and the output of ``f`` must be float64, or a ``ContractError``
+    names the one that is not: finite differences at float32's epsilon are
+    noise. Check a float32 model on its float64 copy.
     """
     _operands("grad_check", x=x)
+    if x.data.dtype != np.float64:
+        raise ContractError(f"grad_check x must be float64, got {x.data.dtype}")
     if not _is_real(h) or not h > 0:
         raise ContractError(f"grad_check step h must be a positive number, got {h!r}")
     if not _is_real(tol):
@@ -1264,6 +1323,9 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
                             f"got {type(out).__name__}")
     if out.size != 1:
         raise ContractError("grad_check target must return a scalar")
+    if out.data.dtype != np.float64:
+        raise ContractError(f"grad_check target must return a float64 Tensor, "
+                            f"got {out.data.dtype}")
     backward(out)
     if x.grad is None:
         raise StateError("f does not depend on x (no gradient recorded)")

@@ -93,7 +93,7 @@ class TestForward:
         assert forward(img, model).shape == (1, 2, 32, 32)
 
     def test_matches_stage_by_stage_composition(self):
-        model = TransUKanModel(MICRO, rng=np.random.default_rng(4))
+        model = TransUKanModel(MICRO, rng=np.random.default_rng(4)).astype(np.float64)
         img = Tensor(np.random.default_rng(5).uniform(size=(2, 1, 16, 16)))
         out = forward(img, model)
 
@@ -105,7 +105,7 @@ class TestForward:
         np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
 
     def test_decoder_matches_upsample_concat_conv_composition(self):
-        model = TransUKanModel(ModelConfig(), rng=np.random.default_rng(0))
+        model = TransUKanModel(ModelConfig(), rng=np.random.default_rng(0)).astype(np.float64)
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(2, 64, 8, 8)))
         skips = [Tensor(rng.uniform(size=(2, c, 64 >> i, 64 >> i)))
@@ -147,7 +147,7 @@ class TestForward:
 
     def test_gradcheck_micro_model(self):
         rng = np.random.default_rng(7)
-        model = TransUKanModel(MICRO, rng=rng)
+        model = TransUKanModel(MICRO, rng=rng).astype(np.float64)
         img = Tensor(rng.uniform(0.1, 0.9, size=(1, 1, 16, 16)))
         w = rng.normal(size=(1, 2, 16, 16)) / 100.0
 
@@ -195,7 +195,8 @@ _PEAK_CONFIG = ModelConfig(image_size=32, d_model=16, depth=1, n_heads=2,
 
 def _keeping_backward(loss):
     """The backward loop before nodes were released: every node keeps its
-    closure and parents, and every gradient is an owned copy."""
+    closure and parents, and every gradient is an owned copy in its tensor's
+    dtype."""
     loss.grad = np.ones_like(loss.data)
     for node in reversed(T.Tape(loss).nodes):
         fn = node._backward_fn
@@ -205,14 +206,15 @@ def _keeping_backward(loss):
             if pgrad is None or not parent.requires_grad:
                 continue
             if parent.grad is None:
-                parent.grad = np.array(pgrad, dtype=np.float64, copy=True)
+                parent.grad = np.array(pgrad, dtype=parent.data.dtype, copy=True)
             else:
                 parent.grad += pgrad
 
 
 class TestBackwardRelease:
     def test_graph_released_and_gradients_match_keeping_backward(self):
-        model = TransUKanModel(ModelConfig(image_size=32), rng=np.random.default_rng(0))
+        model = TransUKanModel(ModelConfig(image_size=32),
+                               rng=np.random.default_rng(0)).astype(np.float64)
         params = dict(model.parameters())
         _keeping_backward(_pixel_loss(model, batch=2))
         reference = {name: p.grad for name, p in params.items()}
@@ -372,7 +374,8 @@ class TestHeapReuse:
     def test_training_steps_fault_in_no_new_memory(self):
         # A step frees tens of MB; the pinned allocator thresholds keep that
         # heap mapped, so later steps reuse it. With glibc's default trimming
-        # each step faulted in ~6.4k pages.
+        # each step of the float32 model faults in ~1.9k pages (~4.8k of its
+        # float64 copy).
         src = str(Path(network.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -405,26 +408,31 @@ def _v1_bytes(model, split_qkv):
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
+        """A float32 file and a float64 file each come back in their own
+        dtype: normal draws stored in a float64 model are not float32 values,
+        so that file loads as float64."""
         rng = np.random.default_rng(11)
-        model = TransUKanModel(MICRO, rng=rng)
-        for _, p in model.parameters():
-            p.data[...] = rng.normal(size=p.shape)
-        path = str(tmp_path / "model.tukn")
-        save_checkpoint(model, path)
-        loaded = load_checkpoint(path)
-        assert loaded.config == model.config
-        for (n1, p1), (n2, p2) in zip(model.parameters(), loaded.parameters()):
-            assert n1 == n2
-            assert np.array_equal(p1.data, p2.data)
+        for dtype in (np.float32, np.float64):
+            model = TransUKanModel(MICRO, rng=rng).astype(dtype)
+            for _, p in model.parameters():
+                p.data[...] = rng.normal(size=p.shape)
+            path = str(tmp_path / "model.tukn")
+            save_checkpoint(model, path)
+            loaded = load_checkpoint(path)
+            assert loaded.config == model.config and loaded.dtype == dtype
+            for (n1, p1), (n2, p2) in zip(model.parameters(), loaded.parameters()):
+                assert n1 == n2
+                assert p2.data.dtype == dtype and np.array_equal(p1.data, p2.data)
 
     def test_default_model_bytes_are_pinned(self, tmp_path):
         """Parameter names, shapes, order and initial values of the default
-        model, and the TUKN v1 layout, in one digest."""
+        model, float32 values written as float64, and the TUKN v1 layout, in
+        one digest."""
         path = str(tmp_path / "model.tukn")
         save_checkpoint(TransUKanModel(ModelConfig()), path)
         with open(path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-        assert digest == "d30fa80f15e455fbda19d5d864b81ee549c76396f28d69e656f3824dc8036d26"
+        assert digest == "8456b622232f1f108895d40ee6c3a274752eabe63ceb51d57f174f293969f56a"
 
     def test_default_model_parameter_names_are_pinned(self):
         """The ordered names a future checkpoint version writes; the v1 bytes

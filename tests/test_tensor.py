@@ -1083,7 +1083,7 @@ class TestBackward:
      "conv2d: x must be a Tensor, got ndarray"),
     (lambda: network.forward(np.zeros((1, 1, 16, 16)), network.TransUKanModel(
         network.ModelConfig(image_size=16, d_model=8, depth=1, n_heads=2))), ContractError,
-     r"\[cnn.stage0.conv_a\] conv2d: x must be a Tensor, got ndarray"),
+     "forward: image must be a Tensor, got ndarray"),
     (lambda: T.matmul(_zeros(2, 3), np.zeros((3, 2))), ContractError,
      "matmul: b must be a Tensor, got ndarray"),
     (lambda: Tensor("a"), ContractError, "Tensor data must be real numbers, got 'a'"),
@@ -1174,6 +1174,15 @@ class TestBackward:
      r"named_parameters: each part must be a \(name, layer\) pair, got None"),
     (lambda: T.basis_expand(_zeros(2), lambda v: "ab", lambda v: v, 0), ContractError,
      "basis_expand: basis output must be real numbers, got 'ab'"),
+    (lambda: T.grad_check(T.sum_all, Tensor(np.zeros(2, dtype=np.float32))), ContractError,
+     "grad_check x must be float64, got float32"),
+    (lambda: T.grad_check(lambda t: T.sum_all(T.astype(t, np.float32)), _zeros(2)),
+     ContractError, "grad_check target must return a float64 Tensor, got float32"),
+    (lambda: T.astype(_zeros(2), np.int32), ContractError,
+     "astype: dtype must be float32 or float64, got <class 'numpy.int32'>"),
+    (lambda: network.TransUKanModel(network.ModelConfig(
+        image_size=16, d_model=8, depth=1, n_heads=2)).astype("f2"), ContractError,
+     "TransUKanModel.astype: dtype must be float32 or float64, got 'f2'"),
 ], ids=["backward_of_float", "conv2d_no_bias", "upsample_concat_conv2d_no_bias",
         "softmax_empty_axis", "log_softmax_empty_axis", "layer_norm_empty_axis",
         "add_int", "sum_all_int", "relu_list", "affine_layer_ndarray", "conv2d_ndarray",
@@ -1193,7 +1202,8 @@ class TestBackward:
         "bspline_knots_str_order", "named_parameters_none", "basis_expand_none",
         "conv2d_huge_padding", "relukan_basis_none_grid", "relukan_basis_expand_none_x",
         "bspline_basis_none_grid", "bspline_basis_expand_none_x",
-        "named_parameters_none_part", "basis_expand_str_basis"])
+        "named_parameters_none_part", "basis_expand_str_basis", "grad_check_float32_x",
+        "grad_check_float32_target", "astype_int_dtype", "model_astype_half"])
 def test_public_entry_points_raise_typed_errors(call, error, named):
     with pytest.raises(error, match=named):
         call()

@@ -74,11 +74,12 @@ class Timeline:
 
 
 def pixel_loss(model: TransUKanModel, batch: int, seed: int) -> Tensor:
-    """Mean pixel cross-entropy of ``model`` on a random image and labelling."""
+    """Mean pixel cross-entropy of ``model`` on a random image, drawn in
+    float64 and stored in the model's dtype, and a random labelling."""
     cfg = model.config
     rng = np.random.default_rng(seed)
     size = cfg.image_size
-    img = Tensor(rng.uniform(size=(batch, cfg.in_channels, size, size)))
+    img = Tensor(rng.uniform(size=(batch, cfg.in_channels, size, size)).astype(model.dtype))
     labels = rng.integers(0, cfg.n_classes, size=(batch, size, size))
     target = Tensor(np.eye(cfg.n_classes)[labels].transpose(0, 3, 1, 2))
     picked = T.mul(T.log_softmax(forward(img, model), axis=1), target)
