@@ -28,7 +28,8 @@ The ReLU-KAN and B-spline layers expand their input with one
 slopes from x, so each basis is written once and only x is kept. The pooled
 ReLU-KAN expansion, ``mean_last_axis(relukan_basis_expand(x, grid))``, is the
 oracle that the EfficientKAN quartic is checked against. Layers built without a
-``grid`` share the frozen default ``KanGrid()`` and its cached ``pooled_bell_table``.
+``grid`` share the frozen default ``KanGrid()``, its cached ``pooled_bell_table``
+and its ``act`` table.
 
 The layers draw float64 parameters; a ``TransUKanModel`` stores its own as
 float32. The bases and their slopes compute in the dtype of x.
@@ -53,7 +54,8 @@ class KanGrid:
 
     ``G`` grid cells of width ``h = (range_hi - range_lo) / G`` carry
     ``G + K`` overlapping basis supports: ``s_i = range_lo + (i - K) * h``
-    and ``e_i = s_i + (K + 1) * h``.
+    and ``e_i = s_i + (K + 1) * h``. The grid is frozen, so what is made from
+    it alone, its ``pooled_bell_table`` and its ``act`` table, is made once.
     """
 
     G: int = 5
@@ -108,6 +110,13 @@ class KanGrid:
         table /= self.h ** np.arange(5)  # powers of t to powers of x - midpoint
         table.flags.writeable = False
         return table
+
+    @cached_property
+    def act(self) -> tuple[float, float, np.ndarray]:
+        """The ``tensor.affine`` ``act`` table ``(s_0, h, pooled_bell_table)``
+        of the EfficientKAN activation, made once per grid; ``affine`` then
+        checks it once per dtype."""
+        return float(self.support_lo()[0]), self.h, self.pooled_bell_table
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +357,9 @@ class EfficientKanLayer(AffineLayer):
     q = (mean_i R_i(x))^2 averages each channel's G+K squared-hinge bells.
 
     ``forward`` is one ``tensor.affine`` node whose prologue is that
-    activation, on the grid's ``pooled_bell_table``: it keeps x, not q, and
-    takes a ``residual`` to add to its output in place. Parameters, their
+    activation, the grid's ``act`` table, which the grid makes once and
+    ``affine`` checks once per dtype: it keeps x, not q, and takes a
+    ``residual`` to add to its output in place. Parameters, their
     initialisation and their names are the ``AffineLayer``'s. The activation
     depends on the grid alone, so one layer of width c_out = n·c stands for n
     layers of width c that read the same input: their weights are its row
@@ -365,5 +375,4 @@ class EfficientKanLayer(AffineLayer):
     def forward(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
         """x W^T + b on the activation of x, plus ``residual`` if given, as one node."""
         _check_last_dim(x, self.c_in, "EfficientKanLayer")
-        act = (self.grid.support_lo()[0], self.grid.h, self.grid.pooled_bell_table)
-        return T.affine(x, self.weight, self.bias, residual, act)
+        return T.affine(x, self.weight, self.bias, residual, self.grid.act)

@@ -31,12 +31,21 @@ gradient grid plus two tile buffers, as it gathers the input gradient tile by
 tile. Only the output and dx are batch-sized. A public op
 first checks that its operands are Tensors and raises a ``ContractError``
 naming the op and the argument if one is not.
+
+One constant rule holds for every op: constant work is done once per distinct
+shape, budget or table. What depends only on those, never on the data (an
+``affine`` ``act`` table checked and cast to a dtype, a conv's tap list,
+phase slices and batch slices), is kept in a bounded cache keyed by them, so
+an op call pays for it only the first time it meets them. A key holds every
+value the result is made from, the im2col budget included, so a changed
+budget or a table edited in place is never served from the cache.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -142,7 +151,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-@contextlib.contextmanager
 def scope(name: str):
     """Tag every op output made inside the block with the dotted path of the
     open scopes, ``name`` innermost.
@@ -151,18 +159,29 @@ def scope(name: str):
     and as a ``[path]`` prefix of its message, once: outer scopes leave it as
     it is.
     """
-    global _scope
-    outer = _scope
-    _scope = f"{outer}.{name}" if outer else name
-    try:
-        yield
-    except TensorError as exc:
-        if exc.scope is None:
+    return _Scope(name)
+
+
+class _Scope:
+    """The context manager of :func:`scope`. It is a class because a forward
+    opens ~50 scopes, and a generator-based one costs more to enter and leave."""
+
+    __slots__ = ("name", "outer")
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self):
+        global _scope
+        self.outer = _scope
+        _scope = f"{self.outer}.{self.name}" if self.outer else self.name
+
+    def __exit__(self, exc_type, exc, tb):
+        global _scope
+        if isinstance(exc, TensorError) and exc.scope is None:
             exc.scope = _scope
             exc.args = (f"[{_scope}] {exc}",)
-        raise
-    finally:
-        _scope = outer
+        _scope = self.outer
 
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -254,7 +273,7 @@ def _operands(op: str, **operands) -> None:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericsError(f"{op} produced non-finite values")
 
 
@@ -284,6 +303,9 @@ def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
 
 def _result_type(tensors: Sequence[Tensor]) -> np.dtype:
     """The dtype an op on ``tensors`` allocates and computes in."""
+    dtype = tensors[0].data.dtype
+    if all(t.data.dtype == dtype for t in tensors[1:]):
+        return dtype
     return np.result_type(*(t.data.dtype for t in tensors))
 
 
@@ -686,6 +708,14 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 _LAYER_NORM_EPS = 1e-5  # added to each row's variance, as torch.nn.LayerNorm does
 
 
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """``np.mean(a, axis=-1, keepdims=True)`` of a non-empty last axis by the
+    two calls that np.mean makes for float input, without its Python layers:
+    the same bits."""
+    total = np.add.reduce(a, axis=-1, keepdims=True)
+    return np.true_divide(total, np.intp(a.shape[-1]), out=total, casting="unsafe")
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     _operands("layer_norm", x=x, gamma=gamma, beta=beta)
     if x.ndim < 1 or x.shape[-1] == 0:
@@ -694,18 +724,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(f"layer_norm params must have shape ({d},), got "
                              f"{gamma.shape} and {beta.shape}")
-    mean = np.mean(x.data, axis=-1, keepdims=True)
+    mean = _row_mean(x.data)
     xhat = x.data - mean
-    inv_std = 1.0 / np.sqrt(np.mean(xhat * xhat, axis=-1, keepdims=True) + _LAYER_NORM_EPS)
+    inv_std = 1.0 / np.sqrt(_row_mean(xhat * xhat) + _LAYER_NORM_EPS)
     xhat *= inv_std
     data = gamma.data * xhat + beta.data
 
     def backward_fn(g):
         xhat = (x.data - mean) * inv_std  # the forward's arithmetic: the same bits
         dxhat = g * gamma.data
-        dx = inv_std * (dxhat
-                        - np.mean(dxhat, axis=-1, keepdims=True)
-                        - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True))
+        dx = inv_std * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
         axes = tuple(range(g.ndim - 1))
         return (dx, np.sum(g * xhat, axis=axes), np.sum(g, axis=axes))
 
@@ -722,7 +750,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 # float32, 4 MiB in float64): a count of elements, so both dtypes run the same
 # slices. It also sizes the batch slices both conv passes run on (a quarter of
 # it per phase of a slice's padded input and output grid) and the backward's
-# tiles.
+# tiles. The conv plans cached per shape (see _batch_slices) take it as part
+# of their key, so a patched budget is never served a plan made for another.
 # The chunk sets the peak of an inference forward. The default model's
 # batch-4 training step peaks in the backward instead, in the decoder.block2
 # adjoint, whose one slice of scratch sits on activations not yet freed. For
@@ -732,8 +761,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 _IM2COL_BUDGET = 2 ** 19
 
 
+@functools.lru_cache(maxsize=256)
 def _phase_slices(h: int, w: int, kh: int, kw: int, stride: int, padding: int):
-    """Yield ``(r, q, grid, src)`` for each stride phase (r, q) that a kh x kw
+    """``(r, q, grid, src)`` for each stride phase (r, q) that a kh x kw
     kernel reads, r < min(stride, kh) and q < min(stride, kw), of an h x w
     input padded by ``padding``: input pixels ``[src]`` land at ``[grid]`` of
     the phase grid, whose cell (y, x) is padded pixel (y s + r, x s + q)."""
@@ -742,18 +772,18 @@ def _phase_slices(h: int, w: int, kh: int, kw: int, stride: int, padding: int):
         src = slice(first * stride + r - padding, n, stride)
         return slice(first, first + len(range(n)[src])), src
 
-    for r in range(min(stride, kh)):
-        gy, sy = axis(h, r)
-        for q in range(min(stride, kw)):
-            gx, sx = axis(w, q)
-            yield r, q, (gy, gx), (sy, sx)
+    rows = [axis(h, r) for r in range(min(stride, kh))]
+    cols = [axis(w, q) for q in range(min(stride, kw))]
+    return tuple((r, q, (gy, gx), (sy, sx))
+                 for r, (gy, sy) in enumerate(rows) for q, (gx, sx) in enumerate(cols))
 
 
+@functools.lru_cache(maxsize=256)
 def _taps(kh: int, kw: int, s: int, wq: int):
     """(i, j, phase row, phase column, flat offset) of each kernel tap; the
     last tap's offset is the largest."""
-    return [(i, j, i % s, j % s, i // s * wq + j // s)
-            for i in range(kh) for j in range(kw)]
+    return tuple((i, j, i % s, j % s, i // s * wq + j // s)
+                 for i in range(kh) for j in range(kw))
 
 
 def _phase_split(x: np.ndarray, kh: int, kw: int, s: int, padding: int):
@@ -788,20 +818,33 @@ def _phase_shape(h: int, w: int, s: int, padding: int) -> tuple[int, int]:
 def _chunk_columns(n: int, k: int) -> int:
     """Width of the equal column chunks that split n columns of k rows each
     into pieces of at most ``_IM2COL_BUDGET`` elements: no wider than needed."""
-    chunks = -(-n // max(1, _IM2COL_BUDGET // k))
-    return -(-n // chunks)
+    return _equal_runs(n, _IM2COL_BUDGET // k)
 
 
-def _batch_slices(x_shape: tuple[int, ...], o: int, s: int, padding: int) -> list[slice]:
+def _equal_runs(n: int, most: int) -> int:
+    """Length of the equal runs that split n into the fewest runs of at most
+    ``max(1, most)``: no longer than needed."""
+    runs = -(-n // max(1, most))
+    return -(-n // runs)
+
+
+def _batch_slices(x_shape: tuple[int, ...], o: int, s: int, padding: int) -> tuple[slice, ...]:
     """The slices of the batch that a conv of x (b, c, h, w) to o channels runs
     on, forward and backward: equal runs of as many images as keep each phase
     of the padded input and the output (or gradient) grid within
     ``_IM2COL_BUDGET // 4`` elements. One image at the model's 64x64 maps, the
-    whole batch at its 8x8 ones."""
+    whole batch at its 8x8 ones. Cached per shape and budget."""
+    return _batch_plan(x_shape, o, s, padding, _IM2COL_BUDGET)
+
+
+@functools.lru_cache(maxsize=256)
+def _batch_plan(x_shape: tuple[int, ...], o: int, s: int, padding: int,
+                budget: int) -> tuple[slice, ...]:
+    """:func:`_batch_slices` at im2col budget ``budget``."""
     b, c, h, wd = x_shape
     hq, wq = _phase_shape(h, wd, s, padding)
-    per = _chunk_columns(b, 4 * max(c, o) * hq * wq)
-    return [np.s_[k:k + per] for k in range(0, b, per)]
+    per = _equal_runs(b, budget // (4 * max(c, o) * hq * wq))
+    return tuple(np.s_[k:k + per] for k in range(0, b, per))
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, s: int, padding: int) -> np.ndarray:
@@ -824,9 +867,10 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, s: int, padding: int) -> np.ndar
     full = np.empty((o, n), dtype=dtype)
     step = _chunk_columns(n, k)
     cols = np.empty((c, kh, kw, step), dtype=dtype)
+    taps = _taps(kh, kw, s, wq)
     for m0 in range(0, n, step):
         m = min(step, n - m0)
-        for i, j, r, q, off in _taps(kh, kw, s, wq):
+        for i, j, r, q, off in taps:
             cols[:, i, j, :m] = xs[r, q, :, off + m0:off + m0 + m]
         np.matmul(w2, cols.reshape(k, -1)[:, :m], out=full[:, m0:m0 + m])
     return full.reshape(o, b, hq, wq)
@@ -1170,13 +1214,29 @@ def _poly_table(x0, h, coef, dtype: np.dtype):
     """``(x0, h, mid, cols, slopes)`` of an ``affine`` ``act`` table, checked:
     the floats x0 and h, each row's cell midpoint ``mid`` (its offsets start
     there), and the ascending coefficients of p and of p' as columns, the
-    arrays in ``dtype``, the input's. A table that is not one raises a
-    ``ContractError`` naming ``affine``."""
+    arrays in ``dtype``, the input's, and read-only. A table that is not one
+    raises a ``ContractError`` naming ``affine``.
+
+    Each distinct table is checked and cast once per dtype: the result is
+    cached under the table's content (x0, h, the float64 coef's shape and
+    bytes) and the dtype, so a coef edited in place is a new key. Only a table
+    that passes is cached; a bad one raises on every call."""
     try:
         coef = np.asarray(coef, dtype=np.float64)
         x0, h = float(x0), float(h)
     except (TypeError, ValueError) as exc:
         raise ContractError(f"affine needs a numeric table, x0 and h: {exc}") from exc
+    return _cached_table(x0, h, coef.shape, coef.tobytes(), np.dtype(dtype))
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_table(x0: float, h: float, shape: tuple[int, ...], coef: bytes, dtype: np.dtype):
+    """:func:`_check_table` of the float64 table with ``shape`` and bytes ``coef``."""
+    return _check_table(x0, h, np.frombuffer(coef).reshape(shape), dtype)
+
+
+def _check_table(x0: float, h: float, coef: np.ndarray, dtype: np.dtype):
+    """:func:`_poly_table` of the float64 ``coef``, checked and cast afresh."""
     if coef.ndim != 2 or coef.shape[0] < 3 or coef.shape[1] < 2:
         raise ContractError(f"affine needs a (cells + 2, degree + 1) table of degree >= 1, "
                             f"got shape {coef.shape}")
@@ -1187,7 +1247,10 @@ def _poly_table(x0, h, coef, dtype: np.dtype):
     mid = x0 + h * (np.arange(-1, coef.shape[0] - 1) + 0.5)
     cols = np.ascontiguousarray(coef.T)
     slopes = cols[1:] * np.arange(1, cols.shape[0])[:, None]
-    return x0, h, mid.astype(dtype), cols.astype(dtype), slopes.astype(dtype)
+    arrays = tuple(a.astype(dtype) for a in (mid, cols, slopes))
+    for a in arrays:
+        a.flags.writeable = False
+    return (x0, h, *arrays)
 
 
 # A NaN x casts to an arbitrary row, which mode="clip" keeps in range; its

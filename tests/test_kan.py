@@ -80,6 +80,8 @@ class TestKanGrid:
         grid = KanGrid(G=4, K=2)
         table = grid.pooled_bell_table
         assert table is grid.pooled_bell_table
+        assert grid.act is grid.act
+        assert grid.act == (grid.support_lo()[0], grid.h, table)
         assert table.shape == (grid.G + 2 * grid.K + 2, 5)
         assert not table.flags.writeable
         assert grid == KanGrid(G=4, K=2)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -117,6 +118,22 @@ class TestForward:
         expected = model.decoder.head.forward(expected)
         out = model.decoder.forward(x, skips)
         np.testing.assert_allclose(out.data, expected.data, rtol=0, atol=1e-14)
+
+    def test_the_act_table_is_checked_once_per_dtype(self):
+        # Every EfficientKAN layer of the model shares one grid, so its act
+        # table is checked once for the float32 model, however many forwards
+        # run, and once more for the float64 copy: not once per layer call.
+        model = TransUKanModel(ModelConfig(), rng=np.random.default_rng(0))
+        img = Tensor(np.random.default_rng(1).uniform(size=(1, 1, 64, 64)))
+        T._cached_table.cache_clear()
+        with mock.patch.object(T, "_check_table", wraps=T._check_table) as check, \
+                T.no_grad():
+            for _ in range(2):
+                forward(img, model)
+            assert check.call_count == 1
+            forward(img, model.astype(np.float64))
+            assert check.call_count == 2
+        assert [c.args[3] for c in check.call_args_list] == [np.float32, np.float64]
 
     def test_stage_name_attached_to_errors(self):
         model = TransUKanModel(MICRO, rng=np.random.default_rng(6))

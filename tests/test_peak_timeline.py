@@ -40,6 +40,13 @@ def test_time_prints_a_median_per_adjoint_in_backward_order():
     assert all(float(ms) > 0 for *_, ms in rows)
 
 
+def test_forward_time_prints_a_median_per_op_in_forward_order():
+    header, *rows = _rows("--forward", "--time", "2")
+    assert header == ["op", "scope", "median_ms"]
+    assert [row[:2] for row in rows] == [row[:2] for row in _rows("--forward")[1:]]
+    assert all(float(ms) > 0 for *_, ms in rows)
+
+
 def test_forward_prints_each_op_in_forward_order():
     header, *rows = _rows("--forward")
     assert header == ["op", "scope", "held_bytes", "peak_bytes"]

@@ -216,6 +216,43 @@ class TestAffineEpilogues:
         with pytest.raises(ContractError, match=named):
             T.affine(x, w, b, act=act)
 
+    def test_a_table_edited_in_place_is_not_served_stale(self):
+        # The checked table is cached by content, so editing coef between two
+        # calls gives the edited table's output, bit for bit a fresh call's.
+        rng = np.random.default_rng(85)
+        x0, h, coef = _poly_table(rng)
+        x = Tensor(_off_breakpoints(rng, (5, 3), (x0, h, coef)))
+        w, b = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=4))
+        before = T.affine(x, w, b, act=(x0, h, coef)).data
+        coef[1:-1] *= 2.0
+        edited = T.affine(x, w, b, act=(x0, h, coef)).data
+        assert not np.array_equal(edited, before)
+        T._cached_table.cache_clear()
+        fresh = T.affine(x, w, b, act=(x0, h, coef.copy())).data
+        assert edited.tobytes() == fresh.tobytes()
+
+    def test_a_bad_table_raises_on_every_call(self):
+        # Only a table that passes its check is cached: a bad one with the
+        # same x0 and h as a good one just used still raises, every time.
+        x, w, b = (Tensor(np.zeros(s)) for s in ((2, 3), (4, 3), (4,)))
+        x0, h, coef = _poly_table(np.random.default_rng(86))
+        T.affine(x, w, b, act=(x0, h, coef))
+        bad = coef.copy()
+        bad[-1, 0] = 1.0
+        for _ in range(2):
+            with pytest.raises(ContractError, match="affine needs a finite table"):
+                T.affine(x, w, b, act=(x0, h, bad))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_cached_table_is_read_only_and_made_once(self, dtype):
+        x0, h, coef = _poly_table(np.random.default_rng(87))
+        table = T._poly_table(x0, h, coef, np.dtype(dtype))
+        assert T._poly_table(x0, h, coef.copy(), np.dtype(dtype)) is table
+        for a in table[2:]:
+            assert a.dtype == dtype and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
     def test_backward_keeps_no_activation_sized_array(self):
         # The node keeps x, its parent, and rebuilds q = p(x)² in the backward.
         rng = np.random.default_rng(84)
@@ -501,14 +538,20 @@ class TestConv2d:
                 assert rep.ok, (kernel, size, c_in, rep)
 
     def test_forward_in_chunks_matches_oracle(self, monkeypatch):
-        # 27 rows of im2col scratch in a budget of 150 elements: chunks of
-        # 5 columns, the last one short.
-        monkeypatch.setattr(T, "_IM2COL_BUDGET", 150)
+        # 27 rows of im2col scratch in a budget of 150 elements: one image
+        # per slice, and each image's 9 x 8 phase cells in chunks of 5
+        # columns, the last one short. The plan at the default budget, one
+        # slice, is made first, so a plan cached without its budget shows.
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 3, 7, 6))
         w = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=4)
-        out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1)
+        assert len(T._batch_slices(x.shape, 4, 1, 1)) == 1
+        monkeypatch.setattr(T, "_IM2COL_BUDGET", 150)
+        assert T._chunk_columns(9 * 8, 27) == 5
+        with mock.patch.object(T, "_conv_forward", wraps=T._conv_forward) as slices:
+            out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1)
+        assert slices.call_count == 2
         np.testing.assert_allclose(out.data, _naive_conv2d(x, w, b, 1, 1),
                                    rtol=0, atol=1e-12)
 
@@ -528,16 +571,23 @@ class TestConv2d:
         assert all(a.size <= w.size for a in held), [a.shape for a in held]
 
     def test_backward_in_chunks_matches_one_chunk(self, monkeypatch):
-        # 27 rows of scratch in a budget of 150 elements: the dx tap products
-        # run in chunks of 5 columns, the last one short.
+        # A budget of 150 elements runs the backward image by image, the dw
+        # tap products in tiles of 5 of an image's 72 phase cells and the dx
+        # ones in tiles of 2, the last ones short. The default budget runs
+        # the same shapes whole, so a plan cached without its budget shows.
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(2, 3, 7, 6)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=4), requires_grad=True)
         g = rng.normal(size=(2, 4, 7, 6))
-        whole = T.conv2d(x, w, b, padding=1)._backward_fn(g)
+        slices = mock.patch.object(T, "_grad_grid", wraps=T._grad_grid)
+        with slices as whole_slices:
+            whole = T.conv2d(x, w, b, padding=1)._backward_fn(g)
         monkeypatch.setattr(T, "_IM2COL_BUDGET", 150)
-        chunked = T.conv2d(x, w, b, padding=1)._backward_fn(g)
+        with slices as chunked_slices:
+            chunked = T.conv2d(x, w, b, padding=1)._backward_fn(g)
+        assert (whole_slices.call_count, chunked_slices.call_count) == (1, 2)
+        assert (T._chunk_columns(72, 4 * (4 + 3)), T._chunk_columns(72, 18 * 3)) == (5, 2)
         for got, expected in zip(chunked, whole):
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -866,6 +916,15 @@ def _conv_cases(draw):
     return x, w, bias, stride, padding, draw(st.sampled_from([64, 2 ** 19]))
 
 
+def _slices_by_rule(x_shape, o, stride, padding, budget):
+    """How many batch slices a conv of x to o channels runs on at ``budget``:
+    equal runs of as many images (at least one) as keep 4·max(c, o) rows of
+    an image's phase cells within the budget."""
+    b, c, h, wd = x_shape
+    cells = -(-(h + 2 * padding) // stride) * -(-(wd + 2 * padding) // stride)
+    return -(-b // max(1, budget // (4 * max(c, o) * cells)))
+
+
 class TestConvProperties:
     """Both conv ops on drawn shapes, strides and paddings, their backward
     run whole and image by image."""
@@ -874,13 +933,19 @@ class TestConvProperties:
     @given(_conv_cases())
     def test_conv2d_matches_the_loop_oracle(self, case):
         x, w, bias, stride, padding, budget = case
+        slices = _slices_by_rule(x.shape, w.shape[0], stride, padding, budget)
+        T._batch_slices(x.shape, w.shape[0], stride, padding)  # the default budget's plan
         with mock.patch.object(T, "_IM2COL_BUDGET", budget):
-            out = T.conv2d(x, w, bias, stride=stride, padding=padding)
+            with mock.patch.object(T, "_conv_forward", wraps=T._conv_forward) as run:
+                out = T.conv2d(x, w, bias, stride=stride, padding=padding)
+            assert run.call_count == slices  # the patched budget's plan
             np.testing.assert_allclose(
                 out.data, _naive_conv2d(x.data, w.data, bias.data, stride, padding),
                 rtol=0, atol=1e-12)
             g = np.random.default_rng(x.size).normal(size=out.shape)
-            got = out._backward_fn(g)
+            with mock.patch.object(T, "_grad_grid", wraps=T._grad_grid) as run:
+                got = out._backward_fn(g)
+            assert run.call_count == slices
             for got_grad, expected in zip(got, _naive_conv2d_grads(x.data, w.data, g,
                                                                    stride, padding)):
                 np.testing.assert_allclose(got_grad, expected, rtol=0, atol=1e-12)
@@ -899,8 +964,14 @@ class TestConvProperties:
             self, batch, c_up, h, wd, c_skip, c_out, budget, seed):
         rng = np.random.default_rng(seed)
         args = _decoder_inputs(rng, batch, c_up, h, wd, c_skip, c_out)
+        # The skip half's slices, then the folded x half's, in both passes.
+        slices = (_slices_by_rule(args[1].shape, c_out, 1, 1, budget)
+                  + _slices_by_rule(args[0].shape, 4 * c_out, 1, 1, budget))
         with mock.patch.object(T, "_IM2COL_BUDGET", budget):
-            fused = _outputs_and_grads(T.upsample_concat_conv2d, args, seed)
+            with (mock.patch.object(T, "_conv_forward", wraps=T._conv_forward) as fwd,
+                  mock.patch.object(T, "_grad_grid", wraps=T._grad_grid) as bwd):
+                fused = _outputs_and_grads(T.upsample_concat_conv2d, args, seed)
+            assert (fwd.call_count, bwd.call_count) == (slices, slices)
             graph = _outputs_and_grads(_upsample_concat_conv2d_oracle, args, seed)
         for got, expected in zip(fused, graph):
             np.testing.assert_allclose(got, expected, rtol=0,

@@ -1,6 +1,6 @@
 """Memory timeline of one training step, one row per adjoint of the backward.
 
-    python3 tools/peak_timeline.py [--config JSON] [--batch B] [--seed S] [--time N | --forward]
+    python3 tools/peak_timeline.py [--config JSON] [--batch B] [--seed S] [--forward] [--time N]
 
 Builds ``TransUKanModel`` at ``ModelConfig()`` with the fields of ``--config``
 (a JSON object, e.g. ``'{"image_size": 128}'``) put over it, and runs one
@@ -28,6 +28,14 @@ ops. The rows come from wrapping ``T._node``, which each op calls last, and
 resetting tracemalloc's peak there. The rows' own bytes are left out, but
 they take objects from the interpreter's free lists that later ops then
 allocate anew, so a row can read ~35 bytes per earlier op high.
+
+With both ``--forward`` and ``--time N`` it traces no memory and times the
+forward's ops: after one warm-up forward, it runs N forwards, loss included,
+and prints one TSV row per op, in the order the forward runs them, with its
+op, its scope and its median wall time over the N forwards (``median_ms``).
+An op's time runs from the previous op's output (or from the forward's start)
+to its own, so it counts the layer code between the two ops, and shows the
+fixed cost each call pays as well as its arithmetic.
 """
 
 import argparse
@@ -76,14 +84,24 @@ class Timeline:
 def pixel_loss(model: TransUKanModel, batch: int, seed: int) -> Tensor:
     """Mean pixel cross-entropy of ``model`` on a random image, drawn in
     float64 and stored in the model's dtype, and a random labelling."""
+    return image_loss(model, *random_batch(model, batch, seed))
+
+
+def random_batch(model: TransUKanModel, batch: int, seed: int) -> tuple[Tensor, Tensor]:
+    """``(image, one-hot target)`` of :func:`pixel_loss`."""
     cfg = model.config
     rng = np.random.default_rng(seed)
     size = cfg.image_size
     img = Tensor(rng.uniform(size=(batch, cfg.in_channels, size, size)).astype(model.dtype))
     labels = rng.integers(0, cfg.n_classes, size=(batch, size, size))
-    target = Tensor(np.eye(cfg.n_classes)[labels].transpose(0, 3, 1, 2))
+    return img, Tensor(np.eye(cfg.n_classes)[labels].transpose(0, 3, 1, 2))
+
+
+def image_loss(model: TransUKanModel, img: Tensor, target: Tensor) -> Tensor:
+    """Mean pixel cross-entropy of ``model`` on ``img`` against ``target``."""
     picked = T.mul(T.log_softmax(forward(img, model), axis=1), target)
-    return T.scale(T.sum_all(picked), -1.0 / (batch * size * size))
+    batch, _, height, width = img.shape
+    return T.scale(T.sum_all(picked), -1.0 / (batch * height * width))
 
 
 def instrument(loss: Tensor, wrap) -> None:
@@ -170,23 +188,57 @@ def step_times(cfg: ModelConfig, batch: int, seed: int, steps: int):
             for calls in zip(*runs[1:])]
 
 
+def forward_times(cfg: ModelConfig, batch: int, seed: int, runs: int):
+    """``(op, scope, median ms)`` of each op of the forward of a training step
+    at ``cfg``, in the order it runs them: the median over ``runs`` forwards
+    that follow one warm-up forward, on one batch drawn before the clock
+    starts; ``T._node`` is restored on return."""
+    model = TransUKanModel(cfg, rng=np.random.default_rng(seed))
+    inputs = random_batch(model, batch, seed + 1)
+    make_node = T._node
+    rows = []
+    last = 0.0
+
+    def node(data, op, parents, backward_fn, flops):
+        nonlocal last
+        out = make_node(data, op, parents, backward_fn, flops)
+        now = time.perf_counter()
+        rows.append((out.op, out.scope, now - last))
+        last = time.perf_counter()  # the row's own time is not the next op's
+        return out
+
+    T._node = node
+    try:
+        forwards = []
+        for _ in range(runs + 1):
+            rows = []
+            last = time.perf_counter()
+            image_loss(model, *inputs)
+            forwards.append(rows)
+    finally:
+        T._node = make_node
+    return [(*calls[0][:2], 1e3 * statistics.median(t for *_, t in calls))
+            for calls in zip(*forwards[1:])]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", default="{}", help="ModelConfig fields as a JSON object")
     parser.add_argument("--batch", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--time", type=int, metavar="N",
-                      help="print each adjoint's median wall time over N steps instead")
-    mode.add_argument("--forward", action="store_true",
-                      help="print each forward op's held bytes and peak instead")
+    parser.add_argument("--time", type=int, metavar="N",
+                        help="print each adjoint's (with --forward, each forward op's) "
+                             "median wall time over N steps instead")
+    parser.add_argument("--forward", action="store_true",
+                        help="print each forward op's held bytes and peak instead")
     args = parser.parse_args()
     if args.time is not None and args.time < 1:
         parser.error(f"--time needs at least 1 step, got {args.time}")
     cfg = ModelConfig.from_dict({**ModelConfig().to_dict(), **json.loads(args.config)})
     if args.time is not None:
+        timer = forward_times if args.forward else step_times
         print("op\tscope\tmedian_ms")
-        for op, scope, ms in step_times(cfg, args.batch, args.seed, args.time):
+        for op, scope, ms in timer(cfg, args.batch, args.seed, args.time):
             print(f"{op}\t{scope}\t{ms:.3f}")
         return
     if args.forward:
