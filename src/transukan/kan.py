@@ -372,7 +372,14 @@ class EfficientKanLayer(AffineLayer):
         super().__init__(c_in, c_out, rng=rng)
         self.grid = grid
 
-    def forward(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
-        """x W^T + b on the activation of x, plus ``residual`` if given, as one node."""
+    def forward(self, x: Tensor, residual: Tensor | None = None, norm=None) -> Tensor:
+        """x W^T + b on the activation of x, plus ``residual`` if given, as one
+        node. ``norm``, a ``kansformer.LayerNormParams`` of width c_in, first
+        normalises x inside that node, its ``affine`` ``norm`` prologue: the
+        node keeps x and two statistics per row, not the normalised input, and
+        its ``gamma`` and ``beta`` get their gradients from it."""
         _check_last_dim(x, self.c_in, "EfficientKanLayer")
-        return T.affine(x, self.weight, self.bias, residual, self.grid.act)
+        # getattr: anything but a LayerNormParams fails affine's typed check
+        pair = None if norm is None else (getattr(norm, "gamma", None),
+                                          getattr(norm, "beta", None))
+        return T.affine(x, self.weight, self.bias, residual, self.grid.act, pair)

@@ -8,10 +8,16 @@ EfficientKAN layer, ``qkv``: one ``tensor.affine`` node. Attention is one
 ``tensor.attention`` node on its (B, T, 3 d_model) output, which reads q, k,
 v and the heads as numpy views and keeps O(t) state per head, not t x t
 scores. Its output projection is affine.
+A block is five op nodes, all ``tensor.affine`` but attention: kan1 with ln1
+inside it, qkv, attention, the output projection, and kan2 with ln2 inside it.
+Each LayerNorm runs as the ``norm`` prologue of the KAN node it feeds, which
+keeps its input and two statistics per row, not the normalised copy; the
+``ln1`` and ``ln2`` owners keep their parameters, which their kan node reads.
 Both residual adds ride in the ``tensor.affine`` node before them, the output
 projection's and the second KAN map's, and kan1 and kan2 each keep their
-activation inside that node too: a block records no ``add`` node, and keeps
-no activation q nor pre-residual output.
+activation inside that node too: a block records no ``add`` nor
+``layer_norm`` node, and keeps no normalised input, activation q nor
+pre-residual output.
 The KAN layers of a block or stack share its ``grid``, ``KanGrid()`` by default.
 """
 
@@ -100,16 +106,12 @@ def kansformer_block(z_prev: Tensor, p: KansformerBlockParams) -> Tensor:
     if z_prev.ndim != 3 or z_prev.shape[-1] != p.d_model:
         raise DimensionError(f"kansformer_block expects (B, T, {p.d_model}), "
                              f"got {z_prev.shape}")
-    with T.scope("ln1"):
-        h = p.ln1.forward(z_prev)
     with T.scope("kan1"):
-        h = p.kan1.forward(h)
+        h = p.kan1.forward(z_prev, norm=p.ln1)
     with T.scope("msa"):
         z_mid = msa_kan(h, p.msa, z_prev)
-    with T.scope("ln2"):
-        h = p.ln2.forward(z_mid)
     with T.scope("kan2"):
-        return p.kan2.forward(h, z_mid)
+        return p.kan2.forward(z_mid, z_mid, p.ln2)
 
 
 class EncoderStack:

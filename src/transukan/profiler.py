@@ -13,7 +13,9 @@ tape owns, by the rule of perfbench's ``tape_accounting``: a buffer counts
 once, at the first op in forward order that outputs it; views of it or of a
 parameter count zero. By the retention rule of ``tensor._node``, that count is
 the bytes one forward retains less the row statistics that attention and
-layer_norm keep. The variant comparison measures
+a LayerNorm keep. A LayerNorm that runs as the ``norm`` prologue of the
+affine node it feeds (a Kansformer block's ln1 and ln2) counts in that node's
+scope: its owner's row keeps only its parameters. The variant comparison measures
 ``TransUKanModel(config).encoder`` and swaps its KAN scopes for real layers,
 cast to the encoder's dtype.
 """
@@ -195,20 +197,26 @@ class _PlusInput:
 def _swaps(variant: str, config: ModelConfig, shape: tuple[int, ...],
            dtype: np.dtype) -> dict[str, dict[str, list[int]]]:
     """Block-relative KAN scope -> the rows of the measured layers that stand in,
-    their parameters in ``dtype``, the encoder's. The stand-in for kan2 carries
-    the residual add that the kan2 node fuses, and the packed ``msa.qkv``
-    projection becomes three d -> d projections."""
+    their parameters in ``dtype``, the encoder's. An EfficientKAN kan1 or kan2
+    node runs its block's LayerNorm inside it, so each stand-in for one starts
+    with the LayerNorm that the other variants run as a node of its own, in an
+    ``ln1`` or ``ln2`` row of its FLOPs and bytes, whose parameters the
+    encoder's own row adds. The stand-in for kan2 carries the residual add that
+    the kan2 node fuses, and the packed ``msa.qkv`` projection becomes three
+    d -> d projections."""
     if variant == "efficientkan":
         return {}
     d, grid = config.d_model, config.grid
+    norm = [0, *_walk(_cast(LayerNormParams(d), dtype), shape)[""][1:]]
     if variant == "mlp":
         proj = _walk(_cast(AffineLayer(d, d), dtype), shape)[""]
         ffn = _walk(_PlusInput(_cast(_MlpFfn(d, 4 * d), dtype)), shape)[""]
-        swaps = {"kan1": {}, "kan2": {"ffn": ffn}}
+        swaps = {"kan1": {"ln1": norm}, "kan2": {"ln2": norm, "ffn": ffn}}
     else:
         layer = (ReLUKanLayer if variant == "relukan" else BSplineKanLayer)(d, d, grid)
         proj = _walk(_cast(layer, dtype), shape)[""]
-        swaps = {"kan1": {"kan1": proj}, "kan2": {"kan2": _walk(_PlusInput(layer), shape)[""]}}
+        swaps = {"kan1": {"ln1": norm, "kan1": proj},
+                 "kan2": {"ln2": norm, "kan2": _walk(_PlusInput(layer), shape)[""]}}
     return {**swaps, "msa.qkv": {f"msa.{x}_proj": proj for x in "qkv"}}
 
 
@@ -217,18 +225,20 @@ def variant_report(variant: str, config: ModelConfig) -> CostReport:
     layers in its KAN scopes, on one input. The ``mlp`` block has affine
     Q/K/V and an fc1 -> silu -> fc2 feed-forward of hidden width 4·d; a KAN
     block has its layer in Q/K/V and in two d -> d sublayers, on G+K basis
-    functions per input."""
+    functions per input. Rows of one name add up, at the first one's place."""
     if variant not in VARIANTS:
         raise ContractError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     T.check_type("variant_report", "config", config, ModelConfig)
     shape = (1, config.n_tokens, config.d_model)
     encoder = TransUKanModel(config).encoder
     swaps = _swaps(variant, config, shape, _dtype(encoder))
-    rows = {}
+    rows: dict[str, list[int]] = {}
     for name, row in _walk(encoder, shape).items():
         block, _, inner = name.partition(".")
-        rows.update({f"{block}.{n}": r for n, r in swaps[inner].items()}
-                    if inner in swaps else {name: row})
+        parts = ({f"{block}.{n}": r for n, r in swaps[inner].items()}
+                 if inner in swaps else {name: row})
+        for n, r in parts.items():
+            rows[n] = [a + b for a, b in zip(rows.get(n, (0, 0, 0)), r)]
     return CostReport(variant, [CostEntry(n or ROOT, *row) for n, row in rows.items()])
 
 

@@ -16,11 +16,13 @@ One retention rule holds for every op (see ``_node``): a backward reads only
 its node's inputs, its own output and per-row statistics, and recomputes the
 rest, so a graph retains its op outputs plus those statistics.
 
-Epilogues are fused where a layer's intermediate would be kept for no
-backward: ``affine`` adds its bias, and a ``residual`` if given, into the
-matmul's output in place, and can take a squared piecewise-polynomial
-activation of its input as a prologue (``act``), keeping x rather than the
-activation, which its backward rebuilds. The conv ops clamp their output in
+Prologues and epilogues are fused where a layer's intermediate would be kept
+for no backward: ``affine`` adds its bias, and a ``residual`` if given, into
+the matmul's output in place, and can take two prologues on its input, a
+LayerNorm (``norm``) and then a squared piecewise-polynomial activation
+(``act``). It keeps x and the norm's two per-row statistics rather than the
+normalised input or the activation, which its backward rebuilds (the trade of
+recomputation, Chen et al., arXiv 1604.06174). The conv ops clamp their output in
 place, ``conv2d`` when ``relu=True`` (the in-place activation of Rota Bulò et
 al., arXiv 1712.02616); their backward masks g by it once, onto the phase
 grid, whose channel sums are the bias gradient. Both conv passes run on the
@@ -521,37 +523,46 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
-           act: tuple | None = None) -> Tensor:
+           act: tuple | None = None, norm: tuple | None = None) -> Tensor:
     """x wᵀ + b for x (..., c_in), w (c_out, c_in) and b (c_out,), as one node
     for ``add(matmul(x, transpose(w, (1, 0))), b)``: the bias goes into the
-    matmul's output in place, so no bias-free product is kept. The backward
-    runs those ops' numpy calls, and sums dw and db over the leading axes in
-    their order, so the gradients are theirs bit for bit.
+    matmul's output in place, so no bias-free product is kept. The forward
+    product and dx run as one (rows, c_in) GEMM over the flattened leading
+    axes; dw runs the graph's batched matmul and sums it over the leading
+    axes in their order, so the gradients are the graph's bit for bit.
 
-    Two more stages of a layer can ride in the node, so that no output that
+    Three more stages of a layer can ride in the node, so that no output that
     only the next op reads is kept:
 
-    * ``residual``, a Tensor of the output's shape, is added in place after
-      the bias, and gets g unchanged, as ``add(·, residual)`` would;
-    * ``act``, a table ``(x0, h, coef)``, first maps x elementwise to
-      q = p(x)², for p a piecewise polynomial on the uniform grid of cells
+    * ``norm``, a pair ``(gamma, beta)`` of Tensors of shape (c_in,), first
+      maps x to ``layer_norm(x, gamma, beta)`` by that op's numpy calls. The
+      node keeps x and each row's mean and 1/std, not the normalised input:
+      the backward rebuilds it by the forward's arithmetic, and runs
+      ``layer_norm``'s backward on the gradient the stages after it give;
+    * ``act``, a table ``(x0, h, coef)``, then maps its input elementwise to
+      q = p(·)², for p a piecewise polynomial on the uniform grid of cells
       j = 0..n-1, [x0 + j h, x0 + (j+1) h). Row j + 1 of ``coef`` (shape
       ``(n + 2, degree + 1)``, degree >= 1) holds the ascending coefficients
-      of p on cell j, in powers of the offset x - (x0 + (j + 1/2) h) from the
-      cell's midpoint, which keeps the terms small. Rows 0 and n + 1 must be
+      of p on cell j, in powers of the offset from the cell's midpoint
+      x0 + (j + 1/2) h, which keeps the terms small. Rows 0 and n + 1 must be
       zero, so that p = 0 below x0 and from x0 + n h on. Each element finds
       its cell with one index computation, clipped before the integer cast so
-      that a huge x lands in a zero row, and evaluates p by Horner's rule.
-      The node keeps x, not q: the backward locates x's cells and runs Horner
-      for p and p' once, then forms q = p·p for dw and dx = 2·p·p'·(g w). On
-      a ``KanGrid``'s ``pooled_bell_table``, q's oracle is the graph
-      ``square(mean_last_axis(kan.relukan_basis_expand(x, grid)))``.
+      that a huge input lands in a zero row, and evaluates p by Horner's rule.
+      The node keeps its input, not q: the backward locates the cells and
+      runs Horner for p and p' once, then forms q = p·p for dw and
+      2·p·p'·(g w) for the gradient of the input. On a ``KanGrid``'s
+      ``pooled_bell_table``, q's oracle is the graph
+      ``square(mean_last_axis(kan.relukan_basis_expand(·, grid)))``;
+    * ``residual``, a Tensor of the output's shape, is added in place after
+      the bias, and gets g unchanged, as ``add(·, residual)`` would.
 
-    The output and every gradient of the residual form are those of the
-    composed graph ``add(affine(x, w, b), residual)`` bit for bit, and of the
-    ``act`` form those of ``affine(affine(x, I, 0, act), w, b)``, whose inner
-    node, with an identity weight and a zero bias, gives q exactly. The FLOPs
-    are the composed graph's, less the identity mix.
+    The output and every gradient are those of the composed graph
+    ``add(affine(activate(layer_norm(x, gamma, beta)), w, b), residual)`` bit
+    for bit, for any subset of the stages, where ``activate`` is the node
+    ``affine(·, I, 0, act=act)`` with an identity weight and a zero bias,
+    which gives q exactly. Parents, and so gradients, come in the order x,
+    w, b, residual, gamma, beta. The FLOPs are the composed graph's, less the
+    identity mix.
     """
     _operands("affine", x=x, w=w, b=b)
     if residual is not None:
@@ -559,50 +570,76 @@ def affine(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1] or b.shape != w.shape[:1]:
         raise DimensionError(f"affine needs x (..., c_in) of rank >= 2, w (c_out, c_in) "
                              f"and b (c_out,), got {x.shape}, {w.shape} and {b.shape}")
+    c_in = w.shape[1]
     out_shape = x.shape[:-1] + w.shape[:1]
     if residual is not None and residual.shape != out_shape:
         raise DimensionError(f"affine residual must have the output's shape {out_shape}, "
                              f"got {residual.shape}")
+    gamma = beta = None
+    if norm is not None:
+        if not isinstance(norm, tuple) or len(norm) != 2:
+            raise ContractError(f"affine norm must be a pair (gamma, beta), got {norm!r:.60}")
+        gamma, beta = norm
+        _operands("affine", gamma=gamma, beta=beta)
+        if gamma.shape != (c_in,) or beta.shape != (c_in,):
+            raise DimensionError(f"affine norm params must have shape ({c_in},), got "
+                                 f"{gamma.shape} and {beta.shape}")
     if act is not None and (not isinstance(act, tuple) or len(act) != 3):
         raise ContractError(f"affine act must be a tuple (x0, h, coef), got {act!r:.60}")
-    table = None if act is None else _poly_table(*act, x.data.dtype)
+    parents = (x, w, b) + (() if residual is None else (residual,)) + (norm or ())
+    dtype = _result_type(parents)
+    in_dtype = x.data.dtype if norm is None else _result_type((x, *norm))  # layer_norm's
+    table = None if act is None else _poly_table(*act, in_dtype)
 
-    def activation():  # (row, t, p, q) of x's cells
+    def activation(v):  # (row, t, p, q) of v's cells
         x0, h, mid, cols, _ = table
-        row, t = _locate(x.data, x0, h, mid)
+        row, t = _locate(v, x0, h, mid)
         p = _horner(cols, row, t)
         return row, t, p, p * p
 
-    parents = (x, w, b) if residual is None else (x, w, b, residual)
-    dtype = _result_type(parents)
-    if table is None:
-        data = np.matmul(x.data, w.data.T, dtype=dtype)
-    else:
-        with np.errstate(all="ignore"):  # a non-finite x raises in _node
-            data = np.matmul(activation()[3], w.data.T, dtype=dtype)
-    data += b.data
-    if residual is not None:
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a non-finite x raises in _node
+        if norm is None:
+            v, mean, inv_std = x.data, None, None
+        else:
+            xhat, mean, inv_std = _normalize(x.data)
+            v = gamma.data * xhat + beta.data
+            del xhat
+        if table is not None:
+            v = activation(v)[3]
+        data = np.matmul(v.reshape(-1, c_in), w.data.T, dtype=dtype).reshape(out_shape)
+        del v
+        data += b.data
+        if residual is not None:
             data += residual.data
 
     def backward_fn(g):
-        dx = np.matmul(g, w.data)
-        if table is None:
-            q = x.data
+        dv = np.matmul(g.reshape(-1, g.shape[-1]), w.data).reshape(x.shape)
+        if norm is None:
+            v = x.data
         else:
-            row, t, p, q = activation()
-        dw = _unbroadcast(np.matmul(np.swapaxes(q, -1, -2), g), w.shape[::-1])
-        del q
+            xhat = (x.data - mean) * inv_std  # the forward's arithmetic: the same bits
+            v = gamma.data * xhat + beta.data
+        if table is not None:
+            row, t, p, v = activation(v)
+        dw = _unbroadcast(np.matmul(np.swapaxes(v, -1, -2), g), w.shape[::-1])
+        del v
         if table is not None:
             dp = _horner(table[4], row, t)  # p'
             dp *= p
             dp *= 2.0
-            dp *= dx
-            dx = dp
-        return (dx, dw.T, _unbroadcast(g, b.shape), g)[:len(parents)]
+            dp *= dv
+            dv = dp
+        grads = (dv, dw.T, _unbroadcast(g, b.shape)) + (() if residual is None else (g,))
+        if norm is None:
+            return grads
+        # layer_norm's backward on dv in its output's dtype, as _run_adjoint hands it over
+        dx, dgamma, dbeta = _layer_norm_grads(dv.astype(in_dtype, copy=False), xhat,
+                                              inv_std, gamma.data)
+        return (dx, *grads[1:], dgamma, dbeta)
 
-    flops = (data.size * (2 * w.shape[1] + 1 + (residual is not None))
-             + (0 if table is None else _poly_flops(table[3]) * x.size))
+    flops = (data.size * (2 * c_in + 1 + (residual is not None))
+             + x.size * ((0 if table is None else _poly_flops(table[3]))
+                         + (0 if norm is None else _LAYER_NORM_FLOPS)))
     return _node(data, "affine", parents, backward_fn, flops=flops)
 
 
@@ -635,7 +672,9 @@ def attention(qkv: Tensor, n_heads: int) -> Tensor:
     recomputes P (the recompute of FlashAttention, Dao et al., arXiv
     2205.14135, without its tiling), then forms dv = Pᵀg, dP = g vᵀ,
     dS = s·P∘(dP − rowsum(dP∘P)), dq = dS k and dk = dSᵀ q, each written
-    through a view into its block of one (..., t, 3d) gradient. FLOPs are the
+    through a view into its block of one (..., t, 3d) gradient. The row sums
+    are formed one head at a time, so no third (..., n_heads, t, t) array is
+    alive beside P and dS; each row's reduction is np.sum's. FLOPs are the
     graph's: batch·n_heads·t²·(4e + 8).
     """
     _operands("attention", qkv=qkv)
@@ -677,7 +716,10 @@ def attention(qkv: Tensor, n_heads: int) -> Tensor:
         grad = np.empty(qkv.shape, dtype=qkv.data.dtype)
         np.matmul(np.swapaxes(p, -1, -2), gh, out=heads(grad, 2))
         ds = np.matmul(gh, np.swapaxes(vh, -1, -2))
-        ds -= np.sum(ds * p, axis=-1, keepdims=True)
+        rowsum = np.empty(ds.shape[:-1], dtype=ds.dtype)
+        for j in range(n_heads):  # one head's (..., t, t) product at a time
+            np.add.reduce(ds[..., j, :, :] * p[..., j, :, :], axis=-1, out=rowsum[..., j, :])
+        ds -= rowsum[..., None]
         ds *= p
         del p
         ds *= s
@@ -706,6 +748,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 _LAYER_NORM_EPS = 1e-5  # added to each row's variance, as torch.nn.LayerNorm does
+_LAYER_NORM_FLOPS = 8  # per element: mean, centered square, normalize, affine
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
@@ -716,7 +759,31 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return np.true_divide(total, np.intp(a.shape[-1]), out=total, casting="unsafe")
 
 
+def _normalize(x: np.ndarray):
+    """``(xhat, mean, inv_std)``: x's rows normalised, and each row's mean and
+    1/std, the statistics a backward rebuilds xhat from as ``(x - mean) *
+    inv_std``, which is the same arithmetic and so the same bits."""
+    mean = _row_mean(x)
+    xhat = x - mean
+    inv_std = 1.0 / np.sqrt(_row_mean(xhat * xhat) + _LAYER_NORM_EPS)
+    xhat *= inv_std
+    return xhat, mean, inv_std
+
+
+def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
+                      gamma: np.ndarray):
+    """``(dx, dgamma, dbeta)`` of ``gamma * xhat + beta`` from its gradient g."""
+    dxhat = g * gamma
+    dx = inv_std * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
+    axes = tuple(range(g.ndim - 1))
+    return dx, np.sum(g * xhat, axis=axes), np.sum(g, axis=axes)
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """``gamma * (x - mean) / sqrt(var + eps) + beta`` over x's last axis. The
+    node keeps each row's mean and 1/std and rebuilds the normalised input in
+    the backward. ``affine``'s ``norm`` runs the same arithmetic inside the
+    node it feeds, and this op is its oracle."""
     _operands("layer_norm", x=x, gamma=gamma, beta=beta)
     if x.ndim < 1 or x.shape[-1] == 0:
         raise DimensionError(f"layer_norm normalises a non-empty last axis, got {x.shape}")
@@ -724,22 +791,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(f"layer_norm params must have shape ({d},), got "
                              f"{gamma.shape} and {beta.shape}")
-    mean = _row_mean(x.data)
-    xhat = x.data - mean
-    inv_std = 1.0 / np.sqrt(_row_mean(xhat * xhat) + _LAYER_NORM_EPS)
-    xhat *= inv_std
+    xhat, mean, inv_std = _normalize(x.data)
     data = gamma.data * xhat + beta.data
 
     def backward_fn(g):
-        xhat = (x.data - mean) * inv_std  # the forward's arithmetic: the same bits
-        dxhat = g * gamma.data
-        dx = inv_std * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
-        axes = tuple(range(g.ndim - 1))
-        return (dx, np.sum(g * xhat, axis=axes), np.sum(g, axis=axes))
+        return _layer_norm_grads(g, (x.data - mean) * inv_std, inv_std, gamma.data)
 
-    # mean, centered square, normalize, affine
     return _node(data, "layer_norm", (x, gamma, beta), backward_fn,
-                 flops=8 * data.size)
+                 flops=_LAYER_NORM_FLOPS * data.size)
 
 
 # ---------------------------------------------------------------------------
@@ -1261,7 +1320,8 @@ def _locate(x: np.ndarray, x0: float, h: float, mid: np.ndarray):
     with np.errstate(all="ignore"):
         u = np.subtract(x, x0, out=np.empty(x.shape, dtype=x.dtype))
         u /= h
-        np.clip(u, -1.0, mid.size - 2, out=u)
+        np.maximum(u, -1.0, out=u)  # np.clip's arithmetic without its Python wrapper
+        np.minimum(u, mid.size - 2, out=u)
         np.floor(u, out=u)
         u += 1.0
         row = u.astype(np.intp)

@@ -33,6 +33,8 @@ CASES = {
     "affine": (T.affine, [(2, 3, 4), (5, 4), (5,)]),
     "affine_residual": (T.affine, [(2, 3, 4), (5, 4), (5,), (2, 3, 5)]),
     "affine_act": (lambda x, w, b: T.affine(x, w, b, act=ACT), [(2, 3, 4), (5, 4), (5,)]),
+    "affine_norm": (lambda x, w, b, r, gamma, beta: T.affine(x, w, b, r, ACT, (gamma, beta)),
+                    [(2, 3, 4), (5, 4), (5,), (2, 3, 5), (4,), (4,)]),
     "softmax": (T.softmax, [(3, 4)]),
     "attention": (lambda qkv: T.attention(qkv, 2), [(2, 5, 12)]),
     "log_softmax": (lambda x: T.log_softmax(x, axis=1), [(2, 3, 4)]),
@@ -134,7 +136,7 @@ def test_the_default_model_runs_every_op_and_gradient_in_float32():
     target = Tensor(np.eye(2)[rng.integers(0, 2, size=(1, 64, 64))].transpose(0, 3, 1, 2))
     logits = forward(img, model)
     ops = [n for n in T.Tape(logits).nodes if n._backward_fn is not None]
-    assert len(ops) == 44
+    assert len(ops) == 36
     assert [(n.op, n.scope) for n in ops if n.data.dtype != np.float32] == []
     T.backward(T.scale(T.sum_all(T.mul(T.log_softmax(logits, axis=1), target)), -1e-4))
     assert [name for name, p in model.parameters() if p.grad.dtype != np.float32] == []

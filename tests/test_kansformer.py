@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from transukan import kansformer
 from transukan import tensor as T
 from transukan.tensor import ContractError, DimensionError, Tensor
 from transukan.kan import EfficientKanLayer
@@ -118,23 +121,104 @@ def test_model_tape_holds_no_attention_score_buffer():
 
 
 def test_encoder_blocks_record_no_add_and_one_activation_each():
-    """Each block's residual adds ride in the affine nodes before them, and
-    each of its KAN maps, kan1, the packed Q/K/V projection and kan2, keeps
-    its activation inside its one affine node: a block records seven op
-    nodes, and the one add left in the encoder is the positional embedding's."""
+    """Each block's residual adds ride in the affine nodes before them, each
+    of its KAN maps, kan1, the packed Q/K/V projection and kan2, keeps its
+    activation inside its one affine node, and ln1 and ln2 run inside kan1's
+    and kan2's: a block records five op nodes, the forward no layer_norm, and
+    the one add left in the encoder is the positional embedding's."""
     config = ModelConfig()
     logits = forward(Tensor(np.zeros((1, 1, 64, 64))),
                      TransUKanModel(config, rng=np.random.default_rng(0)))
     ops = [(n.op, n.scope) for n in T.Tape(logits).nodes if n._backward_fn is not None]
-    assert len(ops) == 44
+    assert len(ops) == 36
     assert [op for op, scope in ops if scope.startswith("encoder.block0")] == [
-        "layer_norm", "affine", "affine", "attention", "affine", "layer_norm", "affine"]
+        "affine", "affine", "attention", "affine", "affine"]
     assert [scope for op, scope in ops if scope.startswith("encoder.block3")] == [
-        f"encoder.block3.{s}" for s in ("ln1", "kan1", "msa.qkv", "msa", "msa.out_proj",
-                                        "ln2", "kan2")]
+        f"encoder.block3.{s}" for s in ("kan1", "msa.qkv", "msa", "msa.out_proj", "kan2")]
     in_blocks = [op for op, scope in ops if scope.startswith("encoder.block")]
-    assert len(in_blocks) == 7 * config.depth
+    assert len(in_blocks) == 5 * config.depth
     assert [scope for op, scope in ops if op == "add"] == ["encoder"]
+    assert "layer_norm" not in [op for op, _ in ops]
+
+
+def _block_with_norm_nodes(z_prev, p):
+    """``kansformer_block`` with ln1 and ln2 as ``layer_norm`` nodes of their
+    own, in their own scopes, each feeding a KAN node without a norm."""
+    with T.scope("ln1"):
+        h = p.ln1.forward(z_prev)
+    with T.scope("kan1"):
+        h = p.kan1.forward(h)
+    with T.scope("msa"):
+        z_mid = msa_kan(h, p.msa, z_prev)
+    with T.scope("ln2"):
+        h = p.ln2.forward(z_mid)
+    with T.scope("kan2"):
+        return p.kan2.forward(h, z_mid)
+
+
+def _training_step(model, batch, seed=0):
+    """A mean pixel cross-entropy step's forward on a random image and
+    labelling, both in the model's dtype."""
+    cfg = model.config
+    rng = np.random.default_rng(seed)
+    shape = (batch, cfg.in_channels, cfg.image_size, cfg.image_size)
+    img = Tensor(rng.uniform(size=shape).astype(model.dtype))
+    labels = rng.integers(0, cfg.n_classes, size=(batch, cfg.image_size, cfg.image_size))
+    target = Tensor(np.eye(cfg.n_classes, dtype=model.dtype)[labels].transpose(0, 3, 1, 2))
+
+    def step():
+        logits = forward(img, model)
+        picked = T.mul(T.log_softmax(logits, axis=1), target)
+        return logits, T.scale(T.sum_all(picked), -1.0 / picked.size)
+    return step
+
+
+def test_norm_inside_the_kan_nodes_is_the_layer_norm_nodes_bit_for_bit(monkeypatch):
+    """The default model's logits and all 71 parameter gradients are those of
+    the same step with ln1 and ln2 as layer_norm nodes, bit for bit."""
+    model = TransUKanModel(ModelConfig(), rng=np.random.default_rng(0))
+    step = _training_step(model, 2)
+
+    def run():
+        logits, loss = step()
+        T.backward(loss)
+        grads = [p.grad.tobytes() for _, p in model.parameters()]
+        for _, p in model.parameters():
+            p.zero_grad()
+        return [logits.data.tobytes()] + grads
+
+    fused = run()
+    monkeypatch.setattr(kansformer, "kansformer_block", _block_with_norm_nodes)
+    assert run() == fused
+
+
+def test_a_training_step_forward_holds_eight_normalised_copies_less(monkeypatch):
+    """The forward of one training step at ``ModelConfig()``, batch 4, holds
+    exactly 8 x 4·64·64·4 bytes of arrays less than the same step with ln1
+    and ln2 as layer_norm nodes: the four blocks' two normalised (b, t, d)
+    float32 inputs, and nothing more. Counted by tracemalloc in numpy's
+    array domain, after a first step has filled the caches: the fused step
+    holds the op outputs of the profiler's count (5,832,704 B), the loss's
+    and the row statistics of attention and the norms."""
+    model = TransUKanModel(ModelConfig(), rng=np.random.default_rng(0))
+    step = _training_step(model, 4)
+    arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+
+    def held():
+        step()
+        tracemalloc.start()
+        try:
+            _, loss = step()
+            traces = tracemalloc.take_snapshot().filter_traces([arrays]).traces
+        finally:
+            tracemalloc.stop()
+        assert loss.requires_grad
+        return sum(t.size for t in traces)
+
+    fused = held()
+    monkeypatch.setattr(kansformer, "kansformer_block", _block_with_norm_nodes)
+    assert held() - fused == 8 * 4 * 64 * 64 * 4
+    assert fused == 6_144_056
 
 
 class TestKansformerBlock:

@@ -47,7 +47,7 @@ KNOBS = {
     "kansformer.msa_kan": ("residual",),
     "network.load_checkpoint": ("expect_config",),
     "tensor.check_sizes": ("least",),
-    "tensor.affine": ("residual", "act"),
+    "tensor.affine": ("residual", "act", "norm"),
     "tensor.log_softmax": ("axis",),
     "tensor.conv2d": ("stride", "padding", "relu"),
     "tensor.grad_check": ("h", "tol", "sample", "sample_largest"),
@@ -93,7 +93,7 @@ def test_settable_option_names_are_pinned():
 
 
 def test_function_knob_count_is_pinned():
-    assert sum(len(knobs) for knobs in knobs_by_function().values()) == 13
+    assert sum(len(knobs) for knobs in knobs_by_function().values()) == 14
 
 
 def test_function_knob_names_are_pinned():

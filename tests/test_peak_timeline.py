@@ -10,14 +10,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TINY = {"image_size": 16, "d_model": 8, "depth": 1, "n_heads": 2,
         "decoder_channels": [8, 8, 8]}
+# Small too, but with the default decoder, so that its batch-2 step peaks in
+# the backward, in the decoder.block2 adjoint (by ~50 kB over the next one).
+SMALL = {"image_size": 32, "d_model": 16, "depth": 1, "n_heads": 2}
 
 
 @functools.cache
-def _rows(*args):
-    """The TSV lines of ``tools/peak_timeline.py`` on ``TINY`` at batch 2."""
+def _rows(*args, config=json.dumps(TINY)):
+    """The TSV lines of ``tools/peak_timeline.py`` on ``config``, ``TINY`` by
+    default, at batch 2."""
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "peak_timeline.py"),
-         "--config", json.dumps(TINY), "--batch", "2", *args],
+         "--config", config, "--batch", "2", *args],
         capture_output=True, text=True, check=True)
     return tuple(line.split("\t") for line in out.stdout.splitlines())
 
@@ -60,19 +64,37 @@ def test_forward_prints_each_op_in_forward_order():
     assert max(int(peak) for *_, peak in rows) <= int(_rows()[-1][3]) + 2048
 
 
+def test_held_lists_the_outputs_alive_at_the_peak_adjoint():
+    header, *alive, (held, scope, held_bytes) = _rows("--held", config=json.dumps(SMALL))
+    assert header == ["op", "scope", "bytes"]
+    assert (held, scope) == ("(held)", "decoder.block2")
+    _, *timeline, _ = _rows(config=json.dumps(SMALL))
+    peak_row = max(timeline, key=lambda row: int(row[3]))
+    assert peak_row[:2] == ["upsample_concat_conv2d", "decoder.block2"]
+    sizes = [int(n) for *_, n in alive]
+    assert sizes == sorted(sizes, reverse=True) and all(n > 0 for n in sizes)
+    assert sum(sizes) <= int(held_bytes)
+    # Both inputs of decoder.block2 wait for its adjoint: the decoder.block1
+    # output it upsamples and the skip from the CNN's first stage.
+    listed = [row[:2] for row in alive]
+    assert ["upsample_concat_conv2d", "decoder.block1"] in listed
+    assert ["conv2d", "cnn.stage0.conv_b"] in listed
+
+
 def test_default_train_step_peaks_below_the_fused_encoder_bound():
-    """One batch-4 training step at ``ModelConfig()`` peaks at ~9.36 MB, in
-    the ``decoder.block2`` adjoint, now that the model is float32: the same
-    step of the float64 model peaked at ~18.64 MB. Both conv forwards run on
-    the backward's slices of the batch and Q, K and V are one affine output,
-    so the forward, which set the float64 peak at ~20.08 MB with whole-batch
-    scratch, peaks at ~8.62 MB."""
+    """One batch-4 training step at ``ModelConfig()`` peaks at ~8.84 MB, in
+    the ``decoder.block2`` adjoint, now that the model is float32 and each
+    block's LayerNorms run inside its KAN nodes: the same step of the float64
+    model peaked at ~18.64 MB, and at ~9.37 MB in float32 with the eight
+    normalised copies kept. Both conv forwards run on the backward's slices
+    of the batch and Q, K and V are one affine output, so the forward, which
+    set the float64 peak at ~20.08 MB with whole-batch scratch, peaks at ~7.97 MB."""
     spec = importlib.util.spec_from_file_location(
         "peak_timeline", ROOT / "tools" / "peak_timeline.py")
     peak_timeline = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(peak_timeline)
     rows, _, peak = peak_timeline.step_timeline(peak_timeline.ModelConfig(), 4, 0)
-    assert peak <= 9.4e6
+    assert peak <= 8.9e6
     block2, = [during for op, scope, _, during in rows
                if (op, scope) == ("upsample_concat_conv2d", "decoder.block2")]
     assert block2 == peak  # the decoder.block2 adjoint sets the peak

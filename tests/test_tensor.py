@@ -254,18 +254,107 @@ class TestAffineEpilogues:
                 a[0] = 0.0
 
     def test_backward_keeps_no_activation_sized_array(self):
-        # The node keeps x, its parent, and rebuilds q = p(x)² in the backward.
+        # The node keeps x, its parent, and rebuilds q = p(x)² in the backward;
+        # with a norm prologue it also keeps each row's mean and 1/std, and
+        # rebuilds the normalised input.
         rng = np.random.default_rng(84)
         table = _poly_table(rng)
         x, w, b, r = self._args(rng, (6, 5, 3), True, table)
-        for t in (x, w, b, r):
+        gamma, beta = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3))
+        for t in (x, w, b, r, gamma, beta):
             t.requires_grad = True
-        out = T.affine(x, w, b, r, act=table)
-        held = [a for c in out._backward_fn.__closure__
-                for a in (c.cell_contents if isinstance(c.cell_contents, tuple)
-                          else (c.cell_contents,))
-                if isinstance(a, np.ndarray)]
-        assert held and all(a.size <= table[2].size for a in held), [a.shape for a in held]
+        for norm, row_stats in ((None, 0), ((gamma, beta), 2)):
+            out = T.affine(x, w, b, r, act=table, norm=norm)
+            held = [a for c in out._backward_fn.__closure__
+                    for a in (c.cell_contents if isinstance(c.cell_contents, tuple)
+                              else (c.cell_contents,))
+                    if isinstance(a, np.ndarray)]
+            rows = [a for a in held if a.shape == (6, 5, 1)]
+            assert len(rows) == row_stats, [a.shape for a in held]
+            assert held and all(a.size <= table[2].size for a in held if a.shape != (6, 5, 1)), \
+                [a.shape for a in held]
+
+
+# (residual, act) of each form the norm prologue is checked in.
+NORM_FORMS = [(False, False), (True, False), (False, True), (True, True)]
+NORM_IDS = ["plain", "residual", "act", "act_and_residual"]
+
+
+class TestAffineNorm:
+    """``affine``'s ``norm`` prologue is the composed graph
+    ``affine(layer_norm(x, gamma, beta), w, b, residual, act)``: the output
+    and all six gradients, x, w, b, residual, gamma and beta, bit for bit."""
+
+    @staticmethod
+    def _args(rng, x_shape, residual, dtype=np.float64):
+        c = x_shape[-1]
+        shapes = [x_shape, (4, c), (4,)] + [x_shape[:-1] + (4,)] * residual + [(c,), (c,)]
+        return [Tensor(rng.normal(size=s).astype(dtype)) for s in shapes]
+
+    @staticmethod
+    def _fused(act):
+        def run(x, w, b, *rest):
+            *residual, gamma, beta = rest
+            return T.affine(x, w, b, *residual, act=act, norm=(gamma, beta))
+        return run
+
+    @staticmethod
+    def _graph(act):
+        def run(x, w, b, *rest):
+            *residual, gamma, beta = rest
+            return T.affine(T.layer_norm(x, gamma, beta), w, b, *residual, act=act)
+        return run
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("residual, act", NORM_FORMS, ids=NORM_IDS)
+    def test_bit_equal_to_layer_norm_then_affine(self, residual, act, dtype):
+        rng = np.random.default_rng(91)
+        table = _poly_table(rng) if act else None
+        args = self._args(rng, (2, 7, 3), residual, dtype)
+        fused = _outputs_and_grads(self._fused(table), args, 92)
+        graph = _outputs_and_grads(self._graph(table), args, 92)
+        assert fused[0].dtype == dtype and len(fused) == len(args) + 1
+        for got, expected in zip(fused, graph):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        out = self._fused(table)(*args)
+        assert out._parents == tuple(args)
+        nodes = [n for n in T.Tape(self._graph(table)(*args)).nodes if n._backward_fn]
+        assert [n.op for n in nodes] == ["layer_norm", "affine"]
+        assert out.flops == sum(n.flops for n in nodes)
+
+    @pytest.mark.parametrize("residual, act", [(False, False), (True, True)],
+                             ids=["plain", "act_and_residual"])
+    def test_gradcheck(self, residual, act):
+        rng = np.random.default_rng(93)
+        table = _poly_table(rng) if act else None
+        args = self._args(rng, (2, 3, 5), residual)
+        weights = Tensor(rng.normal(size=(2, 3, 4)))
+        for which in (0, len(args) - 2, len(args) - 1):  # x, gamma and beta
+            def f(t):
+                operands = args[:which] + [t] + args[which + 1:]
+                return T.sum_all(T.mul(self._fused(table)(*operands), weights))
+
+            rep = T.grad_check(f, args[which], tol=1e-6)
+            assert rep.ok, (which, rep)
+
+    @pytest.mark.parametrize("norm, error, named", [
+        (Tensor(np.ones(3)), ContractError, "affine norm must be a pair"),
+        ([Tensor(np.ones(3)), Tensor(np.zeros(3))], ContractError,
+         "affine norm must be a pair"),
+        ((Tensor(np.ones(3)),), ContractError, "affine norm must be a pair"),
+        ((np.ones(3), Tensor(np.zeros(3))), ContractError,
+         "affine: gamma must be a Tensor, got ndarray"),
+        ((Tensor(np.ones(3)), None), ContractError, "affine: beta must be a Tensor, got NoneType"),
+        ((Tensor(np.ones(4)), Tensor(np.zeros(3))), DimensionError,
+         r"affine norm params must have shape \(3,\), got \(4,\) and \(3,\)"),
+        ((Tensor(np.ones(3)), Tensor(np.zeros((1, 3)))), DimensionError,
+         r"affine norm params must have shape \(3,\)"),
+    ], ids=["tensor", "list", "one", "gamma_ndarray", "beta_none", "gamma_width",
+            "beta_rank"])
+    def test_norm_must_be_a_pair_of_tensors_of_width_c_in(self, norm, error, named):
+        x, w, b = (Tensor(np.zeros(s)) for s in ((2, 3), (4, 3), (4,)))
+        with pytest.raises(error, match=named):
+            T.affine(x, w, b, norm=norm)
 
 
 class TestElementwise:
@@ -1254,6 +1343,8 @@ class TestBackward:
     (lambda: network.TransUKanModel(network.ModelConfig(
         image_size=16, d_model=8, depth=1, n_heads=2)).astype("f2"), ContractError,
      "TransUKanModel.astype: dtype must be float32 or float64, got 'f2'"),
+    (lambda: kan.EfficientKanLayer(3, 2).forward(_zeros(2, 3), norm="ln"), ContractError,
+     "affine: gamma must be a Tensor, got NoneType"),
 ], ids=["backward_of_float", "conv2d_no_bias", "upsample_concat_conv2d_no_bias",
         "softmax_empty_axis", "log_softmax_empty_axis", "layer_norm_empty_axis",
         "add_int", "sum_all_int", "relu_list", "affine_layer_ndarray", "conv2d_ndarray",
@@ -1274,7 +1365,8 @@ class TestBackward:
         "conv2d_huge_padding", "relukan_basis_none_grid", "relukan_basis_expand_none_x",
         "bspline_basis_none_grid", "bspline_basis_expand_none_x",
         "named_parameters_none_part", "basis_expand_str_basis", "grad_check_float32_x",
-        "grad_check_float32_target", "astype_int_dtype", "model_astype_half"])
+        "grad_check_float32_target", "astype_int_dtype", "model_astype_half",
+        "efficientkan_forward_str_norm"])
 def test_public_entry_points_raise_typed_errors(call, error, named):
     with pytest.raises(error, match=named):
         call()

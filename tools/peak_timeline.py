@@ -1,6 +1,7 @@
 """Memory timeline of one training step, one row per adjoint of the backward.
 
-    python3 tools/peak_timeline.py [--config JSON] [--batch B] [--seed S] [--forward] [--time N]
+    python3 tools/peak_timeline.py [--config JSON] [--batch B] [--seed S]
+                                   [--forward] [--time N] [--held]
 
 Builds ``TransUKanModel`` at ``ModelConfig()`` with the fields of ``--config``
 (a JSON object, e.g. ``'{"image_size": 128}'``) put over it, and runs one
@@ -36,6 +37,18 @@ op, its scope and its median wall time over the N forwards (``median_ms``).
 An op's time runs from the previous op's output (or from the forward's start)
 to its own, so it counts the layer code between the two ops, and shows the
 fixed cost each call pays as well as its arithmetic.
+
+With ``--held`` it lists what the peak adjoint sits on: it runs the default
+timeline, picks the adjoint with the largest peak (the step's peak when the
+backward sets it, the first such adjoint on a tie), and runs the same step
+again, untraced, with a weak reference to each op output taken before the
+backward starts. It prints one TSV row per op output still alive when that
+adjoint starts, largest first: the op that made it, its scope and its bytes.
+An output counts once, at the first op in forward order that outputs its
+buffer, and views of a parameter's buffer not at all, by the byte rule of
+``transukan.profiler``. The last row, op ``(held)``, gives the adjoint's scope
+and the bytes held when it starts, as in its row of the timeline; the listed
+bytes are a part of those, beside gradients and the row statistics.
 """
 
 import argparse
@@ -44,6 +57,7 @@ import statistics
 import sys
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +66,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from transukan import tensor as T
 from transukan.network import ModelConfig, TransUKanModel, forward
+from transukan.profiler import _buffer
 from transukan.tensor import Tensor
 
 
@@ -156,6 +171,48 @@ def forward_timeline(cfg: ModelConfig, batch: int, seed: int):
         tracemalloc.stop()
 
 
+def weak_outputs(loss: Tensor):
+    """``(op, scope, weak reference, bytes)`` of each buffer that an op node
+    below ``loss`` outputs, in forward order, each once and none that is a
+    leaf's; the tape dies here."""
+    nodes = T.Tape(loss).nodes
+    seen = {id(_buffer(n.data)) for n in nodes if n._backward_fn is None}
+    outputs = []
+    for node in nodes:
+        buf = _buffer(node.data)
+        if node._backward_fn is not None and id(buf) not in seen:
+            seen.add(id(buf))
+            outputs.append((node.op, node.scope, weakref.ref(buf), buf.nbytes))
+    return outputs
+
+
+def held_outputs(cfg: ModelConfig, batch: int, seed: int):
+    """``(row, alive)``: the row ``(op, scope, held, peak)`` of
+    :func:`step_timeline` with the largest peak, and ``(op, scope, bytes)`` of
+    each op output alive when that adjoint starts, in a second, untraced run
+    of the same step, largest first."""
+    rows, _, _ = step_timeline(cfg, batch, seed)
+    at = max(range(len(rows)), key=lambda i: rows[i][3])
+    model = TransUKanModel(cfg, rng=np.random.default_rng(seed))
+    loss = pixel_loss(model, batch, seed + 1)
+    outputs = weak_outputs(loss)
+    alive = []
+    started = 0
+
+    def wrap(op: str, scope: str, fn):
+        def run(g):
+            nonlocal started
+            if started == at:
+                alive.extend((o, s, n) for o, s, ref, n in outputs if ref() is not None)
+            started += 1
+            return fn(g)
+        return run
+
+    instrument(loss, wrap)
+    T.backward(loss)
+    return rows[at], sorted(alive, key=lambda row: -row[2])
+
+
 def timed(rows: list):
     """A ``wrap`` for :func:`instrument` that appends ``(op, scope, seconds)``
     to ``rows`` for each adjoint it runs."""
@@ -231,10 +288,20 @@ def main():
                              "median wall time over N steps instead")
     parser.add_argument("--forward", action="store_true",
                         help="print each forward op's held bytes and peak instead")
+    parser.add_argument("--held", action="store_true",
+                        help="print the op outputs alive when the peak adjoint starts instead")
     args = parser.parse_args()
     if args.time is not None and args.time < 1:
         parser.error(f"--time needs at least 1 step, got {args.time}")
+    if args.held and (args.forward or args.time is not None):
+        parser.error("--held takes neither --forward nor --time")
     cfg = ModelConfig.from_dict({**ModelConfig().to_dict(), **json.loads(args.config)})
+    if args.held:
+        (_, adjoint_scope, held, _), alive = held_outputs(cfg, args.batch, args.seed)
+        print("op\tscope\tbytes")
+        for op, scope, nbytes in alive + [("(held)", adjoint_scope, held)]:
+            print(f"{op}\t{scope}\t{nbytes}")
+        return
     if args.time is not None:
         timer = forward_times if args.forward else step_times
         print("op\tscope\tmedian_ms")
