@@ -386,21 +386,25 @@ def load_checkpoint(path: str, expect_config: ModelConfig | None = None) -> Tran
         if n_params != len(params):
             raise CheckpointCorruptError(f"{path}: has {n_params} tensors, model "
                                          f"declares {len(params)}")
-        stored = []
+        raws = []
         for name, p in params:
             (rank,) = struct.unpack("<I", _read_exact(fh, 4))
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
             if dims != p.shape:
                 raise CheckpointCorruptError(f"{path}: tensor {name} has shape "
                                              f"{dims}, model expects {p.shape}")
-            raw = _read_exact(fh, 8 * int(np.prod(dims)))
-            stored.append(np.frombuffer(raw, dtype="<f8").reshape(dims))
+            raws.append(_read_exact(fh, 8 * p.size))
         if fh.read(1):
             raise CheckpointCorruptError(f"{path}: trailing bytes after parameters")
+    # One exactness check over the whole payload, a NaN counting as exact; the
+    # parameters are views of one buffer in the dtype it picks.
+    stored = np.frombuffer(b"".join(raws), dtype="<f8")
     with np.errstate(over="ignore"):  # a value past float32's range casts to inf
-        values = [a.astype(np.float32) for a in stored]
-    if not all(np.array_equal(v, a, equal_nan=True) for v, a in zip(values, stored)):
-        values = [a.astype(np.float64) for a in stored]
-    for (_, p), v in zip(params, values):
-        p.data = v
+        values = stored.astype(np.float32)
+    if not ((values == stored) | np.isnan(stored)).all():
+        values = stored.astype(np.float64)
+    at = 0
+    for _, p in params:
+        p.data = values[at:at + p.size].reshape(p.shape)
+        at += p.size
     return model

@@ -28,11 +28,16 @@ al., arXiv 1712.02616); their backward masks g by it once, onto the phase
 grid, whose channel sums are the bias gradient. Both conv passes run on the
 same slices of the batch, one image at the model's 64x64 maps, and only one
 slice's scratch is alive at a time: the forward's is a slice's padded input,
-im2col chunk and output grid; the backward's a slice's padded input and
+output grid and one chunk buffer; the backward's a slice's padded input and
 gradient grid plus two tile buffers, as it gathers the input gradient tile by
-tile. Only the output and dx are batch-sized. A public op
-first checks that its operands are Tensors and raises a ``ContractError``
-naming the op and the argument if one is not.
+tile. Only the output and dx are batch-sized. The forward's chunk takes one
+of two forms (see ``_conv_forward``): an im2col chunk, kh·kw copies of m
+columns of the c-channel input, c·kh·kw·m elements; or, for a stride-1 conv of
+a kernel of more than one row to no more channels than it reads, kernel rows,
+kw shifted copies of those columns plus a halo of kh - 1 grid rows and an
+(o, m) product buffer, used only where that is no more than im2col's chunk.
+A public op first checks that its operands are Tensors and raises a
+``ContractError`` naming the op and the argument if one is not.
 
 One constant rule holds for every op: constant work is done once per distinct
 shape, budget or table. What depends only on those, never on the data (an
@@ -620,15 +625,16 @@ def affine(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
             xhat = (x.data - mean) * inv_std  # the forward's arithmetic: the same bits
             v = gamma.data * xhat + beta.data
         if table is not None:
-            row, t, p, v = activation(v)
-        dw = _unbroadcast(np.matmul(np.swapaxes(v, -1, -2), g), w.shape[::-1])
-        del v
-        if table is not None:
-            dp = _horner(table[4], row, t)  # p'
+            with np.errstate(all="ignore"):  # as in the forward: see _locate
+                row, t, p, v = activation(v)
+                dp = _horner(table[4], row, t)  # p'
             dp *= p
             dp *= 2.0
             dp *= dv
             dv = dp
+            del row, t, p
+        dw = _unbroadcast(np.matmul(np.swapaxes(v, -1, -2), g), w.shape[::-1])
+        del v
         grads = (dv, dw.T, _unbroadcast(g, b.shape)) + (() if residual is None else (g,))
         if norm is None:
             return grads
@@ -807,16 +813,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 # Most elements of im2col scratch that one conv forward chunk fills (2 MiB in
 # float32, 4 MiB in float64): a count of elements, so both dtypes run the same
-# slices. It also sizes the batch slices both conv passes run on (a quarter of
-# it per phase of a slice's padded input and output grid) and the backward's
-# tiles. The conv plans cached per shape (see _batch_slices) take it as part
-# of their key, so a patched budget is never served a plan made for another.
-# The chunk sets the peak of an inference forward. The default model's
+# slices. It sets the chunk width m of both forward forms: a kernel-row chunk
+# is as wide as an im2col one and needs less, kw·c·(m + (kh-1)·wq) + o·m
+# elements against c·kh·kw·m. It also sizes the batch slices both conv passes
+# run on (a quarter of it per phase of a slice's padded input and output grid)
+# and the backward's tiles. The conv plans cached per shape (see
+# _batch_slices) take it as part of their key, so a patched budget is never
+# served a plan made for another. A forward chunk sets the peak of an
+# inference forward: at the default float32 model's batch-1 64x64 forward,
+# decoder.block2's skip half as kernel rows, 1.82 MB (2.43 MB as im2col). The
 # batch-4 training step peaks in the backward instead, in the decoder.block2
 # adjoint, whose one slice of scratch sits on activations not yet freed. For
-# the batch-1 64x64 forward in float64 (2 vCPUs, 16 alternating rounds), 2**20
-# peaked at 7.31 MB, 2**19 at 4.80 MB, taking ~1% longer, and 2**18 at 3.97 MB,
-# taking ~3% longer; a training step timed the same at 2**19 and 2**20.
+# the batch-1 64x64 forward in float64, all im2col (2 vCPUs, 16 alternating
+# rounds), 2**20 peaked at 7.31 MB, 2**19 at 4.80 MB, taking ~1% longer, and
+# 2**18 at 3.97 MB, taking ~3% longer; a training step timed the same at 2**19
+# and 2**20.
 _IM2COL_BUDGET = 2 ** 19
 
 
@@ -908,23 +919,40 @@ def _batch_plan(x_shape: tuple[int, ...], o: int, s: int, padding: int,
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, s: int, padding: int) -> np.ndarray:
     """Cross-correlation of x (b, c, h, w) with w (o, c, kh, kw) on the flat
-    phase grid of :func:`_phase_split`, im2col chunk by chunk.
+    phase grid of :func:`_phase_split`, chunk by chunk.
 
     Returns ``full`` of shape (o, b, hq, wq); its cells with y >= h_out or
-    x >= w_out read wrapped pixels and are to be dropped. The phase-split
-    input and the chunk die with the call. The conv ops call it on one slice
-    of the batch at a time (see :func:`_biased_conv`), so its scratch is one
-    slice's.
+    x >= w_out read wrapped pixels and are to be dropped. Chunks are m =
+    ``_chunk_columns(n, c·kh·kw)`` columns of the grid's n cells wide, in one
+    of two forms:
+
+    - im2col: one (c·kh·kw, m) buffer holds a copy of the chunk per tap, and
+      one GEMM with the flattened kernel writes the chunk's output;
+    - kernel rows (:func:`_kernel_rows`), for a stride-1 conv of a kernel of
+      more than one row, to no more channels than it reads (o <= c), whose
+      scratch, kw·c·(m + (kh-1)·wq) + o·m elements, is no more than
+      im2col's c·kh·kw·m. These are the decoder's skip halves, which run
+      in 0.5-0.7x the im2col form's scratch and 0.8-1.0x its time (float32,
+      at the model's shapes). Widening convs took 1.2-1.8x im2col's time as
+      kernel rows, so they keep im2col, as do the strided convs and the 1x1
+      head.
+
+    The phase-split input and the scratch die with the call. The conv ops
+    call it on one slice of the batch at a time (see :func:`_biased_conv`),
+    so its scratch is one slice's.
     """
     b, c = x.shape[:2]
     o, _, kh, kw = w.shape
     xs, hq, wq = _phase_split(x, kh, kw, s, padding)
     n = b * hq * wq
     k = c * kh * kw
-    w2 = w.reshape(o, k)
     dtype = np.result_type(x, w)
     full = np.empty((o, n), dtype=dtype)
     step = _chunk_columns(n, k)
+    if s == 1 and kh > 1 and o <= c and kw * c * (step + (kh - 1) * wq) + o * step <= k * step:
+        _kernel_rows(xs[0, 0], w, full, step, wq)
+        return full.reshape(o, b, hq, wq)
+    w2 = w.reshape(o, k)
     cols = np.empty((c, kh, kw, step), dtype=dtype)
     taps = _taps(kh, kw, s, wq)
     for m0 in range(0, n, step):
@@ -933,6 +961,36 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, s: int, padding: int) -> np.ndar
             cols[:, i, j, :m] = xs[r, q, :, off + m0:off + m0 + m]
         np.matmul(w2, cols.reshape(k, -1)[:, :m], out=full[:, m0:m0 + m])
     return full.reshape(o, b, hq, wq)
+
+
+def _kernel_rows(xs: np.ndarray, w: np.ndarray, full: np.ndarray, step: int, wq: int) -> None:
+    """The stride-1 cross-correlation of the phase-split input xs (c, n +
+    tail) with w (o, c, kh, kw) into ``full`` (o, n), in chunks of ``step``
+    columns, one GEMM per kernel row (the low-memory GEMM convolution of
+    Anderson et al., arXiv 1709.03395).
+
+    Per chunk of m columns, one (kw·c, m + (kh-1)·wq) buffer holds kw copies of
+    the chunk's input columns plus a halo of the kernel's lower rows, copy j
+    shifted j columns on; kernel row i then reads its window at column i·wq.
+    Row 0's GEMM writes the chunk's output, and each later row's goes through
+    one (o, m) product buffer and is added to it.
+    """
+    c, n = xs.shape[0], full.shape[1]
+    o, _, kh, kw = w.shape
+    halo = (kh - 1) * wq
+    w_rows = w.transpose(2, 0, 3, 1).reshape(kh, o, kw * c)  # row i: (o, (j, c))
+    rows = np.empty((kw, c, step + halo), dtype=full.dtype)
+    flat = rows.reshape(kw * c, -1)
+    prod = np.empty((o, step), dtype=full.dtype)
+    for m0 in range(0, n, step):
+        m = min(step, n - m0)
+        for j in range(kw):
+            rows[j, :, :m + halo] = xs[:, m0 + j:m0 + j + m + halo]
+        out = full[:, m0:m0 + m]
+        np.matmul(w_rows[0], flat[:, :m], out=out)
+        for i in range(1, kh):
+            np.matmul(w_rows[i], flat[:, i * wq:i * wq + m], out=prod[:, :m])
+            out += prod[:, :m]
 
 
 def _biased_conv(x: np.ndarray, w: np.ndarray, s: int, padding: int, bias: np.ndarray,
@@ -1314,17 +1372,19 @@ def _check_table(x0: float, h: float, coef: np.ndarray, dtype: np.dtype):
 
 # A NaN x casts to an arbitrary row, which mode="clip" keeps in range; its
 # offset t is NaN whatever the row, and so is p (degree >= 1): an infinite
-# x likewise gives 0 * inf. _node then raises on the output.
+# x likewise gives 0 * inf. _node then raises on the output. A huge x
+# overflows u to inf, which the clip brings back to a zero row. So _locate
+# and the Horner passes after it run under the caller's
+# np.errstate(all="ignore"): affine enters it once per pass.
 def _locate(x: np.ndarray, x0: float, h: float, mid: np.ndarray):
     """Each element's table row and its offset t from that cell's midpoint."""
-    with np.errstate(all="ignore"):
-        u = np.subtract(x, x0, out=np.empty(x.shape, dtype=x.dtype))
-        u /= h
-        np.maximum(u, -1.0, out=u)  # np.clip's arithmetic without its Python wrapper
-        np.minimum(u, mid.size - 2, out=u)
-        np.floor(u, out=u)
-        u += 1.0
-        row = u.astype(np.intp)
+    u = np.subtract(x, x0, out=np.empty(x.shape, dtype=x.dtype))
+    u /= h
+    np.maximum(u, -1.0, out=u)  # np.clip's arithmetic without its Python wrapper
+    np.minimum(u, mid.size - 2, out=u)
+    np.floor(u, out=u)
+    u += 1.0
+    row = u.astype(np.intp)
     return row, x - mid.take(row, mode="clip")
 
 

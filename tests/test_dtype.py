@@ -41,6 +41,9 @@ CASES = {
     "layer_norm": (T.layer_norm, [(3, 6), (6,), (6,)]),
     "conv2d": (lambda x, w, b: T.conv2d(x, w, b, stride=2, padding=1, relu=True),
                [(2, 3, 7, 7), (4, 3, 3, 3), (4,)]),
+    # stride 1 to fewer channels than it reads: the kernel-row forward
+    "conv2d_narrowing": (lambda x, w, b: T.conv2d(x, w, b, padding=1, relu=True),
+                         [(2, 4, 7, 7), (3, 4, 3, 3), (3,)]),
     "upsample_concat_conv2d": (T.upsample_concat_conv2d,
                                [(2, 3, 4, 4), (2, 2, 8, 8), (4, 5, 3, 3), (4,)]),
     "upsample_nearest_2x": (T.upsample_nearest_2x, [(2, 3, 4, 4)]),

@@ -441,6 +441,23 @@ class TestCheckpoint:
                 assert n1 == n2
                 assert p2.data.dtype == dtype and np.array_equal(p1.data, p2.data)
 
+    def test_the_dtype_rule_reads_the_whole_payload(self, tmp_path):
+        """NaN and inf are float32 values, so a float32 model holding them in
+        its first and last tensors comes back float32; one value past
+        float32's range, in its last tensor, makes the whole file float64."""
+        model = TransUKanModel(MICRO, rng=np.random.default_rng(12))
+        model.parameters()[0][1].data.flat[0] = np.nan
+        path = str(tmp_path / "model.tukn")
+        for dtype, value in ((np.float32, -np.inf), (np.float64, 1e300)):
+            model = model.astype(dtype)
+            model.parameters()[-1][1].data.flat[-1] = value
+            save_checkpoint(model, path)
+            loaded = load_checkpoint(path)
+            assert loaded.dtype == dtype
+            for (_, p1), (_, p2) in zip(model.parameters(), loaded.parameters()):
+                assert p2.data.dtype == dtype
+                assert np.array_equal(p1.data, p2.data, equal_nan=True)
+
     def test_default_model_bytes_are_pinned(self, tmp_path):
         """Parameter names, shapes, order and initial values of the default
         model, float32 values written as float64, and the TUKN v1 layout, in

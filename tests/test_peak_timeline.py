@@ -64,6 +64,22 @@ def test_forward_prints_each_op_in_forward_order():
     assert max(int(peak) for *_, peak in rows) <= int(_rows()[-1][3]) + 2048
 
 
+def test_forward_infer_prints_the_model_ops_of_a_no_grad_forward():
+    header, *rows = _rows("--forward", "--infer")
+    assert header == ["op", "scope", "held_bytes", "peak_bytes"]
+    # The training forward's ops, less the loss that follows decoder.head.
+    forward = [row[:2] for row in _rows("--forward")[1:]]
+    assert [row[:2] for row in rows] == forward[:len(rows)]
+    assert rows[-1][:2] == ["conv2d", "decoder.head"]
+    assert all(0 <= int(held) <= int(peak) for _, _, held, peak in rows)
+    # No graph keeps the op outputs, so the inference forward holds less and
+    # peaks no higher than the training one.
+    held = {tuple(row[:2]): int(row[2]) for row in _rows("--forward")[1:]}
+    assert int(rows[-1][2]) < held[("conv2d", "decoder.head")]
+    assert (max(int(peak) for *_, peak in rows)
+            <= max(int(row[3]) for row in _rows("--forward")[1:]))
+
+
 def test_held_lists_the_outputs_alive_at_the_peak_adjoint():
     header, *alive, (held, scope, held_bytes) = _rows("--held", config=json.dumps(SMALL))
     assert header == ["op", "scope", "bytes"]

@@ -29,7 +29,7 @@ def test_a_tree_against_itself_is_identical():
     assert out.returncode == 0, out.stderr
     rows, last = _rows(out)
     assert last == "identical"
-    # The logits, then the 39 parameter gradients of the tiny model.
+    # The logits, then the 35 parameter gradients of the tiny model.
     assert [name for name, _ in rows][:2] == ["logits", "cnn.stage0.conv_a.weight"]
     assert len(rows) == 36 and all(float(rel) == 0.0 for _, rel in rows)
 

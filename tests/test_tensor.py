@@ -626,23 +626,28 @@ class TestConv2d:
                     target, tol=1e-6, sample=4)
                 assert rep.ok, (kernel, size, c_in, rep)
 
-    def test_forward_in_chunks_matches_oracle(self, monkeypatch):
-        # 27 rows of im2col scratch in a budget of 150 elements: one image
-        # per slice, and each image's 9 x 8 phase cells in chunks of 5
-        # columns, the last one short. The plan at the default budget, one
-        # slice, is made first, so a plan cached without its budget shows.
+    def test_forward_in_chunks_matches_oracle(self):
+        # One image per slice, and each image's 9 x 8 phase cells in chunks
+        # of ``step`` columns, the last one short: 27 rows of im2col scratch
+        # in a budget of 150 elements for the widening conv (3 -> 4
+        # channels), which keeps im2col; 36 rows in 720 for the narrowing
+        # one (4 -> 3), which runs each slice's four chunks as kernel rows.
+        # The plan at the default budget, one slice, is made first, so a
+        # plan cached without its budget shows.
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(2, 3, 7, 6))
-        w = rng.normal(size=(4, 3, 3, 3))
-        b = rng.normal(size=4)
-        assert len(T._batch_slices(x.shape, 4, 1, 1)) == 1
-        monkeypatch.setattr(T, "_IM2COL_BUDGET", 150)
-        assert T._chunk_columns(9 * 8, 27) == 5
-        with mock.patch.object(T, "_conv_forward", wraps=T._conv_forward) as slices:
-            out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1)
-        assert slices.call_count == 2
-        np.testing.assert_allclose(out.data, _naive_conv2d(x, w, b, 1, 1),
-                                   rtol=0, atol=1e-12)
+        for c, o, budget, step, rows in ((3, 4, 150, 5, 0), (4, 3, 720, 18, 2)):
+            x = rng.normal(size=(2, c, 7, 6))
+            w = rng.normal(size=(o, c, 3, 3))
+            b = rng.normal(size=o)
+            assert len(T._batch_slices(x.shape, o, 1, 1)) == 1
+            with (mock.patch.object(T, "_IM2COL_BUDGET", budget),
+                  mock.patch.object(T, "_conv_forward", wraps=T._conv_forward) as slices,
+                  mock.patch.object(T, "_kernel_rows", wraps=T._kernel_rows) as kernel_rows):
+                assert T._chunk_columns(9 * 8, 9 * c) == step
+                out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1)
+            assert (slices.call_count, kernel_rows.call_count) == (2, rows)
+            np.testing.assert_allclose(out.data, _naive_conv2d(x, w, b, 1, 1),
+                                       rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("shape, kernel, stride, padding",
                              [((2, 3, 8, 8), (4, 3, 3, 3), 1, 1),
@@ -1086,11 +1091,11 @@ class TestConvScratch:
     is one image, so from batch 1 to 4 the bytes a call holds above its result
     grow by at most one image of the result, which the first slice's scratch
     overlaps at batch 1 and not after (plus 64 kB of slack). Measured on
-    16-channel 64x64 maps: each forward held 3.12 MB above its output at
-    batch 1 and 3.64 MB at batch 4 (6.40 MB when the forward ran the whole
-    batch at once); the conv2d backward held 1.02 MB above dx at batch 1 and
-    1.54 MB at batch 4 (2.12 MB when it kept a slice's phase-split input
-    while building the next)."""
+    16-channel 64x64 maps: each forward held 1.90 MB above its output at
+    batch 1 and 2.42 MB at batch 4 (3.12 and 3.64 MB with im2col chunks,
+    6.40 MB when the forward ran the whole batch at once); the conv2d
+    backward held 1.02 MB above dx at batch 1 and 1.54 MB at batch 4 (2.12 MB
+    when it kept a slice's phase-split input while building the next)."""
 
     IMAGE = 16 * 64 * 64 * 8  # bytes of one image of the result, 0.52 MB
 
@@ -1125,6 +1130,31 @@ class TestConvScratch:
             g = np.random.default_rng(batch).normal(size=out.shape)
             held.append(_bytes_above_result(lambda: out._backward_fn(g))[1])
         assert held[1] - held[0] <= self.IMAGE + 65_536, held
+
+    def test_a_narrowing_conv_runs_in_less_scratch_than_im2col(self):
+        # The decoder.block2 skip half of the default model at batch 1, 16 ->
+        # 16 channels on 64x64 maps in float32, as kernel rows: 1.21 MB at its
+        # peak, against the 1.82 MB that its phase-split input, output and
+        # im2col chunk hold together. The kernel rows' chunk is kw copies of
+        # the chunk's columns plus a halo of (kh - 1) grid rows, and one
+        # product buffer; beside it come the reordered kernel and numpy's
+        # buffer for the strided add (~64 kB).
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(1, 16, 64, 64)).astype(np.float32)
+        w = rng.normal(size=(16, 16, 3, 3)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            T._conv_forward(x, w, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        wq = 66
+        n, k = wq * wq, 16 * 9
+        step = T._chunk_columns(n, k)
+        held = 16 * (n + 2 * wq + 2) + 16 * n  # the phase-split input and the output
+        im2col = 4 * (held + k * step)
+        rows = 4 * (held + 3 * 16 * (step + 2 * wq) + 16 * step)
+        assert peak < im2col and peak <= rows + 100_000, (peak, im2col, rows)
 
 
 class TestBackward:

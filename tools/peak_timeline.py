@@ -1,7 +1,7 @@
 """Memory timeline of one training step, one row per adjoint of the backward.
 
     python3 tools/peak_timeline.py [--config JSON] [--batch B] [--seed S]
-                                   [--forward] [--time N] [--held]
+                                   [--forward [--infer]] [--time N] [--held]
 
 Builds ``TransUKanModel`` at ``ModelConfig()`` with the fields of ``--config``
 (a JSON object, e.g. ``'{"image_size": 128}'``) put over it, and runs one
@@ -37,6 +37,12 @@ op, its scope and its median wall time over the N forwards (``median_ms``).
 An op's time runs from the previous op's output (or from the forward's start)
 to its own, so it counts the layer code between the two ops, and shows the
 fixed cost each call pays as well as its arithmetic.
+
+``--infer`` makes either ``--forward`` run an inference forward instead, as
+perfbench's ``infer-*`` workloads run it: the model alone under
+``T.no_grad()``, with no loss, on an image drawn before the trace (or the
+clock) starts. No graph holds the op outputs, so each dies once the next op
+has read it, and the rows show which op sets the inference peak.
 
 With ``--held`` it lists what the peak adjoint sits on: it runs the default
 timeline, picks the adjoint with the largest peak (the step's peak when the
@@ -142,11 +148,24 @@ def step_timeline(cfg: ModelConfig, batch: int, seed: int):
         tracemalloc.stop()
 
 
-def forward_timeline(cfg: ModelConfig, batch: int, seed: int):
+def run_forward(model: TransUKanModel, inputs: tuple[Tensor, Tensor], infer: bool) -> None:
+    """:func:`image_loss` on ``inputs``, or with ``infer`` an inference
+    forward of ``model`` alone on their image, under ``T.no_grad()``."""
+    if not infer:
+        image_loss(model, *inputs)
+        return
+    with T.no_grad():
+        forward(inputs[0], model)
+
+
+def forward_timeline(cfg: ModelConfig, batch: int, seed: int, infer: bool = False):
     """Rows ``(op, scope, held, peak)`` of each op of the forward of a
-    training step at ``cfg``, in the order it runs them, in bytes above the
-    trace's start; ``T._node`` is restored on return."""
+    training step at ``cfg``, or with ``infer`` of an inference forward (see
+    :func:`run_forward`), in the order it runs them, in bytes above the
+    trace's start; ``T._node`` is restored on return. A training forward
+    draws its batch inside the trace, an inference forward before it."""
     model = TransUKanModel(cfg, rng=np.random.default_rng(seed))
+    inputs = random_batch(model, batch, seed + 1) if infer else None
     make_node = T._node
     rows = []
 
@@ -164,7 +183,7 @@ def forward_timeline(cfg: ModelConfig, batch: int, seed: int):
     T._node = node
     try:
         base = held = tracemalloc.get_traced_memory()[0]
-        pixel_loss(model, batch, seed + 1)
+        run_forward(model, inputs or random_batch(model, batch, seed + 1), infer)
         return rows
     finally:
         T._node = make_node
@@ -245,11 +264,12 @@ def step_times(cfg: ModelConfig, batch: int, seed: int, steps: int):
             for calls in zip(*runs[1:])]
 
 
-def forward_times(cfg: ModelConfig, batch: int, seed: int, runs: int):
+def forward_times(cfg: ModelConfig, batch: int, seed: int, runs: int, infer: bool = False):
     """``(op, scope, median ms)`` of each op of the forward of a training step
-    at ``cfg``, in the order it runs them: the median over ``runs`` forwards
-    that follow one warm-up forward, on one batch drawn before the clock
-    starts; ``T._node`` is restored on return."""
+    at ``cfg``, or with ``infer`` of an inference forward, in the order it
+    runs them: the median over ``runs`` forwards that follow one warm-up
+    forward, on one batch drawn before the clock starts; ``T._node`` is
+    restored on return."""
     model = TransUKanModel(cfg, rng=np.random.default_rng(seed))
     inputs = random_batch(model, batch, seed + 1)
     make_node = T._node
@@ -270,7 +290,7 @@ def forward_times(cfg: ModelConfig, batch: int, seed: int, runs: int):
         for _ in range(runs + 1):
             rows = []
             last = time.perf_counter()
-            image_loss(model, *inputs)
+            run_forward(model, inputs, infer)
             forwards.append(rows)
     finally:
         T._node = make_node
@@ -288,11 +308,16 @@ def main():
                              "median wall time over N steps instead")
     parser.add_argument("--forward", action="store_true",
                         help="print each forward op's held bytes and peak instead")
+    parser.add_argument("--infer", action="store_true",
+                        help="with --forward, run an inference forward under no_grad, "
+                             "with no loss")
     parser.add_argument("--held", action="store_true",
                         help="print the op outputs alive when the peak adjoint starts instead")
     args = parser.parse_args()
     if args.time is not None and args.time < 1:
         parser.error(f"--time needs at least 1 step, got {args.time}")
+    if args.infer and not args.forward:
+        parser.error("--infer needs --forward")
     if args.held and (args.forward or args.time is not None):
         parser.error("--held takes neither --forward nor --time")
     cfg = ModelConfig.from_dict({**ModelConfig().to_dict(), **json.loads(args.config)})
@@ -303,13 +328,16 @@ def main():
             print(f"{op}\t{scope}\t{nbytes}")
         return
     if args.time is not None:
-        timer = forward_times if args.forward else step_times
+        if args.forward:
+            times = forward_times(cfg, args.batch, args.seed, args.time, args.infer)
+        else:
+            times = step_times(cfg, args.batch, args.seed, args.time)
         print("op\tscope\tmedian_ms")
-        for op, scope, ms in timer(cfg, args.batch, args.seed, args.time):
+        for op, scope, ms in times:
             print(f"{op}\t{scope}\t{ms:.3f}")
         return
     if args.forward:
-        rows = forward_timeline(cfg, args.batch, args.seed)
+        rows = forward_timeline(cfg, args.batch, args.seed, args.infer)
     else:
         rows, held, peak = step_timeline(cfg, args.batch, args.seed)
         rows.append(("(step)", "", held, peak))
