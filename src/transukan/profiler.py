@@ -5,19 +5,22 @@ prefix; ``ROOT`` for none). FLOPs and bytes come from one walk over the tape of
 one forward on a zero input of the parameters' dtype (float32 for a
 ``TransUKanModel``), one entry per ``tensor.scope`` path, which the
 model names after the owners whose parameters it reads. The forward is the
-package's own: ``network.forward``, an encoder part's module function or a
-layer's ``forward()``. ``tensor.Tape`` lists the nodes in forward order, and
-the rows keep it. The FLOP conventions live next to each op in
+package's own, and one table, ``_PROFILED``, gives it and its input for each
+class that can be profiled: ``network.forward``, an encoder part's module
+function or a layer's ``forward()``. ``tensor.Tape`` lists the nodes in forward
+order, and the rows keep it. The FLOP conventions live next to each op in
 ``tensor.py`` (1 multiply-accumulate = 2). Memory is the op-output buffers the
 tape owns, by the rule of perfbench's ``tape_accounting``: a buffer counts
 once, at the first op in forward order that outputs it; views of it or of a
-parameter count zero. By the retention rule of ``tensor._node``, that count is
-the bytes one forward retains less the row statistics that attention and
-a LayerNorm keep. A LayerNorm that runs as the ``norm`` prologue of the
-affine node it feeds (a Kansformer block's ln1 and ln2) counts in that node's
-scope: its owner's row keeps only its parameters. The variant comparison measures
-``TransUKanModel(config).encoder`` and swaps its KAN scopes for real layers,
-cast to the encoder's dtype.
+parameter count zero. ``_owned_outputs`` holds that rule, and
+``tools/peak_timeline.py --held`` reads it too. By the retention rule of
+``tensor._node``, that count is the bytes one forward retains less the row
+statistics that attention and a LayerNorm keep. A LayerNorm that runs as the
+``norm`` prologue of the affine node it feeds (a Kansformer block's ln1 and
+ln2) counts in that node's scope: its owner's row keeps only its parameters.
+The variant comparison measures ``TransUKanModel(config).encoder`` and swaps
+its KAN scopes for real layers, cast to the encoder's dtype, each measured as
+the expression it stands in for.
 """
 
 from dataclasses import dataclass, field
@@ -36,11 +39,18 @@ from transukan.tensor import ContractError, Tensor
 ROOT = "(root)"
 VARIANTS = ("mlp", "efficientkan", "relukan", "bspline_kan")
 
-# Classes that run through a module function -> that function; the rest, forward().
-_RUN_BY = {TransUKanModel: forward, EncoderStack: encoder_forward,
-           KansformerBlockParams: kansformer_block, MsaKanParams: msa_kan}
-_PROFILED = (*_RUN_BY, LayerNormParams, AffineLayer, EfficientKanLayer, ReLUKanLayer,
-             BSplineKanLayer)
+# Each profiled class -> (its forward, run as run(x, obj); the shape of its
+# input at a batch). Blocks and attention see one token.
+_PROFILED = {
+    TransUKanModel: (forward, lambda m, b: (b, m.config.in_channels)
+                     + (m.config.image_size,) * 2),
+    EncoderStack: (encoder_forward, lambda s, b: (b, s.n_tokens, s.d_model)),
+    KansformerBlockParams: (kansformer_block, lambda p, b: (b, 1, p.d_model)),
+    MsaKanParams: (msa_kan, lambda p, b: (b, 1, p.d_model)),
+    LayerNormParams: (lambda x, p: p.forward(x), lambda p, b: (b, p.d)),
+    **dict.fromkeys((AffineLayer, EfficientKanLayer, ReLUKanLayer, BSplineKanLayer),
+                    (lambda x, layer: layer.forward(x), lambda layer, b: (b, layer.c_in))),
+}
 
 
 @dataclass
@@ -76,22 +86,14 @@ class CostReport:
         return "\n".join(lines)
 
 
-def _checked(obj):
+def _profiled(obj):
+    """``(run, shape)`` of ``obj`` by ``_PROFILED``: ``run(x)`` is its forward
+    and ``shape(batch)`` the shape of its input."""
     if type(obj) not in _PROFILED:
         raise ContractError(f"cannot profile a {type(obj).__name__}: pass a "
                             f"TransUKanModel, an encoder part or a layer")
-    return obj
-
-
-def _input_shape(obj, batch: int) -> tuple[int, ...]:
-    """Input of one forward at ``batch``; blocks and attention see one token."""
-    if isinstance(obj, TransUKanModel):
-        return (batch, obj.config.in_channels) + (obj.config.image_size,) * 2
-    if isinstance(obj, EncoderStack):
-        return (batch, obj.n_tokens, obj.d_model)
-    if isinstance(obj, (KansformerBlockParams, MsaKanParams)):
-        return (batch, 1, obj.d_model)
-    return (batch, obj.d if isinstance(obj, LayerNormParams) else obj.c_in)
+    run, shape = _PROFILED[type(obj)]
+    return (lambda x: run(x, obj)), (lambda batch: shape(obj, batch))
 
 
 def _buffer(a: np.ndarray) -> np.ndarray:
@@ -100,50 +102,57 @@ def _buffer(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _add_params(obj, rows: dict[str, list[int]]) -> dict[str, list[int]]:
-    """Add each owner's parameter count to ``rows`` (name -> [params, flops, bytes])."""
-    for name, p in obj.parameters():
+def _owned_outputs(nodes: list[Tensor]):
+    """``(node, buffer)`` of each op node of ``nodes``, a tape in forward
+    order, that first outputs a buffer no leaf's data views: the buffers the
+    tape owns, each once, by the rule of perfbench's ``tape_accounting``."""
+    seen = {id(_buffer(p.data)) for n in nodes for p in n._parents
+            if p._backward_fn is None}
+    for n in nodes:
+        buf = _buffer(n.data)
+        if n._backward_fn is not None and id(buf) not in seen:
+            seen.add(id(buf))
+            yield n, buf
+
+
+def _add_params(params, rows: dict[str, list[int]]) -> dict[str, list[int]]:
+    """Add each owner's count of the named ``params`` to ``rows`` (name ->
+    [params, flops, bytes])."""
+    for name, p in params:
         rows.setdefault(name.rpartition(".")[0], [0, 0, 0])[0] += p.size
     return rows
 
 
-def _dtype(obj) -> np.dtype:
-    """The dtype of ``obj``'s parameters, in which its forward runs."""
-    return np.result_type(*(p.data.dtype for _, p in obj.parameters()))
-
-
-def _cast(layer, dtype):
-    """``layer``, its parameters cast to ``dtype`` in place."""
-    for _, p in layer.parameters():
+def _cast(dtype, *layers) -> list:
+    """The named parameters of ``layers``, cast to ``dtype`` in place."""
+    params = [named for layer in layers for named in layer.parameters()]
+    for _, p in params:
         p.data = p.data.astype(dtype)
-    return layer
+    return params
 
 
-def _walk(obj, input_shape) -> dict[str, list[int]]:
-    """Rows of one forward of ``obj`` on an input of its parameters' dtype:
-    its scopes in forward order, then owners."""
-    x = Tensor(np.zeros(input_shape, dtype=_dtype(obj)), requires_grad=True)
-    run = _RUN_BY.get(type(obj))
-    out = run(x, obj) if run else obj.forward(x)
+def _walk(run, params, input_shape) -> dict[str, list[int]]:
+    """Rows of one forward ``run(x)`` over the named ``params`` it reads, on a
+    zero x of ``input_shape`` in their dtype: its scopes in forward order,
+    then owners."""
+    dtype = np.result_type(*(p.data.dtype for _, p in params))
+    out = run(Tensor(np.zeros(input_shape, dtype=dtype), requires_grad=True))
     if out._backward_fn is None:
         raise ContractError("profiling walks the recorded graph: call it outside no_grad")
-    nodes = [n for n in T.Tape(out).nodes if n._backward_fn is not None]
-    counted = {id(_buffer(p.data)) for n in nodes for p in n._parents
-               if p._backward_fn is None}
+    nodes = T.Tape(out).nodes
     rows: dict[str, list[int]] = {}
     for n in nodes:
-        row = rows.setdefault(n.scope, [0, 0, 0])
-        row[1] += n.flops
-        buf = _buffer(n.data)
-        if id(buf) not in counted:
-            counted.add(id(buf))
-            row[2] += buf.nbytes
-    return _add_params(obj, rows)
+        if n._backward_fn is not None:
+            rows.setdefault(n.scope, [0, 0, 0])[1] += n.flops
+    for n, buf in _owned_outputs(nodes):
+        rows[n.scope][2] += buf.nbytes
+    return _add_params(params, rows)
 
 
 def count_params(model_or_layer) -> CostReport:
     """Parameters per owner; the total equals the tensor enumeration."""
-    rows = _add_params(_checked(model_or_layer), {})
+    _profiled(model_or_layer)  # raises for what cannot be profiled
+    rows = _add_params(model_or_layer.parameters(), {})
     return CostReport(type(model_or_layer).__name__,
                       [CostEntry(o or ROOT, params=n) for o, (n, _, _) in rows.items()])
 
@@ -153,7 +162,7 @@ def estimate_flops(model_or_layer, input_shape) -> CostReport:
     if not isinstance(input_shape, (tuple, list)):
         raise ContractError(f"input_shape must be a tuple of sizes, got {input_shape!r}")
     T.check_sizes({f"input_shape[{i}]": n for i, n in enumerate(input_shape)})
-    rows = _walk(_checked(model_or_layer), input_shape)
+    rows = _walk(_profiled(model_or_layer)[0], model_or_layer.parameters(), input_shape)
     return CostReport(type(model_or_layer).__name__,
                       [CostEntry(s or ROOT, flops=f) for s, (_, f, _) in rows.items()])
 
@@ -161,37 +170,10 @@ def estimate_flops(model_or_layer, input_shape) -> CostReport:
 def estimate_activation_memory(model_or_layer, batch: int) -> CostReport:
     """Bytes per scope of the op outputs one forward at ``batch`` keeps."""
     T.check_sizes({"batch": batch})
-    obj = _checked(model_or_layer)
-    rows = _walk(obj, _input_shape(obj, batch))
-    return CostReport(type(obj).__name__, [CostEntry(s or ROOT, activation_bytes=b)
-                                           for s, (_, _, b) in rows.items()])
-
-
-class _MlpFfn:
-    """fc1 -> silu -> fc2, the feed-forward of the ``mlp`` block."""
-
-    def __init__(self, d: int, hidden: int):
-        self.fc1, self.fc2 = AffineLayer(d, hidden), AffineLayer(hidden, d)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.fc2.forward(T.silu(self.fc1.forward(x)))
-
-    def parameters(self):
-        return self.fc1.parameters() + self.fc2.parameters()
-
-
-class _PlusInput:
-    """``layer`` with its input added to its output: a block's second
-    sublayer and its residual add, which an EfficientKAN block fuses."""
-
-    def __init__(self, layer):
-        self.layer = layer
-
-    def forward(self, x: Tensor) -> Tensor:
-        return T.add(self.layer.forward(x), x)
-
-    def parameters(self):
-        return self.layer.parameters()
+    run, shape = _profiled(model_or_layer)
+    rows = _walk(run, model_or_layer.parameters(), shape(batch))
+    return CostReport(type(model_or_layer).__name__,
+                      [CostEntry(s or ROOT, activation_bytes=b) for s, (_, _, b) in rows.items()])
 
 
 def _swaps(variant: str, config: ModelConfig, shape: tuple[int, ...],
@@ -202,21 +184,26 @@ def _swaps(variant: str, config: ModelConfig, shape: tuple[int, ...],
     with the LayerNorm that the other variants run as a node of its own, in an
     ``ln1`` or ``ln2`` row of its FLOPs and bytes, whose parameters the
     encoder's own row adds. The stand-in for kan2 carries the residual add that
-    the kan2 node fuses, and the packed ``msa.qkv`` projection becomes three
+    the kan2 node fuses: it is ``fc2(silu(fc1(x))) + x`` for ``mlp`` and
+    ``layer(x) + x`` for a KAN. The packed ``msa.qkv`` projection becomes three
     d -> d projections."""
     if variant == "efficientkan":
         return {}
     d, grid = config.d_model, config.grid
-    norm = [0, *_walk(_cast(LayerNormParams(d), dtype), shape)[""][1:]]
+    ln = LayerNormParams(d)
+    norm = [0, *_walk(ln.forward, _cast(dtype, ln), shape)[""][1:]]
     if variant == "mlp":
-        proj = _walk(_cast(AffineLayer(d, d), dtype), shape)[""]
-        ffn = _walk(_PlusInput(_cast(_MlpFfn(d, 4 * d), dtype)), shape)[""]
+        affine, fc1, fc2 = AffineLayer(d, d), AffineLayer(d, 4 * d), AffineLayer(4 * d, d)
+        proj = _walk(affine.forward, _cast(dtype, affine), shape)[""]
+        ffn = _walk(lambda x: T.add(fc2.forward(T.silu(fc1.forward(x))), x),
+                    _cast(dtype, fc1, fc2), shape)[""]
         swaps = {"kan1": {"ln1": norm}, "kan2": {"ln2": norm, "ffn": ffn}}
     else:
         layer = (ReLUKanLayer if variant == "relukan" else BSplineKanLayer)(d, d, grid)
-        proj = _walk(_cast(layer, dtype), shape)[""]
-        swaps = {"kan1": {"ln1": norm, "kan1": proj},
-                 "kan2": {"ln2": norm, "kan2": _walk(_PlusInput(layer), shape)[""]}}
+        params = _cast(dtype, layer)
+        proj = _walk(layer.forward, params, shape)[""]
+        plus = _walk(lambda x: T.add(layer.forward(x), x), params, shape)[""]
+        swaps = {"kan1": {"ln1": norm, "kan1": proj}, "kan2": {"ln2": norm, "kan2": plus}}
     return {**swaps, "msa.qkv": {f"msa.{x}_proj": proj for x in "qkv"}}
 
 
@@ -230,10 +217,11 @@ def variant_report(variant: str, config: ModelConfig) -> CostReport:
         raise ContractError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     T.check_type("variant_report", "config", config, ModelConfig)
     shape = (1, config.n_tokens, config.d_model)
-    encoder = TransUKanModel(config).encoder
-    swaps = _swaps(variant, config, shape, _dtype(encoder))
+    model = TransUKanModel(config)
+    swaps = _swaps(variant, config, shape, model.dtype)
     rows: dict[str, list[int]] = {}
-    for name, row in _walk(encoder, shape).items():
+    for name, row in _walk(lambda x: encoder_forward(x, model.encoder),
+                           model.encoder.parameters(), shape).items():
         block, _, inner = name.partition(".")
         parts = ({f"{block}.{n}": r for n, r in swaps[inner].items()}
                  if inner in swaps else {name: row})

@@ -821,7 +821,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 # _batch_slices) take it as part of their key, so a patched budget is never
 # served a plan made for another. A forward chunk sets the peak of an
 # inference forward: at the default float32 model's batch-1 64x64 forward,
-# decoder.block2's skip half as kernel rows, 1.82 MB (2.43 MB as im2col). The
+# decoder.block2's skip half as kernel rows, 1.76 MB (2.43 MB as im2col). The
 # batch-4 training step peaks in the backward instead, in the decoder.block2
 # adjoint, whose one slice of scratch sits on activations not yet freed. For
 # the batch-1 64x64 forward in float64, all im2col (2 vCPUs, 16 alternating
@@ -973,7 +973,12 @@ def _kernel_rows(xs: np.ndarray, w: np.ndarray, full: np.ndarray, step: int, wq:
     the chunk's input columns plus a halo of the kernel's lower rows, copy j
     shifted j columns on; kernel row i then reads its window at column i·wq.
     Row 0's GEMM writes the chunk's output, and each later row's goes through
-    one (o, m) product buffer and is added to it.
+    one (o, m) product buffer and is added to it. When the output runs in more
+    than one chunk, its chunk is a strided view of ``full``, and the product
+    buffer's rows are padded by one element so that its chunk is strided too:
+    numpy adds a contiguous operand into a strided one through a buffer of its
+    own (~53 kB a call at the decoder's shapes), but adds two strided ones in
+    place. A single chunk keeps both contiguous.
     """
     c, n = xs.shape[0], full.shape[1]
     o, _, kh, kw = w.shape
@@ -981,7 +986,7 @@ def _kernel_rows(xs: np.ndarray, w: np.ndarray, full: np.ndarray, step: int, wq:
     w_rows = w.transpose(2, 0, 3, 1).reshape(kh, o, kw * c)  # row i: (o, (j, c))
     rows = np.empty((kw, c, step + halo), dtype=full.dtype)
     flat = rows.reshape(kw * c, -1)
-    prod = np.empty((o, step), dtype=full.dtype)
+    prod = np.empty((o, step + (step < n)), dtype=full.dtype)
     for m0 in range(0, n, step):
         m = min(step, n - m0)
         for j in range(kw):

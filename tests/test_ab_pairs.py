@@ -38,6 +38,15 @@ def test_no_gain(change, wins):
     assert row[2] == wins and row[-1] == ""
 
 
+def test_float_rounding_is_a_tie():
+    # A deterministic metric that float32 summation order moved by a relative
+    # -2.4e-10: the parent's quartiles coincide, so any gap exceeds them, and
+    # only the tie rule keeps the move from reading as a gain.
+    parent = [0.5126203336931212] * 10
+    row = _verdict([v * (1 - 2.4e-10) for v in parent], parent=parent, bound=0.2)
+    assert row[2] == "0" and row[-1] == ""
+
+
 def test_higher_is_better_counts_the_other_way():
     row = _verdict([v + 20.0 for v in PARENT], better="higher")
     assert row[2] == "10" and row[-1] == "gain"

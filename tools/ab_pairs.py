@@ -17,8 +17,11 @@ only the second compares across runs. Then come per workload the median of
 each side and their ratio, change / parent, for every column, the two fault
 columns included; they get no verdict row. Last comes
 one verdict row per workload and end-to-end metric: the pairs the change won,
-in the direction ``better`` gives (ties count for neither side), the parent's
-quartiles, the gap between the medians and a mark. The mark reads
+in the direction ``better`` gives, the parent's quartiles, the gap between the
+medians and a mark. A pair whose two values differ by at most ``TIE`` of the
+parent's value is a tie, and ties count for neither side, so that float
+rounding of a deterministic metric (such as ``loss_end``) wins no pair. The
+mark reads
 
 - ``gain`` when the change won at least 9 in 10 pairs and the gap exceeds the
   parent's interquartile range, so that the change's median lies outside it;
@@ -45,6 +48,7 @@ import subprocess
 import sys
 
 PAIRS = 10  # the fewest alternating pairs a claimed gain is judged on
+TIE = 1e-6  # a pair this close, as a share of the parent's value, is a tie
 
 
 def run(tree, workload, pad):
@@ -115,13 +119,18 @@ def spread(values):
 
 def judge(metric, rows, k):
     """The verdict on ``metric``, an ``end_to_end`` entry of ``BENCHMARK.json``,
-    from column ``k`` of each side's ``rows``: the pairs the change won, the
+    from column ``k`` of each side's ``rows``: the pairs the change won (by
+    more than ``TIE`` of the parent's value), the
     parent's quartiles, the gap between the medians (the change's better by
     that much when positive) and the mark."""
     parent = [r[k] for r in rows["parent"]]
     change = [r[k] for r in rows["change"]]
     sign = 1 if metric["better"] == "lower" else -1
-    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+
+    def won(p, c):
+        return sign * (p - c) > TIE * abs(p)
+
+    wins = sum(won(p, c) for p, c in zip(parent, change))
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     median = statistics.median(parent)
     gap = sign * (median - statistics.median(change)) + 0.0  # no -0
@@ -130,7 +139,7 @@ def judge(metric, rows, k):
         mark = "gain"
     elif -gap > bound:
         mark = "worse"
-    elif q3 - q1 > bound and not all(sign * (p - c) > 0 for p in parent for c in change):
+    elif q3 - q1 > bound and not all(won(p, c) for p in parent for c in change):
         mark = "unresolved"
     else:
         mark = ""

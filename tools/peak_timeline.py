@@ -72,7 +72,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from transukan import tensor as T
 from transukan.network import ModelConfig, TransUKanModel, forward
-from transukan.profiler import _buffer
 from transukan.tensor import Tensor
 
 
@@ -191,18 +190,14 @@ def forward_timeline(cfg: ModelConfig, batch: int, seed: int, infer: bool = Fals
 
 
 def weak_outputs(loss: Tensor):
-    """``(op, scope, weak reference, bytes)`` of each buffer that an op node
-    below ``loss`` outputs, in forward order, each once and none that is a
-    leaf's; the tape dies here."""
-    nodes = T.Tape(loss).nodes
-    seen = {id(_buffer(n.data)) for n in nodes if n._backward_fn is None}
-    outputs = []
-    for node in nodes:
-        buf = _buffer(node.data)
-        if node._backward_fn is not None and id(buf) not in seen:
-            seen.add(id(buf))
-            outputs.append((node.op, node.scope, weakref.ref(buf), buf.nbytes))
-    return outputs
+    """``(op, scope, weak reference, bytes)`` of each buffer that the tape
+    below ``loss`` owns, by the profiler's rule, in forward order; the tape
+    dies here."""
+    # Imported here, not above: tools/same_bits.py runs pixel_loss against
+    # trees whose profiler may lack it.
+    from transukan.profiler import _owned_outputs
+    return [(node.op, node.scope, weakref.ref(buf), buf.nbytes)
+            for node, buf in _owned_outputs(T.Tape(loss).nodes)]
 
 
 def held_outputs(cfg: ModelConfig, batch: int, seed: int):
