@@ -267,7 +267,7 @@ class AffineLayer:
         T.check_sizes({"c_in": c_in, "c_out": c_out})
         self.c_in = c_in
         self.c_out = c_out
-        rng = rng or np.random.default_rng(0)
+        rng = T.check_rng("AffineLayer", rng)
         self.weight = Tensor(_uniform(rng, 1.0 / np.sqrt(c_in), (c_out, c_in)),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
@@ -297,7 +297,7 @@ class BSplineKanLayer:
         self.grid = grid
         self.k_spline = max(self.grid.K, 1)
         self.n_basis = self.grid.G + self.k_spline
-        rng = rng or np.random.default_rng(0)
+        rng = T.check_rng("BSplineKanLayer", rng)
         bound = 1.0 / np.sqrt(c_in)
         self.w_base = Tensor(_uniform(rng, bound, (c_out, c_in)), requires_grad=True)
         self.w_spline = Tensor(_uniform(rng, bound, (c_out, c_in)), requires_grad=True)
@@ -333,7 +333,7 @@ class ReLUKanLayer:
         self.c_in = c_in
         self.c_out = c_out
         self.grid = grid
-        rng = rng or np.random.default_rng(0)
+        rng = T.check_rng("ReLUKanLayer", rng)
         nb = self.grid.n_basis
         self.kernel = Tensor(_uniform(rng, 1.0 / np.sqrt(c_in * nb), (c_out, nb, c_in)),
                              requires_grad=True)

@@ -56,7 +56,7 @@ class MsaKanParams:
             raise ContractError(f"d_model {d_model} not divisible by n_heads {n_heads}")
         self.d_model = d_model
         self.n_heads = n_heads
-        rng = rng or np.random.default_rng(0)
+        rng = T.check_rng("MsaKanParams", rng)
         self.qkv = EfficientKanLayer(d_model, 3 * d_model, grid, rng=rng)
         self.out_proj = AffineLayer(d_model, d_model, rng=rng)
 
@@ -88,7 +88,7 @@ class KansformerBlockParams:
 
     def __init__(self, d_model: int, n_heads: int, grid: KanGrid = KanGrid(),
                  rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+        rng = T.check_rng("KansformerBlockParams", rng)
         self.d_model = d_model
         self.ln1 = LayerNormParams(d_model)
         self.ln2 = LayerNormParams(d_model)
@@ -121,7 +121,7 @@ class EncoderStack:
                  grid: KanGrid = KanGrid(), rng: np.random.Generator | None = None):
         T.check_sizes({"d_model": d_model, "n_tokens": n_tokens})
         T.check_sizes({"depth": depth}, least=0)
-        rng = rng or np.random.default_rng(0)
+        rng = T.check_rng("EncoderStack", rng)
         self.d_model = d_model
         self.n_tokens = n_tokens
         self.pos_embed = Tensor(rng.uniform(-0.02, 0.02, size=(n_tokens, d_model)),

@@ -126,7 +126,7 @@ class Conv2dLayer:
     def __init__(self, c_in: int, c_out: int, ksize: int, stride: int = 1,
                  rng: np.random.Generator | None = None):
         T.check_sizes({"c_in": c_in, "c_out": c_out, "ksize": ksize, "stride": stride})
-        rng = rng or np.random.default_rng(0)
+        rng = T.check_rng("Conv2dLayer", rng)
         bound = 1.0 / np.sqrt(c_in * ksize * ksize)
         self.stride = stride
         self.padding = ksize // 2
@@ -151,7 +151,7 @@ class CnnEncoderParams:
 
     def __init__(self, in_channels: int, channels: tuple[int, int, int],
                  rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+        rng = T.check_rng("CnnEncoderParams", rng)
         self.stages = []
         prev = in_channels
         for ch in channels:
@@ -215,7 +215,7 @@ class DecoderParams:
     def __init__(self, d_model: int, skip_channels: tuple[int, int, int],
                  out_channels: tuple[int, int, int], n_classes: int,
                  rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+        rng = T.check_rng("DecoderParams", rng)
         self.blocks = []
         prev = d_model
         for skip_ch, out_ch in zip(reversed(skip_channels), out_channels):
@@ -245,7 +245,8 @@ class TransUKanModel:
     to float32. ``astype`` gives a copy in float64, the oracles' dtype."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+        T.check_type("TransUKanModel", "config", config, ModelConfig)
+        rng = T.check_rng("TransUKanModel", rng)
         self.config = config
         self.cnn = CnnEncoderParams(config.in_channels, config.cnn_channels, rng=rng)
         self.embed = PatchEmbedParams(config.cnn_channels[-1], config.d_model, rng=rng)

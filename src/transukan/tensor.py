@@ -133,6 +133,16 @@ def check_type(where: str, name: str, value, cls: type | tuple[type, ...]) -> No
         raise ContractError(f"{where}: {name} must be {wanted}, got {type(value).__name__}")
 
 
+def check_rng(where: str, rng) -> np.random.Generator:
+    """``rng``, or a generator seeded with 0 if it is None. Anything but a
+    ``np.random.Generator`` or None raises a ``ContractError`` naming
+    ``where`` and ``rng``."""
+    if rng is None:
+        return np.random.default_rng(0)
+    check_type(where, "rng", rng, np.random.Generator)
+    return rng
+
+
 def check_sizes(sizes: dict[str, object], least: int = 1) -> None:
     """Raise a ``ContractError`` naming the first of ``sizes`` that is not an
     int (a bool is not) of at least ``least``."""

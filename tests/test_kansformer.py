@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from transukan import kansformer
+from transukan import kansformer, train
 from transukan import tensor as T
 from transukan.tensor import ContractError, DimensionError, Tensor
 from transukan.kan import EfficientKanLayer
@@ -156,32 +156,24 @@ def _block_with_norm_nodes(z_prev, p):
         return p.kan2.forward(h, z_mid)
 
 
-def _training_step(model, batch, seed=0):
-    """A mean pixel cross-entropy step's forward on a random image and
-    labelling, both in the model's dtype."""
+def _random_batch(model, batch, seed=0):
+    """``(image, labels)``: a random image in the model's dtype and a random
+    labelling."""
     cfg = model.config
     rng = np.random.default_rng(seed)
     shape = (batch, cfg.in_channels, cfg.image_size, cfg.image_size)
     img = Tensor(rng.uniform(size=shape).astype(model.dtype))
-    labels = rng.integers(0, cfg.n_classes, size=(batch, cfg.image_size, cfg.image_size))
-    target = Tensor(np.eye(cfg.n_classes, dtype=model.dtype)[labels].transpose(0, 3, 1, 2))
-
-    def step():
-        logits = forward(img, model)
-        picked = T.mul(T.log_softmax(logits, axis=1), target)
-        return logits, T.scale(T.sum_all(picked), -1.0 / picked.size)
-    return step
+    return img, rng.integers(0, cfg.n_classes, size=(batch, cfg.image_size, cfg.image_size))
 
 
 def test_norm_inside_the_kan_nodes_is_the_layer_norm_nodes_bit_for_bit(monkeypatch):
     """The default model's logits and all 71 parameter gradients are those of
     the same step with ln1 and ln2 as layer_norm nodes, bit for bit."""
     model = TransUKanModel(ModelConfig(), rng=np.random.default_rng(0))
-    step = _training_step(model, 2)
+    img, labels = _random_batch(model, 2)
 
     def run():
-        logits, loss = step()
-        T.backward(loss)
+        _, logits = train.step(model, img, labels)
         grads = [p.grad.tobytes() for _, p in model.parameters()]
         for _, p in model.parameters():
             p.zero_grad()
@@ -198,17 +190,22 @@ def test_a_training_step_forward_holds_eight_normalised_copies_less(monkeypatch)
     and ln2 as layer_norm nodes: the four blocks' two normalised (b, t, d)
     float32 inputs, and nothing more. Counted by tracemalloc in numpy's
     array domain, after a first step has filled the caches: the fused step
-    holds the op outputs of the profiler's count (5,832,704 B), the loss's
-    and the row statistics of attention and the norms."""
+    holds the op outputs of the profiler's count (5,832,704 B), the loss's,
+    the loss's one-hot target (4·2·64·64·4 B, built inside the step by
+    ``train.pixel_loss``) and the row statistics of attention and the
+    norms."""
     model = TransUKanModel(ModelConfig(), rng=np.random.default_rng(0))
-    step = _training_step(model, 4)
+    img, labels = _random_batch(model, 4)
     arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+
+    def step():
+        return train.pixel_loss(forward(img, model), labels)
 
     def held():
         step()
         tracemalloc.start()
         try:
-            _, loss = step()
+            loss = step()
             traces = tracemalloc.take_snapshot().filter_traces([arrays]).traces
         finally:
             tracemalloc.stop()
@@ -218,7 +215,7 @@ def test_a_training_step_forward_holds_eight_normalised_copies_less(monkeypatch)
     fused = held()
     monkeypatch.setattr(kansformer, "kansformer_block", _block_with_norm_nodes)
     assert held() - fused == 8 * 4 * 64 * 64 * 4
-    assert fused == 6_144_056
+    assert fused == 6_275_128
 
 
 class TestKansformerBlock:

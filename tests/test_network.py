@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from transukan import network
+from transukan import network, train
 from transukan import tensor as T
 from transukan.tensor import ContractError, DimensionError, NumericsError, Tensor
 from transukan.kan import KanGrid
@@ -193,15 +193,13 @@ class TestForward:
 
 
 def _pixel_loss(model, batch, seed=11):
-    """Mean pixel cross-entropy of ``model`` on a random image and labelling."""
+    """``train.pixel_loss`` of ``model`` on a random image and labelling."""
     cfg = model.config
     rng = np.random.default_rng(seed)
     size = cfg.image_size
     img = Tensor(rng.uniform(size=(batch, cfg.in_channels, size, size)))
     labels = rng.integers(0, cfg.n_classes, size=(batch, size, size))
-    target = Tensor(np.eye(cfg.n_classes)[labels].transpose(0, 3, 1, 2))
-    picked = T.mul(T.log_softmax(forward(img, model), axis=1), target)
-    return T.scale(T.sum_all(picked), -1.0 / (batch * size * size))
+    return train.pixel_loss(forward(img, model), labels)
 
 
 # A model small enough that tracemalloc of its backward takes well under a
@@ -294,7 +292,7 @@ class TestBackwardRelease:
     def test_backward_peak_stays_near_the_forward_bytes(self):
         # The bytes a backward adds over the forward's, against those of the
         # keeping backward on the same graph: releasing each node and letting
-        # go of it as its adjoint runs adds 0.45x as much; releasing each
+        # go of it as its adjoint runs adds 0.46x as much; releasing each
         # node but holding them all until the pass ends added 0.69x.
         model = TransUKanModel(_PEAK_CONFIG, rng=np.random.default_rng(0))
 
@@ -319,7 +317,7 @@ class TestBackwardRelease:
     def test_activations_die_during_the_backward(self):
         # When the first forward op's adjoint starts, every other op output
         # has had its last reader. Less the parameter gradients, the pass then
-        # holds 0.56x the forward's bytes; a backward that holds every node
+        # holds 0.58x the forward's bytes; a backward that holds every node
         # until it returns held 1.21x.
         model = TransUKanModel(_PEAK_CONFIG, rng=np.random.default_rng(0))
         param_bytes = sum(p.data.nbytes for _, p in model.parameters())
@@ -358,8 +356,8 @@ def _has_mallopt():
 _TRAINING_FAULTS = """
 import json, resource
 import numpy as np
-from transukan import tensor as T
-from transukan.network import ModelConfig, TransUKanModel, forward
+from transukan import train
+from transukan.network import ModelConfig, TransUKanModel
 from transukan.tensor import Tensor
 
 cfg = ModelConfig()
@@ -368,11 +366,9 @@ rng = np.random.default_rng(1)
 size = cfg.image_size
 img = Tensor(rng.uniform(size=(4, cfg.in_channels, size, size)))
 labels = rng.integers(0, cfg.n_classes, size=(4, size, size))
-target = Tensor(np.eye(cfg.n_classes)[labels].transpose(0, 3, 1, 2))
 
 def step():
-    picked = T.mul(T.log_softmax(forward(img, model), axis=1), target)
-    T.backward(T.scale(T.sum_all(picked), -1.0 / picked.size))
+    train.step(model, img, labels)
     for _, p in model.parameters():
         p.data -= 0.05 * p.grad
         p.zero_grad()

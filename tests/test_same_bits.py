@@ -47,3 +47,15 @@ def test_a_changed_epsilon_is_reported(tmp_path):
     rel = dict(rows)
     assert 0.0 < float(rel["logits"]) < 1e-3
     assert last.endswith("of 36 tensors differ")
+
+
+def test_a_tree_without_train_py_runs_this_checkouts_step(tmp_path):
+    # A parent tree from before the package had a loss and a step: both
+    # trees run this checkout's train.py over their own tensor and network.
+    shutil.copytree(ROOT / "src" / "transukan", tmp_path / "src" / "transukan",
+                    ignore=shutil.ignore_patterns("__pycache__", "train.py"))
+    assert not (tmp_path / "src" / "transukan" / "train.py").exists()
+    out = _same_bits(tmp_path, ROOT)
+    assert out.returncode == 0, out.stderr
+    rows, last = _rows(out)
+    assert last == "identical" and len(rows) == 36

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transukan import kan, kansformer, network, profiler
+from transukan import kan, kansformer, network, profiler, train
 from transukan import tensor as T
 from transukan.kan import AffineLayer
 from transukan.tensor import (
@@ -1376,6 +1376,30 @@ class TestBackward:
      "TransUKanModel.astype: dtype must be float32 or float64, got 'f2'"),
     (lambda: kan.EfficientKanLayer(3, 2).forward(_zeros(2, 3), norm="ln"), ContractError,
      "affine: gamma must be a Tensor, got NoneType"),
+    (lambda: network.TransUKanModel("x"), ContractError,
+     "TransUKanModel: config must be a ModelConfig, got str"),
+    (lambda: network.TransUKanModel(network.ModelConfig(), rng=3), ContractError,
+     "TransUKanModel: rng must be a Generator, got int"),
+    (lambda: kan.AffineLayer(2, 2, rng=0), ContractError,
+     "AffineLayer: rng must be a Generator, got int"),
+    (lambda: kansformer.EncoderStack(8, 1, 2, 4, rng=np.random.RandomState(0)), ContractError,
+     "EncoderStack: rng must be a Generator, got RandomState"),
+    (lambda: train.pixel_loss(_zeros(2, 3, 4, 4), np.zeros((2, 4, 5), dtype=int)),
+     DimensionError, r"pixel_loss expects .* got \(2, 3, 4, 4\) and \(2, 4, 5\)"),
+    (lambda: train.pixel_loss(_zeros(1, 3, 0, 4), np.zeros((1, 0, 4), dtype=int)),
+     DimensionError, "pixel_loss expects .*non-empty"),
+    (lambda: train.pixel_loss(_zeros(1, 3, 2, 2), np.full((1, 2, 2), 3)), ContractError,
+     r"pixel_loss: labels must lie in \[0, 3\), got \[3, 3\]"),
+    (lambda: train.pixel_loss(_zeros(1, 3, 2, 2), np.array([[[0, -1], [1, 2]]])),
+     ContractError, r"pixel_loss: labels must lie in \[0, 3\), got \[-1, 2\]"),
+    (lambda: train.pixel_loss(_zeros(1, 3, 2, 2), np.zeros((1, 2, 2))), ContractError,
+     "pixel_loss: labels must be integers, got float64"),
+    (lambda: train.pixel_loss(_zeros(1, 3, 2, 2), np.zeros((1, 2, 2), dtype=bool)),
+     ContractError, "pixel_loss: labels must be integers, got bool"),
+    (lambda: train.pixel_loss(_zeros(1, 3, 2, 2), [[[0, 1], [1, 0]]]), ContractError,
+     "pixel_loss: labels must be a ndarray, got list"),
+    (lambda: train.pixel_loss(np.zeros((1, 3, 2, 2)), np.zeros((1, 2, 2), dtype=int)),
+     ContractError, "pixel_loss: logits must be a Tensor, got ndarray"),
 ], ids=["backward_of_float", "conv2d_no_bias", "upsample_concat_conv2d_no_bias",
         "softmax_empty_axis", "log_softmax_empty_axis", "layer_norm_empty_axis",
         "add_int", "sum_all_int", "relu_list", "affine_layer_ndarray", "conv2d_ndarray",
@@ -1397,7 +1421,11 @@ class TestBackward:
         "bspline_basis_none_grid", "bspline_basis_expand_none_x",
         "named_parameters_none_part", "basis_expand_str_basis", "grad_check_float32_x",
         "grad_check_float32_target", "astype_int_dtype", "model_astype_half",
-        "efficientkan_forward_str_norm"])
+        "efficientkan_forward_str_norm", "model_str_config", "model_int_rng",
+        "affine_layer_zero_rng", "encoder_stack_random_state_rng",
+        "pixel_loss_shapes", "pixel_loss_no_pixels", "pixel_loss_label_too_large",
+        "pixel_loss_negative_label", "pixel_loss_float_labels", "pixel_loss_bool_labels",
+        "pixel_loss_list_labels", "pixel_loss_ndarray_logits"])
 def test_public_entry_points_raise_typed_errors(call, error, named):
     with pytest.raises(error, match=named):
         call()

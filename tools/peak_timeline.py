@@ -6,7 +6,9 @@
 Builds ``TransUKanModel`` at ``ModelConfig()`` with the fields of ``--config``
 (a JSON object, e.g. ``'{"image_size": 128}'``) put over it, and runs one
 training step on a random image and labelling drawn from ``--seed``: forward,
-mean pixel cross-entropy and ``T.backward``. Memory is tracemalloc's, counted
+``transukan.train.pixel_loss`` and ``T.backward``, the parts of
+``transukan.train.step`` (run here one by one, so that the backward's adjoints
+can be wrapped before it starts). Memory is tracemalloc's, counted
 from just before the forward, so the parameters are not in it and their
 gradients are.
 
@@ -71,6 +73,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from transukan import tensor as T
+from transukan import train
 from transukan.network import ModelConfig, TransUKanModel, forward
 from transukan.tensor import Tensor
 
@@ -101,27 +104,20 @@ class Timeline:
         return max(self.peak, tracemalloc.get_traced_memory()[1] - self.base)
 
 
-def pixel_loss(model: TransUKanModel, batch: int, seed: int) -> Tensor:
-    """Mean pixel cross-entropy of ``model`` on a random image, drawn in
-    float64 and stored in the model's dtype, and a random labelling."""
-    return image_loss(model, *random_batch(model, batch, seed))
+def random_loss(model: TransUKanModel, batch: int, seed: int) -> Tensor:
+    """``train.pixel_loss`` of ``model`` on :func:`random_batch`."""
+    img, labels = random_batch(model, batch, seed)
+    return train.pixel_loss(forward(img, model), labels)
 
 
-def random_batch(model: TransUKanModel, batch: int, seed: int) -> tuple[Tensor, Tensor]:
-    """``(image, one-hot target)`` of :func:`pixel_loss`."""
+def random_batch(model: TransUKanModel, batch: int, seed: int) -> tuple[Tensor, np.ndarray]:
+    """``(image, labels)``: a random image, drawn in float64 and stored in
+    the model's dtype, and a random integer labelling."""
     cfg = model.config
     rng = np.random.default_rng(seed)
     size = cfg.image_size
     img = Tensor(rng.uniform(size=(batch, cfg.in_channels, size, size)).astype(model.dtype))
-    labels = rng.integers(0, cfg.n_classes, size=(batch, size, size))
-    return img, Tensor(np.eye(cfg.n_classes)[labels].transpose(0, 3, 1, 2))
-
-
-def image_loss(model: TransUKanModel, img: Tensor, target: Tensor) -> Tensor:
-    """Mean pixel cross-entropy of ``model`` on ``img`` against ``target``."""
-    picked = T.mul(T.log_softmax(forward(img, model), axis=1), target)
-    batch, _, height, width = img.shape
-    return T.scale(T.sum_all(picked), -1.0 / (batch * height * width))
+    return img, rng.integers(0, cfg.n_classes, size=(batch, size, size))
 
 
 def instrument(loss: Tensor, wrap) -> None:
@@ -138,7 +134,7 @@ def step_timeline(cfg: ModelConfig, batch: int, seed: int):
     tracemalloc.start()
     try:
         timeline = Timeline()
-        loss = pixel_loss(model, batch, seed + 1)
+        loss = random_loss(model, batch, seed + 1)
         held = tracemalloc.get_traced_memory()[0] - timeline.base
         instrument(loss, timeline.wrap)
         T.backward(loss)
@@ -147,14 +143,16 @@ def step_timeline(cfg: ModelConfig, batch: int, seed: int):
         tracemalloc.stop()
 
 
-def run_forward(model: TransUKanModel, inputs: tuple[Tensor, Tensor], infer: bool) -> None:
-    """:func:`image_loss` on ``inputs``, or with ``infer`` an inference
-    forward of ``model`` alone on their image, under ``T.no_grad()``."""
+def run_forward(model: TransUKanModel, inputs: tuple[Tensor, np.ndarray], infer: bool) -> None:
+    """The forward of ``model`` on the image of ``inputs``, ``(image, labels)``,
+    and ``train.pixel_loss`` against their labels; with ``infer`` the forward
+    alone, under ``T.no_grad()``."""
+    img, labels = inputs
     if not infer:
-        image_loss(model, *inputs)
+        train.pixel_loss(forward(img, model), labels)
         return
     with T.no_grad():
-        forward(inputs[0], model)
+        forward(img, model)
 
 
 def forward_timeline(cfg: ModelConfig, batch: int, seed: int, infer: bool = False):
@@ -193,7 +191,7 @@ def weak_outputs(loss: Tensor):
     """``(op, scope, weak reference, bytes)`` of each buffer that the tape
     below ``loss`` owns, by the profiler's rule, in forward order; the tape
     dies here."""
-    # Imported here, not above: tools/same_bits.py runs pixel_loss against
+    # Imported here, not above: tools/same_bits.py imports this module against
     # trees whose profiler may lack it.
     from transukan.profiler import _owned_outputs
     return [(node.op, node.scope, weakref.ref(buf), buf.nbytes)
@@ -208,7 +206,7 @@ def held_outputs(cfg: ModelConfig, batch: int, seed: int):
     rows, _, _ = step_timeline(cfg, batch, seed)
     at = max(range(len(rows)), key=lambda i: rows[i][3])
     model = TransUKanModel(cfg, rng=np.random.default_rng(seed))
-    loss = pixel_loss(model, batch, seed + 1)
+    loss = random_loss(model, batch, seed + 1)
     outputs = weak_outputs(loss)
     alive = []
     started = 0
@@ -249,7 +247,7 @@ def step_times(cfg: ModelConfig, batch: int, seed: int, steps: int):
     runs = []
     for _ in range(steps + 1):
         rows = []
-        loss = pixel_loss(model, batch, seed + 1)
+        loss = random_loss(model, batch, seed + 1)
         instrument(loss, timed(rows))
         T.backward(loss)
         for _, p in model.parameters():

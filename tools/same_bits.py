@@ -2,19 +2,25 @@
 
     python3 tools/same_bits.py PARENT_TREE CHANGE_TREE [--config JSON] [--batch B] [--seed S]
 
-Runs the training step of ``tools/peak_timeline.py`` with the package under
-each tree's ``src``, each in a process of its own: ``TransUKanModel`` at
-``ModelConfig()`` with the fields of ``--config`` (a JSON object, e.g.
-``'{"image_size": 128}'``) put over it, its ``pixel_loss`` on a random batch,
-and ``T.backward``. Prints one TSV row per tensor, the logits first and then
-each parameter's gradient in ``model.parameters()`` order: its name and the
-largest |difference| between the trees relative to the parent's largest
-|value|. The last line reads ``identical`` when every tensor has the same
-bytes in both trees; otherwise it gives the count of tensors that differ, and
-the exit status is 1.
+Runs one ``transukan.train.step`` (forward, ``train.pixel_loss`` and
+``T.backward``) with the package under each tree's ``src``, each in a process
+of its own: ``TransUKanModel`` at ``ModelConfig()`` with the fields of
+``--config`` (a JSON object, e.g. ``'{"image_size": 128}'``) put over it, on
+the random batch of ``tools/peak_timeline.py``. Both trees run this
+checkout's ``train.py``, loaded from its file path as ``transukan.train`` over
+the tree's own ``tensor`` and ``network``, so trees that have no ``train.py``
+compare too, and both run the same loss and step.
+
+Prints one TSV row per tensor, the logits first and then each parameter's
+gradient in ``model.parameters()`` order: its name and the largest
+|difference| between the trees relative to the parent's largest |value|. The
+last line reads ``identical`` when every tensor has the same bytes in both
+trees; otherwise it gives the count of tensors that differ, and the exit
+status is 1.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -25,8 +31,9 @@ from pathlib import Path
 import numpy as np
 
 TOOLS = Path(__file__).resolve().parent
-# A child process imports the tree's package before peak_timeline, whose own
-# import of this checkout's package then finds it already loaded.
+TRAIN = TOOLS.parent / "src" / "transukan" / "train.py"
+# A child process imports the tree's package and this checkout's train.py
+# before peak_timeline, whose own imports of them then find them loaded.
 _CHILD = (f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import same_bits; "
           f"same_bits.save_step(*sys.argv[1:])")
 
@@ -35,16 +42,17 @@ def save_step(tree: str, config: str, batch: str, seed: str, out: str) -> None:
     """Save to ``out`` (.npz) the logits and parameter gradients of one
     training step of the package under ``tree``."""
     sys.path.insert(0, str(Path(tree).resolve() / "src"))
-    from transukan import tensor as T
+    import transukan
     from transukan.network import ModelConfig, TransUKanModel
-    from peak_timeline import pixel_loss
+    spec = importlib.util.spec_from_file_location("transukan.train", TRAIN)
+    train = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = transukan.train = train
+    spec.loader.exec_module(train)
+    from peak_timeline import random_batch
 
     cfg = ModelConfig.from_dict({**ModelConfig().to_dict(), **json.loads(config)})
     model = TransUKanModel(cfg, rng=np.random.default_rng(int(seed)))
-    loss = pixel_loss(model, int(batch), int(seed) + 1)
-    # The logits are what the loss's log_softmax reads.
-    logits = next(n for n in T.Tape(loss).nodes if n.op == "log_softmax")._parents[0]
-    T.backward(loss)
+    _, logits = train.step(model, *random_batch(model, int(batch), int(seed) + 1))
     grads = {name: np.zeros_like(p.data) if p.grad is None else p.grad
              for name, p in model.parameters()}
     np.savez(out, logits=logits.data, **grads)
